@@ -18,7 +18,7 @@ package repro
 //	               world sizes, and the number the E12 "within 1.5x of
 //	               ScaleConfig" target reads
 //
-// cmd/benchjson parses the extra columns and derives
+// BENCH_PR10.json records these columns with the derived
 // max_world_devices_at_budget (how many devices fit a fixed 2 GiB
 // budget, extrapolating the measured peak linearly) per spill variant.
 

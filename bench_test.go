@@ -394,8 +394,8 @@ func BenchmarkSimRunEvents(b *testing.B) {
 // engine/run-loop histogram, and the run-phase tracer ring. Metrics take
 // their timestamps only at day-phase boundaries (~8 time.Now calls per
 // simulated day), so the metrics=on line must stay within 1% of
-// metrics=off — benchjson derives metrics_on_off_overhead_pct from the
-// recorded medians, and the E11 acceptance bar pins it below 1.
+// metrics=off: the E11 acceptance bar pins metrics_on_off_overhead_pct,
+// derived from the two lines' samples (BENCH_PR9.json), below 1.
 func benchSimRunMetrics(b *testing.B, metrics bool) {
 	cfg := sim.ScaleConfig()
 	cfg.Workers = 1

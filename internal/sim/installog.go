@@ -252,7 +252,7 @@ func (l *InstallLog) flush() {
 		l.enc.Reset()
 		for i < len(l.mem) && l.mem[i].Day == day && l.enc.Len() < spillChunkBytes {
 			rec := &l.mem[i]
-			l.enc.Install(rec.App, rec.Device, 0)
+			l.enc.InstallRef(l.enc.StringRef(rec.App), rec.App, l.enc.DeviceRef(rec.Device), rec.Device, 0)
 			i++
 		}
 		l.w.EventBatch(l.enc.Bytes())

@@ -3,7 +3,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -97,7 +96,7 @@ func (c *Checkpoint) Encode() []byte {
 		body.Varint(int64(in.Day))
 	}
 	enc.Blob(body.Bytes())
-	enc.U32(crc32.Checksum(body.Bytes(), castagnoli))
+	enc.U32(binenc.CRC(body.Bytes()))
 	return enc.Bytes()
 }
 
@@ -143,7 +142,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err := dec.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
-	if crc32.Checksum(body, castagnoli) != crc {
+	if binenc.CRC(body) != crc {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrBadCheckpoint)
 	}
 	bd := binenc.NewDec(body)

@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/binenc"
 	"repro/internal/dates"
@@ -58,8 +57,6 @@ var (
 	ErrCRC      = errors.New("stream: frame CRC mismatch")
 	ErrFrame    = errors.New("stream: malformed frame")
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Kind identifies a frame type.
 type Kind uint8
@@ -256,31 +253,10 @@ func (e *Encoder) SetDeviceTable(tab map[string]uint32) { e.tab = tab }
 // The table must match the Strings list in the log's base frame.
 func (e *Encoder) SetStringTable(tab map[string]uint32) { e.stab = tab }
 
-// dev writes a device reference: table index + 1, or 0 followed by the
-// inline string for devices outside the table.
-func (e *Encoder) dev(s string) {
-	if id, ok := e.tab[s]; ok {
-		e.enc.Uvarint(uint64(id) + 1)
-		return
-	}
-	e.enc.Uvarint(0)
-	e.enc.Str(s)
-}
-
-// istr writes an interned-string reference (same wire scheme as dev, but
-// against the general string table).
-func (e *Encoder) istr(s string) {
-	if id, ok := e.stab[s]; ok {
-		e.enc.Uvarint(uint64(id) + 1)
-		return
-	}
-	e.enc.Uvarint(0)
-	e.enc.Str(s)
-}
-
-// StringRef pre-resolves a string to its wire reference (table index + 1,
-// or 0 = encode inline). Hot callers resolve once at construction and use
-// the *Ref encoder variants, skipping the map lookup per event.
+// StringRef resolves a string to its wire reference: table index + 1, or
+// 0 when it is not interned and is written inline. The per-kind encoders
+// take refs, so hot callers resolve each string once at construction
+// instead of paying a map lookup per event.
 func (e *Encoder) StringRef(s string) uint32 {
 	if id, ok := e.stab[s]; ok {
 		return id + 1
@@ -288,20 +264,8 @@ func (e *Encoder) StringRef(s string) uint32 {
 	return 0
 }
 
-// istrPre writes a pre-resolved string reference (ref 0 falls back to the
-// inline string). Byte-identical to istr(s) under the same table.
-func (e *Encoder) istrPre(ref uint32, s string) {
-	if ref != 0 {
-		e.enc.Uvarint(uint64(ref))
-		return
-	}
-	e.enc.Uvarint(0)
-	e.enc.Str(s)
-}
-
-// DeviceRef pre-resolves a device to its wire reference (table index + 1,
-// or 0 = encode inline). Hot callers resolve each device once and pass
-// the ref to the *Ref encoder variants, avoiding a map lookup per event.
+// DeviceRef resolves a device to its wire reference, as StringRef does
+// against the device table.
 func (e *Encoder) DeviceRef(device string) uint32 {
 	if id, ok := e.tab[device]; ok {
 		return id + 1
@@ -309,15 +273,12 @@ func (e *Encoder) DeviceRef(device string) uint32 {
 	return 0
 }
 
-// devPre writes a pre-resolved reference (ref 0 falls back to the inline
-// string). Byte-identical to dev(s) under the same table.
-func (e *Encoder) devPre(ref uint32, s string) {
-	if ref != 0 {
-		e.enc.Uvarint(uint64(ref))
-		return
+// ref writes a wire reference; ref 0 is followed by the inline string.
+func (e *Encoder) ref(ref uint32, s string) {
+	e.enc.Uvarint(uint64(ref))
+	if ref == 0 {
+		e.enc.Str(s)
 	}
-	e.enc.Uvarint(0)
-	e.enc.Str(s)
 }
 
 // Bytes returns every frame appended so far.
@@ -341,42 +302,40 @@ func (e *Encoder) Reset() {
 // never reallocate mid-day.
 func (e *Encoder) Grow(n int) { e.enc.Grow(n) }
 
-// begin opens a frame (kind byte plus a u32 length placeholder) or, in
-// record mode, a sub-record (kind byte plus a 1-byte length slot for the
-// common short payload). It returns the payload start offset for end.
+// begin opens a frame or, in record mode, a sub-record (kind byte plus a
+// 1-byte length slot for the common short payload). It returns the
+// payload start offset for end.
 func (e *Encoder) begin(k Kind) int {
 	e.nrec++
-	e.enc.U8(uint8(k))
-	if e.records {
-		e.enc.U8(0)
-	} else {
-		e.enc.U32(0)
+	if !e.records {
+		return e.enc.BeginFrame(uint8(k))
 	}
+	e.enc.U8(uint8(k))
+	e.enc.U8(0)
 	return e.enc.Len()
 }
 
-// end backpatches the payload length and, in frame mode, appends the
-// payload CRC. Record mode writes a canonical uvarint length instead: the
-// reserved byte covers payloads under 128 bytes; longer payloads (rare —
-// big install batches) shift right to make room for the multi-byte form.
+// end closes a frame or, in record mode, writes the sub-record's
+// canonical uvarint length: the reserved byte covers payloads under 128
+// bytes; longer payloads (rare — big install batches) shift right to make
+// room for the multi-byte form.
 func (e *Encoder) end(start int) {
-	buf := e.enc.Bytes()
-	n := len(buf) - start
-	if e.records {
-		if n < 0x80 {
-			buf[start-1] = byte(n)
-			return
-		}
-		var v [binary.MaxVarintLen64]byte
-		ln := binary.PutUvarint(v[:], uint64(n))
-		e.enc.Pad(ln - 1)
-		buf = e.enc.Bytes()
-		copy(buf[start-1+ln:], buf[start:start+n])
-		copy(buf[start-1:], v[:ln])
+	if !e.records {
+		e.enc.EndFrame(start)
 		return
 	}
-	binenc.PutU32(buf[start-4:start], uint32(n))
-	e.enc.U32(crc32.Checksum(buf[start:], castagnoli))
+	buf := e.enc.Bytes()
+	n := len(buf) - start
+	if n < 0x80 {
+		buf[start-1] = byte(n)
+		return
+	}
+	var v [binary.MaxVarintLen64]byte
+	ln := binary.PutUvarint(v[:], uint64(n))
+	e.enc.Pad(ln - 1)
+	buf = e.enc.Bytes()
+	copy(buf[start-1+ln:], buf[start:start+n])
+	copy(buf[start-1:], v[:ln])
 }
 
 // Header appends the header frame.
@@ -415,17 +374,12 @@ func (e *Encoder) DayStart(day dates.Date) {
 	e.end(s)
 }
 
-// Organic appends one app's organic activity for the current day:
+// OrganicRef appends one app's organic activity for the current day:
 // installs (at meanFraud), dau sessions of secPer seconds, and usd of
 // purchase revenue (0 = none recorded).
-func (e *Encoder) Organic(pkg string, installs int64, meanFraud float64, dau, secPer int64, usd float64) {
-	e.OrganicRef(e.StringRef(pkg), pkg, installs, meanFraud, dau, secPer, usd)
-}
-
-// OrganicRef is Organic with a pre-resolved package reference.
 func (e *Encoder) OrganicRef(pkgRef uint32, pkg string, installs int64, meanFraud float64, dau, secPer int64, usd float64) {
 	s := e.begin(KindOrganic)
-	e.istrPre(pkgRef, pkg)
+	e.ref(pkgRef, pkg)
 	e.enc.Uvarint(uint64(installs))
 	e.enc.F64(meanFraud)
 	e.enc.Uvarint(uint64(dau))
@@ -434,124 +388,71 @@ func (e *Encoder) OrganicRef(pkgRef uint32, pkg string, installs int64, meanFrau
 	e.end(s)
 }
 
-// Click appends a tracked offer-wall click.
-func (e *Encoder) Click(offer, worker string) {
-	e.ClickRef(e.StringRef(offer), offer, e.DeviceRef(worker), worker)
-}
-
-// ClickRef is Click with pre-resolved offer and device references.
+// ClickRef appends a tracked offer-wall click.
 func (e *Encoder) ClickRef(offerRef uint32, offer string, devRef uint32, worker string) {
 	s := e.begin(KindClick)
-	e.istrPre(offerRef, offer)
-	e.devPre(devRef, worker)
+	e.ref(offerRef, offer)
+	e.ref(devRef, worker)
 	e.end(s)
 }
 
-// Install appends one full-fidelity incentivized install.
-func (e *Encoder) Install(pkg, device string, fraud float64) {
-	e.InstallRef(e.StringRef(pkg), pkg, e.DeviceRef(device), device, fraud)
-}
-
-// InstallRef is Install with pre-resolved package and device references.
+// InstallRef appends one full-fidelity incentivized install.
 func (e *Encoder) InstallRef(pkgRef uint32, pkg string, devRef uint32, device string, fraud float64) {
 	s := e.begin(KindInstall)
-	e.istrPre(pkgRef, pkg)
-	e.devPre(devRef, device)
+	e.ref(pkgRef, pkg)
+	e.ref(devRef, device)
 	e.enc.F64(fraud)
 	e.end(s)
 }
 
-// InstallBatch appends a bulk install event; device(i) supplies the i-th
-// fulfilling device ID (a callback so callers with the IDs already in a
-// larger structure need not build a throwaway slice).
-func (e *Encoder) InstallBatch(pkg string, meanFraud float64, n int, device func(i int) string) {
-	s := e.begin(KindInstallBatch)
-	e.istr(pkg)
-	e.enc.F64(meanFraud)
-	e.enc.Uvarint(uint64(n))
-	for i := 0; i < n; i++ {
-		e.dev(device(i))
-	}
-	e.end(s)
-}
-
-// InstallBatchRef is InstallBatch with pre-resolved references; device(i)
-// returns the i-th device ref plus the fallback string for ref 0.
+// InstallBatchRef appends a bulk install event; device(i) returns the
+// i-th fulfilling device's ref plus the fallback string for ref 0 (a
+// callback so callers with the devices already in a larger structure need
+// not build a throwaway slice).
 func (e *Encoder) InstallBatchRef(pkgRef uint32, pkg string, meanFraud float64, n int, device func(i int) (uint32, string)) {
 	s := e.begin(KindInstallBatch)
-	e.istrPre(pkgRef, pkg)
+	e.ref(pkgRef, pkg)
 	e.enc.F64(meanFraud)
 	e.enc.Uvarint(uint64(n))
 	for i := 0; i < n; i++ {
 		ref, name := device(i)
-		e.devPre(ref, name)
+		e.ref(ref, name)
 	}
 	e.end(s)
 }
 
-// Postback appends an SDK event postback.
-func (e *Encoder) Postback(offer string, event uint8, certified bool) {
-	e.PostbackRef(e.StringRef(offer), offer, event, certified)
-}
-
-// PostbackRef is Postback with a pre-resolved offer reference.
+// PostbackRef appends an SDK event postback.
 func (e *Encoder) PostbackRef(offerRef uint32, offer string, event uint8, certified bool) {
 	s := e.begin(KindPostback)
-	e.istrPre(offerRef, offer)
+	e.ref(offerRef, offer)
 	e.enc.U8(event)
 	e.enc.Bool(certified)
 	e.end(s)
 }
 
-// CertifyBatch appends a bulk certification.
-func (e *Encoder) CertifyBatch(offer string, n int64) {
-	e.CertifyBatchRef(e.StringRef(offer), offer, n)
-}
-
-// CertifyBatchRef is CertifyBatch with a pre-resolved offer reference.
+// CertifyBatchRef appends a bulk certification.
 func (e *Encoder) CertifyBatchRef(offerRef uint32, offer string, n int64) {
 	s := e.begin(KindCertifyBatch)
-	e.istrPre(offerRef, offer)
+	e.ref(offerRef, offer)
 	e.enc.Uvarint(uint64(n))
 	e.end(s)
 }
 
-// Session appends n recorded sessions of secPer seconds each.
-func (e *Encoder) Session(pkg string, n, secPer int64) {
-	e.SessionRef(e.StringRef(pkg), pkg, n, secPer)
-}
-
-// SessionRef is Session with a pre-resolved package reference.
+// SessionRef appends n recorded sessions of secPer seconds each.
 func (e *Encoder) SessionRef(pkgRef uint32, pkg string, n, secPer int64) {
 	s := e.begin(KindSession)
-	e.istrPre(pkgRef, pkg)
+	e.ref(pkgRef, pkg)
 	e.enc.Uvarint(uint64(n))
 	e.enc.Uvarint(uint64(secPer))
 	e.end(s)
 }
 
-// Purchase appends in-app purchase revenue.
-func (e *Encoder) Purchase(pkg string, usd float64) {
-	e.PurchaseRef(e.StringRef(pkg), pkg, usd)
-}
-
-// PurchaseRef is Purchase with a pre-resolved package reference.
+// PurchaseRef appends in-app purchase revenue.
 func (e *Encoder) PurchaseRef(pkgRef uint32, pkg string, usd float64) {
 	s := e.begin(KindPurchase)
-	e.istrPre(pkgRef, pkg)
+	e.ref(pkgRef, pkg)
 	e.enc.F64(usd)
 	e.end(s)
-}
-
-// Settle appends one settlement: n completions of an offer, the money
-// split, and the four ledger accounts the split moves through. Replay
-// reconstructs the exact transfer sequence from these fields plus the
-// header's mediator identity.
-func (e *Encoder) Settle(offer string, n int64, batch bool, gross, affCut, userPayout float64, devAcct, iipAcct, affAcct, userAcct string) {
-	e.SettleRef(SettleRefs{
-		Offer: e.StringRef(offer), Dev: e.StringRef(devAcct),
-		IIP: e.StringRef(iipAcct), Aff: e.StringRef(affAcct), User: e.StringRef(userAcct),
-	}, offer, n, batch, gross, affCut, userPayout, devAcct, iipAcct, affAcct, userAcct)
 }
 
 // SettleRefs carries the pre-resolved string references of a settlement's
@@ -560,26 +461,29 @@ type SettleRefs struct {
 	Offer, Dev, IIP, Aff, User uint32
 }
 
-// SettleRef is Settle with pre-resolved references.
+// SettleRef appends one settlement: n completions of an offer, the money
+// split, and the four ledger accounts the split moves through. Replay
+// reconstructs the exact transfer sequence from these fields plus the
+// header's mediator identity.
 func (e *Encoder) SettleRef(refs SettleRefs, offer string, n int64, batch bool, gross, affCut, userPayout float64, devAcct, iipAcct, affAcct, userAcct string) {
 	s := e.begin(KindSettle)
-	e.istrPre(refs.Offer, offer)
+	e.ref(refs.Offer, offer)
 	e.enc.Uvarint(uint64(n))
 	e.enc.Bool(batch)
 	e.enc.F64(gross)
 	e.enc.F64(affCut)
 	e.enc.F64(userPayout)
-	e.istrPre(refs.Dev, devAcct)
-	e.istrPre(refs.IIP, iipAcct)
-	e.istrPre(refs.Aff, affAcct)
-	e.istrPre(refs.User, userAcct)
+	e.ref(refs.Dev, devAcct)
+	e.ref(refs.IIP, iipAcct)
+	e.ref(refs.Aff, affAcct)
+	e.ref(refs.User, userAcct)
 	e.end(s)
 }
 
 // Enforce appends a store enforcement action.
 func (e *Encoder) Enforce(pkg string, removed int64) {
 	s := e.begin(KindEnforce)
-	e.istr(pkg)
+	e.ref(e.StringRef(pkg), pkg)
 	e.enc.Uvarint(uint64(removed))
 	e.end(s)
 }
@@ -593,7 +497,7 @@ func (e *Encoder) Chart(name string, entries []playstore.ChartEntry) {
 	e.enc.Uvarint(uint64(len(entries)))
 	for _, en := range entries {
 		e.enc.Varint(int64(en.Rank))
-		e.istr(en.Package)
+		e.ref(e.StringRef(en.Package), en.Package)
 		e.enc.F64(en.Score)
 	}
 	e.end(s)
@@ -618,23 +522,28 @@ func (e *Encoder) Event(ev *Event) error {
 	case KindDayStart:
 		e.DayStart(ev.Day)
 	case KindOrganic:
-		e.Organic(ev.Pkg, ev.N, ev.Fraud, ev.DAU, ev.Seconds, ev.USD)
+		e.OrganicRef(e.StringRef(ev.Pkg), ev.Pkg, ev.N, ev.Fraud, ev.DAU, ev.Seconds, ev.USD)
 	case KindClick:
-		e.Click(ev.Offer, ev.Worker)
+		e.ClickRef(e.StringRef(ev.Offer), ev.Offer, e.DeviceRef(ev.Worker), ev.Worker)
 	case KindInstall:
-		e.Install(ev.Pkg, ev.Device, ev.Fraud)
+		e.InstallRef(e.StringRef(ev.Pkg), ev.Pkg, e.DeviceRef(ev.Device), ev.Device, ev.Fraud)
 	case KindInstallBatch:
-		e.InstallBatch(ev.Pkg, ev.Fraud, len(ev.Devices), func(i int) string { return ev.Devices[i] })
+		e.InstallBatchRef(e.StringRef(ev.Pkg), ev.Pkg, ev.Fraud, len(ev.Devices), func(i int) (uint32, string) {
+			return e.DeviceRef(ev.Devices[i]), ev.Devices[i]
+		})
 	case KindPostback:
-		e.Postback(ev.Offer, ev.PostEvent, ev.Certified)
+		e.PostbackRef(e.StringRef(ev.Offer), ev.Offer, ev.PostEvent, ev.Certified)
 	case KindCertifyBatch:
-		e.CertifyBatch(ev.Offer, ev.N)
+		e.CertifyBatchRef(e.StringRef(ev.Offer), ev.Offer, ev.N)
 	case KindSession:
-		e.Session(ev.Pkg, ev.N, ev.Seconds)
+		e.SessionRef(e.StringRef(ev.Pkg), ev.Pkg, ev.N, ev.Seconds)
 	case KindPurchase:
-		e.Purchase(ev.Pkg, ev.USD)
+		e.PurchaseRef(e.StringRef(ev.Pkg), ev.Pkg, ev.USD)
 	case KindSettle:
-		e.Settle(ev.Offer, ev.N, ev.Batch, ev.Gross, ev.AffCut, ev.UserPayout,
+		e.SettleRef(SettleRefs{
+			Offer: e.StringRef(ev.Offer), Dev: e.StringRef(ev.DevAcct),
+			IIP: e.StringRef(ev.IIPAcct), Aff: e.StringRef(ev.AffAcct), User: e.StringRef(ev.UserAcct),
+		}, ev.Offer, ev.N, ev.Batch, ev.Gross, ev.AffCut, ev.UserPayout,
 			ev.DevAcct, ev.IIPAcct, ev.AffAcct, ev.UserAcct)
 	case KindEnforce:
 		e.Enforce(ev.Pkg, ev.N)
@@ -709,12 +618,12 @@ func parseRecord(buf []byte, off int) (k Kind, payload []byte, next int, err err
 	return k, buf[p0 : p0+int(n)], p0 + int(n), nil
 }
 
-// decodeDev reads a device reference written by Encoder.dev.
+// decodeDev reads a device reference written by Encoder.ref.
 func decodeDev(dec *binenc.Dec, table []string) string {
 	return decodeRef(dec, table, "device")
 }
 
-// decodeIstr reads an interned-string reference written by Encoder.istr.
+// decodeIstr reads an interned-string reference written by Encoder.ref.
 func decodeIstr(dec *binenc.Dec, table []string) string {
 	return decodeRef(dec, table, "string")
 }

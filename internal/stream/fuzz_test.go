@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/dates"
 	"repro/internal/playstore"
 )
@@ -80,12 +81,12 @@ func FuzzEventCodecRoundTrip(f *testing.F) {
 		}
 		first := append([]byte(nil), enc.Bytes()...)
 
-		k, payload, next, ok, err := (&Tail{r: bytes.NewReader(first)}).peekFrame(0)
-		if err != nil || !ok || next != int64(len(first)) {
-			t.Fatalf("frame not self-delimiting: ok=%v next=%d len=%d err=%v", ok, next, len(first), err)
+		fr, err := binenc.ScanFrame(first, maxFramePayload)
+		if err != nil || fr.Size() != int64(len(first)) {
+			t.Fatalf("frame not self-delimiting: size=%d len=%d err=%v", fr.Size(), len(first), err)
 		}
 		var got Event
-		if err := decodePayload(k, payload, &got, table, strTable); err != nil {
+		if err := decodePayload(Kind(fr.Kind), fr.Payload, &got, table, strTable); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		var enc2 Encoder
@@ -104,19 +105,17 @@ func FuzzEventCodecRoundTrip(f *testing.F) {
 // it must never panic, and whatever it accepts must satisfy the CRC.
 func FuzzFrameDecodeRobustness(f *testing.F) {
 	var enc Encoder
-	enc.Install("com.x", "d", 0.5)
+	encode(f, &enc, Event{Kind: KindInstall, Pkg: "com.x", Device: "d", Fraud: 0.5})
 	f.Add(enc.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{6, 255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tail := &Tail{r: bytes.NewReader(data)}
-		k, payload, _, ok, err := tail.peekFrame(0)
-		if err != nil || !ok {
+		fr, err := binenc.ScanFrame(data, maxFramePayload)
+		if err != nil {
 			return
 		}
 		var ev Event
-		_ = k
-		_ = decodePayload(k, payload, &ev, nil, nil)
+		_ = decodePayload(Kind(fr.Kind), fr.Payload, &ev, nil, nil)
 	})
 }
 
@@ -143,7 +142,7 @@ func FuzzBatchRecordRoundTrip(f *testing.F) {
 		}
 		// A short record after a potentially long one checks that the
 		// shift in Encoder.end did not corrupt the running buffer.
-		enc.Install(pkg, device, fraud)
+		encode(t, &enc, Event{Kind: KindInstall, Pkg: pkg, Device: device, Fraud: fraud})
 		first := append([]byte(nil), enc.Bytes()...)
 
 		var off int
@@ -189,11 +188,11 @@ func FuzzSegmentCodecRoundTrip(f *testing.F) {
 		enc.Segment(seg)
 		first := append([]byte(nil), enc.Bytes()...)
 
-		k, payload, next, ok, err := (&Tail{r: bytes.NewReader(first)}).peekFrame(0)
-		if err != nil || !ok || k != KindSegment || next != int64(len(first)) {
-			t.Fatalf("segment frame not self-delimiting: k=%s ok=%v next=%d len=%d err=%v", k, ok, next, len(first), err)
+		fr, err := binenc.ScanFrame(first, maxFramePayload)
+		if err != nil || Kind(fr.Kind) != KindSegment || fr.Size() != int64(len(first)) {
+			t.Fatalf("segment frame not self-delimiting: k=%s size=%d len=%d err=%v", Kind(fr.Kind), fr.Size(), len(first), err)
 		}
-		got, err := decodeSegment(payload)
+		got, err := decodeSegment(fr.Payload)
 		if err != nil {
 			t.Fatalf("decodeSegment: %v", err)
 		}
@@ -208,16 +207,15 @@ func FuzzSegmentCodecRoundTrip(f *testing.F) {
 			if cut >= len(first) {
 				continue
 			}
-			_, _, _, ok, err := (&Tail{r: bytes.NewReader(first[:cut])}).peekFrame(0)
-			if ok && err == nil {
+			if _, err := binenc.ScanFrame(first[:cut], maxFramePayload); err == nil {
 				t.Fatalf("truncated segment frame (cut=%d) parsed as complete", cut)
 			}
 		}
 		// A corrupted payload byte must fail the CRC.
-		if len(payload) > 0 {
+		if len(fr.Payload) > 0 {
 			bad := append([]byte(nil), first...)
 			bad[5] ^= 0x40 // first payload byte (after kind + u32 length)
-			if _, _, _, _, err := (&Tail{r: bytes.NewReader(bad)}).peekFrame(0); err == nil {
+			if _, err := binenc.ScanFrame(bad, maxFramePayload); err == nil {
 				t.Fatal("corrupted segment frame passed CRC")
 			}
 		}
@@ -235,7 +233,7 @@ func FuzzLogStreamRobustness(f *testing.F) {
 	var enc Encoder
 	enc.SetRecordMode(true)
 	enc.DayStart(2)
-	enc.Install("com.x", "d1", 0.5)
+	encode(f, &enc, Event{Kind: KindInstall, Pkg: "com.x", Device: "d1", Fraud: 0.5})
 	f.Add(pre.Bytes(), []byte{})
 	f.Add(pre.Bytes(), enc.Bytes())
 	f.Add(pre.Bytes(), []byte{byte(KindEventBatch), 4, 0, 0, 0, 1, 2, 3, 4})

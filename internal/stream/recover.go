@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -73,28 +72,15 @@ func ScanValid(r io.ReaderAt, size int64) (RecoverInfo, error) {
 	}
 	// An intact preamble with no days yet salvages to the preamble end: a
 	// fresh run restarts from day one on a truncated-but-valid file.
-	info.ValidEnd, info.ScannedEnd = t.off, t.off
-	off := t.off
-	st := validScanState{info: &info, devices: t.base.Devices, strings: t.base.Strings}
+	info.ValidEnd, info.ScannedEnd = t.c.off, t.c.off
+	off := t.c.off
+	st := validScanState{info: &info, devices: t.c.base.Devices, strings: t.c.base.Strings}
 	for off < size {
-		k, payload, next, ok, err := t.peekFrame(off)
+		k, payload, next, err := t.c.frame(off)
 		info.ScannedEnd = off
 		if err != nil {
-			if c := asCorruption(off, k, err); c != nil {
-				if c.Kind == 0 {
-					// peekFrame zeroes the kind on error; report what the
-					// frame header claims.
-					var kb [1]byte
-					if n, _ := r.ReadAt(kb[:], off); n == 1 {
-						c.Kind = Kind(kb[0])
-					}
-				}
-				info.Corruption = c
-			}
-			return info, nil
-		}
-		if !ok {
-			// Torn tail: the frame's bytes run past the input.
+			// A torn tail (the frame runs past the input) is no corruption.
+			info.Corruption = asCorruption(off, k, err)
 			return info, nil
 		}
 		if c := st.frame(off, next, k, payload); c != nil {
@@ -208,7 +194,7 @@ func (st *validScanState) record(off int64, k Kind, payload []byte) *FrameCorrup
 // asCorruption wraps a scan error as a located corruption; pure
 // truncation (io.EOF family) is not corruption.
 func asCorruption(off int64, k Kind, err error) *FrameCorruption {
-	if err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+	if err == nil || incomplete(err) {
 		return nil
 	}
 	return &FrameCorruption{Offset: off, Kind: k, Err: err}

@@ -42,9 +42,10 @@ func buildRecoverLog(t *testing.T, days, segEvery int) recoverLog {
 		e.SetDeviceTable(w.DeviceTable())
 		e.SetStringTable(w.StringTable())
 		e.SetRecordMode(true)
-		e.Install("com.x", "d1", 0.5)
-		e.Click("offer-1", "d2")
-		e.Session("com.x", int64(d), 60)
+		encode(t, &e,
+			Event{Kind: KindInstall, Pkg: "com.x", Device: "d1", Fraud: 0.5},
+			Event{Kind: KindClick, Offer: "offer-1", Worker: "d2"},
+			Event{Kind: KindSession, Pkg: "com.x", N: int64(d), Seconds: 60})
 		if err := w.EventBatch(e.Bytes()); err != nil {
 			t.Fatal(err)
 		}
@@ -308,8 +309,9 @@ func FuzzRecover(f *testing.F) {
 		e.SetDeviceTable(w.DeviceTable())
 		e.SetStringTable(w.StringTable())
 		e.SetRecordMode(true)
-		e.Install("com.x", "d1", 0.5)
-		e.Click("offer-1", "d2")
+		encode(f, &e,
+			Event{Kind: KindInstall, Pkg: "com.x", Device: "d1", Fraud: 0.5},
+			Event{Kind: KindClick, Offer: "offer-1", Worker: "d2"})
 		if err := w.DayStart(d); err != nil {
 			f.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -84,44 +83,32 @@ func ScanIndex(r io.ReaderAt) (*LogIndex, error) {
 	if !t.started {
 		return nil, fmt.Errorf("%w: log preamble incomplete", ErrFrame)
 	}
+	c := &t.c
 	idx := &LogIndex{
-		Header:   t.hdr,
-		Base:     t.base,
-		Segments: []SegmentInfo{{FrameOff: t.off, DataOff: t.off, FirstDay: t.hdr.WindowStart}},
+		Header:   c.hdr,
+		Base:     c.base,
+		Segments: []SegmentInfo{{FrameOff: c.off, DataOff: c.off, FirstDay: c.hdr.WindowStart}},
 	}
-	off := t.off
-	var hdr [5]byte
-	var crc [4]byte
-	for {
-		ok, err := t.readAt(hdr[:1], off)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			idx.End = off
+	for off := c.off; ; {
+		f, err := c.frames.PeekAt(off)
+		if err = frameErr(f, err); err != nil {
+			if !incomplete(err) {
+				return nil, err
+			}
+			idx.End, idx.Torn = off, err == io.ErrUnexpectedEOF
 			return idx, nil
 		}
-		if ok, err = t.readAt(hdr[:], off); !ok || err != nil {
-			idx.End, idx.Torn = off, true
-			return idx, err
-		}
-		k := Kind(hdr[0])
-		n := binary.LittleEndian.Uint32(hdr[1:])
-		if n > maxFramePayload {
-			return nil, fmt.Errorf("%w: payload of %d bytes", ErrFrame, n)
-		}
-		next := off + 5 + int64(n) + 4
-		switch k {
+		next := off + f.Size()
+		switch k := Kind(f.Kind); k {
 		case KindDayStart, KindSegment:
-			kk, payload, pnext, ok, err := t.peekFrame(off)
-			if !ok || err != nil {
+			_, payload, _, err := c.frame(off)
+			if err != nil {
 				idx.End, idx.Torn = off, true
 				return idx, err
 			}
-			_ = pnext
-			if kk == KindDayStart {
+			if k == KindDayStart {
 				var ev Event
-				if err := decodePayload(kk, payload, &ev, nil, nil); err != nil {
+				if err := decodePayload(k, payload, &ev, nil, nil); err != nil {
 					return nil, err
 				}
 				idx.Days = append(idx.Days, DayInfo{Day: ev.Day, Offset: off, Segment: len(idx.Segments) - 1})
@@ -134,13 +121,6 @@ func ScanIndex(r io.ReaderAt) (*LogIndex, error) {
 					Ordinal: seg.Ordinal, FirstDay: seg.FirstDay,
 					FrameOff: off, DataOff: next, Checkpoint: seg.Checkpoint,
 				})
-			}
-		default:
-			// Confirm the frame is complete by probing its CRC trailer; the
-			// payload bytes before it are then necessarily present too.
-			if ok, err = t.readAt(crc[:], next-4); !ok || err != nil {
-				idx.End, idx.Torn = off, true
-				return idx, err
 			}
 		}
 		off = next
@@ -156,7 +136,7 @@ func (t *Tail) SeekToDay(day dates.Date) (bool, error) {
 	if err := t.start(); err != nil || !t.started {
 		return false, err
 	}
-	idx, err := ScanIndex(t.r)
+	idx, err := ScanIndex(t.c.src)
 	if err != nil {
 		return false, err
 	}
@@ -164,9 +144,8 @@ func (t *Tail) SeekToDay(day dates.Date) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	t.off = d.Offset
-	t.inBatch = false
-	t.batch, t.batchOff = nil, 0
+	t.c.off = d.Offset
+	t.c.batch, t.c.batchOff = nil, 0
 	return true, nil
 }
 
@@ -205,11 +184,11 @@ func Histogram(r io.ReaderAt) ([]KindStats, int64, error) {
 		}
 		return s
 	}
-	// The preamble frames (header, base) sit before t.off; re-walk them.
+	// The preamble frames (header, base) sit before the cursor; re-walk them.
 	off := int64(len(Magic))
-	for off < t.off {
-		k, payload, next, ok, err := t.peekFrame(off)
-		if !ok || err != nil {
+	for off < t.c.off {
+		k, payload, next, err := t.c.frame(off)
+		if err != nil {
 			return nil, 0, err
 		}
 		s := row(k)
@@ -220,8 +199,11 @@ func Histogram(r io.ReaderAt) ([]KindStats, int64, error) {
 		off = next
 	}
 	for {
-		k, payload, next, ok, err := t.peekFrame(off)
-		if err != nil || !ok {
+		k, payload, next, err := t.c.frame(off)
+		if incomplete(err) {
+			return sortedRows(byKind), off, nil
+		}
+		if err != nil {
 			return sortedRows(byKind), off, err
 		}
 		s := row(k)

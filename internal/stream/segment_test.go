@@ -7,6 +7,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/dates"
 )
 
@@ -63,10 +64,13 @@ func TestEventBatchRoundTrip(t *testing.T) {
 		e.SetStringTable(w.StringTable())
 		e.SetRecordMode(true)
 	}
-	a.Install("com.x", "d1", 0.5)
-	a.Session("com.x", 3, 60)
-	b.Click("offer-1", "d2")
-	b.Settle("offer-1", 2, true, 1.0, 0.3, 0.06, "dev:a", "iip:b", "aff:c", "user:d")
+	encode(t, &a,
+		Event{Kind: KindInstall, Pkg: "com.x", Device: "d1", Fraud: 0.5},
+		Event{Kind: KindSession, Pkg: "com.x", N: 3, Seconds: 60})
+	encode(t, &b,
+		Event{Kind: KindClick, Offer: "offer-1", Worker: "d2"},
+		Event{Kind: KindSettle, Offer: "offer-1", N: 2, Batch: true, Gross: 1.0, AffCut: 0.3, UserPayout: 0.06,
+			DevAcct: "dev:a", IIPAcct: "iip:b", AffAcct: "aff:c", UserAcct: "user:d"})
 	if err := w.EventBatch(a.Bytes(), b.Bytes()); err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +129,9 @@ func TestBatchRecordLongPayload(t *testing.T) {
 	for i := range devices {
 		devices[i] = fmt.Sprintf("inline-device-%03d", i)
 	}
-	enc.InstallBatch("com.big", 0.25, len(devices), func(i int) string { return devices[i] })
-	enc.Install("com.big", "x", 1) // a short record right after the shifted one
+	encode(t, &enc,
+		Event{Kind: KindInstallBatch, Pkg: "com.big", Fraud: 0.25, Devices: devices},
+		Event{Kind: KindInstall, Pkg: "com.big", Device: "x", Fraud: 1}) // a short record right after the shifted one
 
 	k, payload, next, err := parseRecord(enc.Bytes(), 0)
 	if err != nil || k != KindInstallBatch {
@@ -170,8 +175,9 @@ func segmentedTestLog(t *testing.T) []byte {
 		u.SetDeviceTable(w.DeviceTable())
 		u.SetStringTable(w.StringTable())
 		u.SetRecordMode(true)
-		u.Install("com.x", "d1", float64(d))
-		u.Click("offer-1", "d2")
+		encode(t, &u,
+			Event{Kind: KindInstall, Pkg: "com.x", Device: "d1", Fraud: float64(d)},
+			Event{Kind: KindClick, Offer: "offer-1", Worker: "d2"})
 		if err := w.EventBatch(u.Bytes()); err != nil {
 			t.Fatal(err)
 		}
@@ -305,11 +311,11 @@ func TestCorruptBatchFrameRejected(t *testing.T) {
 	// The batch frame follows the first day-start frame; its payload
 	// starts 5 bytes past the frame header.
 	dayOff := idx.Days[0].Offset
-	tail := NewTail(bytes.NewReader(data))
-	_, _, batchOff, ok, err := tail.peekFrame(dayOff)
-	if !ok || err != nil {
+	f, err := binenc.ScanFrame(data[dayOff:], maxFramePayload)
+	if err != nil {
 		t.Fatal(err)
 	}
+	batchOff := dayOff + f.Size()
 	corrupt := append([]byte(nil), data...)
 	corrupt[batchOff+5] ^= 0xFF
 
@@ -325,7 +331,7 @@ func TestCorruptBatchFrameRejected(t *testing.T) {
 		t.Fatalf("reader on corrupt batch = %v, want CRC error", err)
 	}
 
-	tail = NewTail(bytes.NewReader(corrupt))
+	tail := NewTail(bytes.NewReader(corrupt))
 	for {
 		ok, err := tail.Next(&ev)
 		if err != nil {

@@ -6,11 +6,31 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/dates"
 	"repro/internal/mediator"
 	"repro/internal/playstore"
 	"repro/internal/randx"
 )
+
+// encode appends evs to e through Encoder.Event, which resolves their
+// strings against e's tables.
+func encode(tb testing.TB, e *Encoder, evs ...Event) {
+	tb.Helper()
+	for i := range evs {
+		if err := e.Event(&evs[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// bufferAt reads a buffer's current contents, so a Tail over it sees the
+// bytes a writer appends later.
+type bufferAt struct{ b *bytes.Buffer }
+
+func (r bufferAt) ReadAt(p []byte, off int64) (int, error) {
+	return bytes.NewReader(r.b.Bytes()).ReadAt(p, off)
+}
 
 // sampleEvents covers every event kind with representative field values.
 func sampleEvents() []Event {
@@ -49,15 +69,15 @@ func TestEventCodecRoundTrip(t *testing.T) {
 		first := append([]byte(nil), enc.Bytes()...)
 
 		// Decode through the reader machinery (with CRC verification).
-		k, payload, next, ok, err := (&Tail{r: bytes.NewReader(first)}).peekFrame(0)
-		if err != nil || !ok {
-			t.Fatalf("%s: peekFrame = (%v, %v)", want.Kind, ok, err)
+		f, err := binenc.ScanFrame(first, maxFramePayload)
+		if err != nil {
+			t.Fatalf("%s: ScanFrame: %v", want.Kind, err)
 		}
-		if next != int64(len(first)) {
-			t.Fatalf("%s: frame length %d, want %d", want.Kind, next, len(first))
+		if f.Size() != int64(len(first)) {
+			t.Fatalf("%s: frame length %d, want %d", want.Kind, f.Size(), len(first))
 		}
 		var got Event
-		if err := decodePayload(k, payload, &got, nil, nil); err != nil {
+		if err := decodePayload(Kind(f.Kind), f.Payload, &got, nil, nil); err != nil {
 			t.Fatalf("%s: decode: %v", want.Kind, err)
 		}
 
@@ -132,7 +152,7 @@ func TestWriterTailRoundTrip(t *testing.T) {
 	}
 
 	// Tail over the growing buffer: before any event, no Next.
-	tail := NewTail(bytes.NewReader(buf.Bytes()))
+	tail := NewTail(bufferAt{&buf})
 	var ev Event
 	if ok, err := tail.Next(&ev); ok || err != nil {
 		t.Fatalf("tail on preamble-only log = (%v, %v), want (false, nil)", ok, err)
@@ -142,8 +162,9 @@ func TestWriterTailRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var unit Encoder
-	unit.Install("com.x", "d1", 0.5)
-	unit.Session("com.x", 1, 60)
+	encode(t, &unit,
+		Event{Kind: KindInstall, Pkg: "com.x", Device: "d1", Fraud: 0.5},
+		Event{Kind: KindSession, Pkg: "com.x", N: 1, Seconds: 60})
 	if err := w.AppendFrames(unit.Bytes()); err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +175,7 @@ func TestWriterTailRoundTrip(t *testing.T) {
 		t.Fatalf("writer offset %d, file has %d bytes", w.Offset(), buf.Len())
 	}
 
-	// The same tail instance picks up the new bytes (fresh ReaderAt over
-	// the grown buffer, same offsets).
-	tail.r = bytes.NewReader(buf.Bytes())
+	// The same tail instance picks up the new bytes at the same offsets.
 	hdr, ok, err := tail.Header()
 	if err != nil || !ok || hdr.MediatorName != "med" {
 		t.Fatalf("tail header = (%+v, %v, %v)", hdr, ok, err)
@@ -315,7 +334,7 @@ func TestReplayAppliesEvents(t *testing.T) {
 		// Organic on com.a.
 		n, dau, sec := int64(r.IntN(50)+1), int64(r.IntN(30)+1), int64(90)
 		usd := r.LogNormal(0, 1)
-		unit.Organic("com.a", n, 0.05, dau, sec, usd)
+		encode(t, &unit, Event{Kind: KindOrganic, Pkg: "com.a", N: n, Fraud: 0.05, DAU: dau, Seconds: sec, USD: usd})
 		if err := liveStore.RecordInstallBatch("com.a", day, n, playstore.SourceOrganic, 0.05); err != nil {
 			t.Fatal(err)
 		}
@@ -328,18 +347,20 @@ func TestReplayAppliesEvents(t *testing.T) {
 		cumOrganic += n
 		cumRevenue += usd
 		// One full-fidelity incentivized delivery on com.b.
-		unit.Click("offer-1", "w1")
-		unit.Install("com.b", "w1", 0.9)
+		encode(t, &unit,
+			Event{Kind: KindClick, Offer: "offer-1", Worker: "w1"},
+			Event{Kind: KindInstall, Pkg: "com.b", Device: "w1", Fraud: 0.9})
 		if err := liveStore.RecordInstall("com.b", playstore.Install{Day: day, Source: playstore.SourceReferral, FraudScore: 0.9}); err != nil {
 			t.Fatal(err)
 		}
-		unit.Postback("offer-1", 0, true)
+		encode(t, &unit, Event{Kind: KindPostback, Offer: "offer-1", PostEvent: 0, Certified: true})
 		cumCertified++
 		// The live engine adds affCut+userPayout at runtime from float64
 		// values; mirror that exactly (an untyped constant sum would fold
 		// with a single rounding and can differ in the last bit).
 		affCut, userPayout := 0.025, 0.06
-		unit.Settle("offer-1", 1, false, 0.12, affCut, userPayout, "dev:d", "iip:x", "affiliate:z", "user:w1")
+		encode(t, &unit, Event{Kind: KindSettle, Offer: "offer-1", N: 1, Gross: 0.12, AffCut: affCut, UserPayout: userPayout,
+			DevAcct: "dev:d", IIPAcct: "iip:x", AffAcct: "affiliate:z", UserAcct: "user:w1"})
 		if err := liveLedger.PostAll([]mediator.Tx{
 			{From: "dev:d", To: "iip:x", Amount: 0.12, Memo: "offer completion"},
 			{From: "iip:x", To: "affiliate:z", Amount: affCut + userPayout, Memo: "affiliate share"},

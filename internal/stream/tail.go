@@ -1,11 +1,6 @@
 package stream
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-)
+import "io"
 
 // Tail is an online run-log consumer: it reads complete frames from an
 // io.ReaderAt (typically the log file of a run still executing) and
@@ -14,42 +9,29 @@ import (
 // never buffers a partial frame, a Next that returns false is safely
 // retried after the writer's next day-barrier flush.
 type Tail struct {
-	r       io.ReaderAt
-	off     int64
+	c       cursor
 	started bool
-	hdr     Header
-	base    Base
-	devices []string
-	strings []string
-	scratch []byte
-
-	// Cursor into the current event-batch frame's payload (aliasing
-	// scratch). The whole batch frame is CRC-verified before the first
-	// sub-record is delivered, so a tail never yields a torn record.
-	batch    []byte
-	batchOff int
-	inBatch  bool
 }
 
 // NewTail opens a tail over r. The preamble (magic, header, base snapshot)
 // is consumed lazily by the first Next/Header call, so a Tail can be
 // opened before the writer has flushed anything.
 func NewTail(r io.ReaderAt) *Tail {
-	return &Tail{r: r}
+	return &Tail{c: newCursor(r)}
 }
 
 // Offset returns the byte offset of the next unread frame. While an
 // event-batch frame is being unpacked it points past that frame (the
 // batch was verified whole); at day barriers — where online consumers
 // read it — the batch is fully drained and the offset is exact.
-func (t *Tail) Offset() int64 { return t.off }
+func (t *Tail) Offset() int64 { return t.c.off }
 
 // Header returns the run parameters once the preamble is readable.
 func (t *Tail) Header() (Header, bool, error) {
 	if err := t.start(); err != nil || !t.started {
 		return Header{}, false, err
 	}
-	return t.hdr, true, nil
+	return t.c.hdr, true, nil
 }
 
 // Base returns the run-start snapshots once the preamble is readable.
@@ -57,47 +39,7 @@ func (t *Tail) Base() (Base, bool, error) {
 	if err := t.start(); err != nil || !t.started {
 		return Base{}, false, err
 	}
-	return t.base, true, nil
-}
-
-// readAt fills buf from the absolute offset, reporting false when the file
-// does not (yet) hold that many bytes.
-func (t *Tail) readAt(buf []byte, off int64) (bool, error) {
-	n, err := t.r.ReadAt(buf, off)
-	if n == len(buf) {
-		return true, nil
-	}
-	if err == io.EOF || err == nil {
-		return false, nil
-	}
-	return false, fmt.Errorf("stream: tailing run log: %w", err)
-}
-
-// peekFrame reads the complete frame at off, returning ok=false when it is
-// not fully present yet. The payload slice is reused across calls.
-func (t *Tail) peekFrame(off int64) (k Kind, payload []byte, next int64, ok bool, err error) {
-	var hdr [5]byte
-	if ok, err = t.readAt(hdr[:], off); !ok {
-		return 0, nil, 0, false, err
-	}
-	k = Kind(hdr[0])
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > maxFramePayload {
-		return 0, nil, 0, false, fmt.Errorf("%w: payload of %d bytes", ErrFrame, n)
-	}
-	if cap(t.scratch) < int(n)+4 {
-		t.scratch = make([]byte, int(n)+4)
-	}
-	buf := t.scratch[:int(n)+4]
-	if ok, err = t.readAt(buf, off+5); !ok {
-		return 0, nil, 0, false, err
-	}
-	payload = buf[:n]
-	want := binary.LittleEndian.Uint32(buf[n:])
-	if crc32.Checksum(payload, castagnoli) != want {
-		return 0, nil, 0, false, fmt.Errorf("%w in %s frame", ErrCRC, k)
-	}
-	return k, payload, off + 5 + int64(n) + 4, true, nil
+	return t.c.base, true, nil
 }
 
 // start parses the preamble once enough of it is on disk.
@@ -105,41 +47,12 @@ func (t *Tail) start() error {
 	if t.started {
 		return nil
 	}
-	magic := make([]byte, len(Magic))
-	ok, err := t.readAt(magic, 0)
-	if !ok || err != nil {
+	if err := t.c.start(); err != nil {
+		if incomplete(err) {
+			return nil
+		}
 		return err
 	}
-	if string(magic) != Magic {
-		return ErrBadMagic
-	}
-	off := int64(len(Magic))
-	k, payload, next, ok, err := t.peekFrame(off)
-	if !ok || err != nil {
-		return err
-	}
-	if k != KindHeader {
-		return fmt.Errorf("%w: first frame is %s, want header", ErrFrame, k)
-	}
-	hdr, err := decodeHeader(payload)
-	if err != nil {
-		return err
-	}
-	off = next
-	if k, payload, next, ok, err = t.peekFrame(off); !ok || err != nil {
-		return err
-	}
-	if k != KindBase {
-		return fmt.Errorf("%w: second frame is %s, want base", ErrFrame, k)
-	}
-	base, err := decodeBase(payload)
-	if err != nil {
-		return err
-	}
-	t.hdr, t.base = hdr, base
-	t.devices = base.Devices
-	t.strings = base.Strings
-	t.off = next
 	t.started = true
 	return nil
 }
@@ -153,42 +66,11 @@ func (t *Tail) Next(ev *Event) (bool, error) {
 	if err := t.start(); err != nil || !t.started {
 		return false, err
 	}
-	for {
-		if t.inBatch {
-			if t.batchOff < len(t.batch) {
-				k, payload, next, err := parseRecord(t.batch, t.batchOff)
-				if err != nil {
-					return false, err
-				}
-				t.batchOff = next
-				if err := decodePayload(k, payload, ev, t.devices, t.strings); err != nil {
-					return false, err
-				}
-				return true, nil
-			}
-			t.inBatch = false
+	if err := t.c.next(ev); err != nil {
+		if incomplete(err) {
+			return false, nil
 		}
-		k, payload, next, ok, err := t.peekFrame(t.off)
-		if !ok || err != nil {
-			return false, err
-		}
-		switch k {
-		case KindHeader, KindBase:
-			return false, fmt.Errorf("%w: duplicate %s frame", ErrFrame, k)
-		case KindSegment:
-			if _, err := decodeSegment(payload); err != nil {
-				return false, err
-			}
-			t.off = next
-		case KindEventBatch:
-			t.batch, t.batchOff, t.inBatch = payload, 0, true
-			t.off = next
-		default:
-			if err := decodePayload(k, payload, ev, t.devices, t.strings); err != nil {
-				return false, err
-			}
-			t.off = next
-			return true, nil
-		}
+		return false, err
 	}
+	return true, nil
 }

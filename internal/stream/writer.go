@@ -1,12 +1,11 @@
 package stream
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 
+	"repro/internal/binenc"
 	"repro/internal/dates"
 	"repro/internal/playstore"
 )
@@ -207,10 +206,8 @@ func (w *Writer) writeBatchFrame(bufs [][]byte, total int64) error {
 	if total == 0 {
 		return nil
 	}
-	var hdr [5]byte
-	hdr[0] = byte(KindEventBatch)
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(total))
-	if err := w.writeRaw(hdr[:]); err != nil {
+	var hdr [binenc.FrameHeaderLen]byte
+	if err := w.writeRaw(binenc.AppendFrameHeader(hdr[:0], uint8(KindEventBatch), uint32(total))); err != nil {
 		return err
 	}
 	var crc uint32
@@ -220,7 +217,7 @@ func (w *Writer) writeBatchFrame(bufs [][]byte, total int64) error {
 			continue
 		}
 		coalesced++
-		crc = crc32.Update(crc, castagnoli, b)
+		crc = binenc.UpdateCRC(crc, b)
 		if err := w.writeRaw(b); err != nil {
 			return err
 		}
@@ -229,9 +226,8 @@ func (w *Writer) writeBatchFrame(bufs [][]byte, total int64) error {
 		w.metrics.BatchFrames.Inc()
 		w.metrics.BatchBuffers.Add(coalesced)
 	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	return w.writeRaw(tail[:])
+	var tail [binenc.FrameTrailerLen]byte
+	return w.writeRaw(binenc.AppendFrameTrailer(tail[:0], crc))
 }
 
 // DayStart writes a day-start marker.

@@ -2,12 +2,10 @@ package sweep
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"time"
@@ -21,8 +19,8 @@ import (
 // reissue), but the Queue lived only in memory: a coordinator crash lost
 // the entire grid even though every cell was individually salvageable.
 // The journal closes that gap with the same discipline the run log uses —
-// an append-only, CRC-framed binary file (internal/binenc primitives,
-// internal/stream framing idiom): a grid record at open, then one record
+// an append-only file of the run log's CRC-checked frames (the
+// internal/binenc frame codec): a grid record at open, then one record
 // per queue state transition (lease, heartbeat, complete-with-digest,
 // transient fail, poison, drain). Every record is appended BEFORE the
 // in-memory transition applies (write-ahead), so the journal is always at
@@ -87,8 +85,6 @@ var ErrBadJournal = errors.New("sweep: bad coordinator journal")
 // JSON payload, which is well under this.
 const maxJournalPayload = 16 << 20
 
-var journalCRC = crc32.MakeTable(crc32.Castagnoli)
-
 // journalRecord is one decoded state transition.
 type journalRecord struct {
 	kind journalKind
@@ -151,12 +147,18 @@ func replayJournal(data []byte) (*journalReplay, error) {
 	off := int64(pre)
 	rep.ValidEnd = off
 	for off < rep.Size {
-		rec, next, ok, err := parseJournalFrame(data, off)
-		if err != nil || !ok {
-			// Torn tail: CRC mismatch or the frame runs past the input.
-			// Stop here; the opener truncates.
+		f, err := binenc.ScanFrame(data[off:], maxJournalPayload)
+		if err != nil {
+			// Torn tail: the frame runs past the input, or a crash left a
+			// garbage length or a CRC mismatch. Stop here; the opener
+			// truncates.
 			return rep, nil
 		}
+		rec, err := decodeJournalPayload(journalKind(f.Kind), f.Payload)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s record at byte %d: %v", ErrBadJournal, journalKind(f.Kind), off, err)
+		}
+		next := off + f.Size()
 		if len(rep.Records) == 0 {
 			if rec.kind != jGrid {
 				return nil, fmt.Errorf("%w: first record is %s, want grid", ErrBadJournal, rec.kind)
@@ -175,36 +177,6 @@ func replayJournal(data []byte) (*journalReplay, error) {
 		rep.ValidEnd = 0
 	}
 	return rep, nil
-}
-
-// parseJournalFrame decodes one frame at off: kind u8, payload length
-// u32, payload, CRC-32C(payload) u32. ok=false means the frame is
-// incomplete or its CRC fails (torn tail); err means the payload decoded
-// but is structurally impossible.
-func parseJournalFrame(data []byte, off int64) (rec *journalRecord, next int64, ok bool, err error) {
-	if off+5 > int64(len(data)) {
-		return nil, 0, false, nil
-	}
-	kind := journalKind(data[off])
-	plen := int64(uint32(data[off+1]) | uint32(data[off+2])<<8 | uint32(data[off+3])<<16 | uint32(data[off+4])<<24)
-	if plen > maxJournalPayload {
-		return nil, 0, false, nil // garbage length: treat as tear
-	}
-	body := off + 5
-	end := body + plen + 4
-	if end > int64(len(data)) {
-		return nil, 0, false, nil
-	}
-	payload := data[body : body+plen]
-	crc := uint32(data[body+plen]) | uint32(data[body+plen+1])<<8 | uint32(data[body+plen+2])<<16 | uint32(data[body+plen+3])<<24
-	if crc32.Checksum(payload, journalCRC) != crc {
-		return nil, 0, false, nil
-	}
-	rec, err = decodeJournalPayload(kind, payload)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("%w: %s record at byte %d: %v", ErrBadJournal, kind, off, err)
-	}
-	return rec, end, true, nil
 }
 
 func decodeJournalPayload(kind journalKind, payload []byte) (*journalRecord, error) {
@@ -363,11 +335,7 @@ func (j *Journal) append(kind journalKind, payload []byte, sync bool) error {
 	if j.err != nil {
 		return j.err
 	}
-	frame := make([]byte, 0, 9+len(payload))
-	frame = append(frame, uint8(kind))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, journalCRC))
+	frame := binenc.AppendFrame(make([]byte, 0, binenc.FrameHeaderLen+len(payload)+binenc.FrameTrailerLen), uint8(kind), payload)
 	var t0 time.Time
 	if j.m != nil {
 		t0 = time.Now()

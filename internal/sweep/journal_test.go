@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/binenc"
 	"repro/internal/dates"
 	"repro/internal/fault"
 	"repro/internal/scenario"
@@ -273,6 +274,29 @@ func TestJournalRejectsForeignGrid(t *testing.T) {
 	foreign := testQueueJobs(3)
 	if _, _, err := openJournal(path, gridDigest(foreign), len(foreign), nil); !errors.Is(err, ErrBadJournal) {
 		t.Fatalf("foreign grid adopted the journal: %v", err)
+	}
+}
+
+// TestJournalRejectsUndecodableRecord: a record whose CRC checks but
+// whose payload cannot decode was written by no sane coordinator, so it
+// is a bad journal, not a torn tail to truncate along with every record
+// after it.
+func TestJournalRejectsUndecodableRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	_, j1, _ := journalFixture(t, path, QueueConfig{})
+	j1.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range [][]byte{
+		binenc.AppendFrame(nil, uint8(jLease), []byte{0xff}), // truncated varint
+		binenc.AppendFrame(nil, 99, nil),                     // unknown kind
+	} {
+		bad := append(append([]byte(nil), data...), frame...)
+		if _, err := replayJournal(bad); !errors.Is(err, ErrBadJournal) {
+			t.Fatalf("kind %d: replay = %v, want ErrBadJournal", frame[0], err)
+		}
 	}
 }
 
