@@ -176,7 +176,7 @@ func coordinate(ctx context.Context, opts sweep.Options, addr, addrFile, journal
 	mux := http.NewServeMux()
 	obs.Mount(mux, reg, nil, pprofOn)
 	mux.Handle("/", co.Handler())
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln)
 	res, err := co.Run(ctx)
 	// In-flight worker requests (final heartbeats, completions racing the

@@ -1,6 +1,7 @@
 package lockstep
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/randx"
@@ -25,6 +26,29 @@ func BenchmarkLockstepIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		groups := Detect(events, DefaultConfig())
+		if len(groups) == 0 {
+			b.Fatal("no groups detected")
+		}
+	}
+}
+
+// BenchmarkDetectorGroupsPerDay measures the online consumption pattern
+// of examples/monitoring and the run-log tail: the same workload streamed
+// in day order, with a Groups extraction after every day.
+func BenchmarkDetectorGroupsPerDay(b *testing.B) {
+	events, _ := benchEvents(b)
+	slices.SortStableFunc(events, func(x, y Event) int { return int(x.Day) - int(y.Day) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := NewDetector(DefaultConfig())
+		var groups []Group
+		for j, ev := range events {
+			d.IngestEvent(ev)
+			if j == len(events)-1 || events[j+1].Day != ev.Day {
+				groups = d.Groups()
+			}
+		}
 		if len(groups) == 0 {
 			b.Fatal("no groups detected")
 		}

@@ -1,6 +1,7 @@
 package lockstep
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/dates"
@@ -11,12 +12,15 @@ import (
 // at any point, reporting the lockstep clusters formed so far.
 //
 // Device and app strings are interned to dense int32 ids on first sight,
-// so the co-occurrence state — the (app, bucket) incidence cells and the
-// pairwise shared-app counts — lives in integer-keyed maps with no string
-// hashing or per-pair string storage. Incidence updates are O(cell
-// population) per event; cells that outgrow MaxBucketPopulation retract
-// their pair contributions exactly once and go dead, so a viral organic
+// so the co-occurrence state is an inverted index over integers: each
+// (app, bucket) incidence cell lists its member devices and each device
+// lists its cells, sorted. Ingest touches only the event's cell and the
+// device's own cell list; no pairwise state is kept. A cell that outgrows
+// MaxBucketPopulation goes dead and drops its members, so a viral organic
 // app degrades to O(1) per event instead of linking the population.
+// Groups counts, per device, the co-members of its live cells — every
+// shared live cell is exactly one shared synchronized app, because the
+// (device, app) dedup puts a device in at most one cell per app.
 //
 // A Detector is not safe for concurrent use.
 type Detector struct {
@@ -27,32 +31,33 @@ type Detector struct {
 	appID   map[string]int32
 	appName []string
 
-	// seen[dev] is the installed-app set for dedup (one install per
-	// (device, app) counts, as in the batch detector).
-	seen []map[int32]struct{}
+	// cellID maps an (app, bucket) key to its index in cells; dead
+	// cells crossed the population cap and link no pairs.
+	cellID map[uint64]int32
+	cells  []cellState
 
-	// cells maps (app, bucket) to its device list; dead cells crossed the
-	// population cap and contribute no pairs.
-	cells map[uint64]*cellState
+	// devCells[dev] lists a cellRef for every cell the device's first
+	// install of an app landed in, dead or alive, sorted. Refs sort
+	// app-major, so the list doubles as the (device, app) dedup set.
+	devCells [][]uint64
 
-	// pairs maps a packed device pair to its shared synchronized apps,
-	// refcounted by the number of live cells linking the pair through that
-	// app (retraction on cell death needs the count; set cardinality is
-	// what the threshold reads). Exact tier only — the sketch tier never
-	// materializes pairwise state during ingest.
-	pairs map[uint64]map[int32]int32
+	// counts and touched are Groups' co-membership accumulator (one
+	// slot per device, zero between uses) and the slots it dirtied;
+	// both are reused across calls.
+	counts  []int32
+	touched []int32
 
 	// Sketch tier (cfg.Sketching()): per-device MinHash signatures over
 	// the live cells each device joined, flat at sketchK slots per
-	// device, plus the cell-membership lists exact verification
-	// intersects. hashA/hashB are the universal-hash parameters, all
-	// derived from cfg.SketchSeed.
+	// device. sketched[dev] records whether the device joined any cell
+	// while it was alive (only those take part in banding). hashA/hashB
+	// are the universal-hash parameters, all derived from cfg.SketchSeed.
 	sketchK    int
 	sketchSalt uint64
 	hashA      []uint64
 	hashB      []uint64
 	sigs       []uint64
-	devCells   [][]uint64
+	sketched   []bool
 
 	// Accounting surfaced through Stats; metrics, when attached, mirrors
 	// the increments into obs counters (observation only).
@@ -64,6 +69,8 @@ type Detector struct {
 }
 
 type cellState struct {
+	// devs lists the members while the cell is alive (exact tier only;
+	// the sketch tier never counts co-members).
 	devs []int32
 	// pop counts every non-duplicate arrival, dead or alive — the basis
 	// for the population cap and for pricing the signal a dead cell
@@ -85,11 +92,10 @@ func NewDetector(cfg Config) *Detector {
 		cfg.MinGroupSize = 2
 	}
 	d := &Detector{
-		cfg:   cfg,
-		devID: map[string]int32{},
-		appID: map[string]int32{},
-		cells: map[uint64]*cellState{},
-		pairs: map[uint64]map[int32]int32{},
+		cfg:    cfg,
+		devID:  map[string]int32{},
+		appID:  map[string]int32{},
+		cellID: map[uint64]int32{},
 	}
 	if cfg.Sketching() {
 		d.initSketch()
@@ -116,22 +122,21 @@ func (d *Detector) Grow(events int) {
 	devs := events/4 + 1
 	d.devID = make(map[string]int32, devs)
 	d.devName = make([]string, 0, devs)
-	d.seen = make([]map[int32]struct{}, 0, devs)
+	d.devCells = make([][]uint64, 0, devs)
 	d.appID = make(map[string]int32, events/16+1)
-	d.cells = make(map[uint64]*cellState, events/2+1)
+	d.cellID = make(map[uint64]int32, events/2+1)
+	d.cells = make([]cellState, 0, events/2+1)
 	if d.cfg.Sketching() {
 		d.sigs = make([]uint64, 0, devs*d.sketchK)
-		d.devCells = make([][]uint64, 0, devs)
-	} else {
-		d.pairs = make(map[uint64]map[int32]int32, events)
+		d.sketched = make([]bool, 0, devs)
 	}
 }
 
 // Events returns how many non-duplicate installs have been ingested.
 func (d *Detector) Events() int {
 	n := 0
-	for _, apps := range d.seen {
-		n += len(apps)
+	for _, refs := range d.devCells {
+		n += len(refs)
 	}
 	return n
 }
@@ -143,10 +148,10 @@ func (d *Detector) internDev(name string) int32 {
 	id := int32(len(d.devName))
 	d.devID[name] = id
 	d.devName = append(d.devName, name)
-	d.seen = append(d.seen, nil)
+	d.devCells = append(d.devCells, nil)
 	if d.cfg.Sketching() {
 		d.sigs = append(d.sigs, d.emptySig()...)
-		d.devCells = append(d.devCells, nil)
+		d.sketched = append(d.sketched, false)
 	}
 	return id
 }
@@ -165,6 +170,13 @@ func cellKey(app int32, bucket int) uint64 {
 	return uint64(uint32(app))<<32 | uint64(uint32(bucket))
 }
 
+// cellRef packs a cell's app over its index in cells. Two devices share a
+// cell exactly when they hold equal refs, and a ref resolves to its state
+// without hashing.
+func cellRef(app, cell int32) uint64 {
+	return uint64(uint32(app))<<32 | uint64(uint32(cell))
+}
+
 func pairKey(a, b int32) uint64 {
 	if a > b {
 		a, b = b, a
@@ -172,51 +184,29 @@ func pairKey(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
-func (d *Detector) link(a, b, app int32) {
-	pk := pairKey(a, b)
-	m := d.pairs[pk]
-	if m == nil {
-		m = make(map[int32]int32, 4)
-		d.pairs[pk] = m
-	}
-	m[app]++
-}
-
-func (d *Detector) unlink(a, b, app int32) {
-	pk := pairKey(a, b)
-	m := d.pairs[pk]
-	if m == nil {
-		return
-	}
-	if m[app]--; m[app] <= 0 {
-		delete(m, app)
-		if len(m) == 0 {
-			delete(d.pairs, pk)
-		}
-	}
-}
-
 // Ingest feeds one install observation. Duplicate (device, app) pairs are
 // ignored regardless of day, matching the batch detector.
 func (d *Detector) Ingest(device, app string, day dates.Date) {
 	di := d.internDev(device)
 	ai := d.internApp(app)
-	apps := d.seen[di]
-	if apps == nil {
-		apps = make(map[int32]struct{}, 8)
-		d.seen[di] = apps
-	}
-	if _, dup := apps[ai]; dup {
+	// The device's cell for ai, if it has one, sits where the app's
+	// smallest key would insert: one search is both the dedup check and
+	// the sorted insertion point.
+	refs := d.devCells[di]
+	i, _ := slices.BinarySearch(refs, cellRef(ai, 0))
+	if i < len(refs) && int32(refs[i]>>32) == ai {
 		return
 	}
-	apps[ai] = struct{}{}
-
 	key := cellKey(ai, int(day)/d.cfg.DayBucket)
-	c := d.cells[key]
-	if c == nil {
-		c = &cellState{}
-		d.cells[key] = c
+	ci, ok := d.cellID[key]
+	if !ok {
+		ci = int32(len(d.cells))
+		d.cellID[key] = ci
+		d.cells = append(d.cells, cellState{})
 	}
+	d.devCells[di] = slices.Insert(refs, i, cellRef(ai, ci))
+
+	c := &d.cells[ci]
 	c.pop++
 	if c.dead {
 		// Every prior arrival is a device this one silently fails to
@@ -227,13 +217,8 @@ func (d *Detector) Ingest(device, app string, day dates.Date) {
 	}
 	if max := d.cfg.MaxBucketPopulation; max > 0 && c.pop > max {
 		// The cell just outgrew the cap: a hugely popular bucket must not
-		// link devices (the CopyCatch-style guard), so retract every pair
-		// this cell contributed and stop tracking it.
-		for i := 0; i < len(c.devs); i++ {
-			for j := i + 1; j < len(c.devs); j++ {
-				d.unlink(c.devs[i], c.devs[j], ai)
-			}
-		}
+		// link devices (the CopyCatch-style guard). Groups skips dead
+		// cells, so dropping the members retracts every pair they formed.
 		c.dead = true
 		c.devs = nil
 		d.bucketsRetracted++
@@ -245,14 +230,10 @@ func (d *Detector) Ingest(device, app string, day dates.Date) {
 		return
 	}
 	if d.cfg.Sketching() {
-		// The sketch tier keeps no pairwise state: membership and the
-		// signature minima replace the quadratic link pass, and Groups
-		// verifies banding candidates against the cell index instead.
+		// Membership and the signature minima replace co-member
+		// counting; Groups verifies banding candidates instead.
 		d.sketchAdd(di, key)
 		return
-	}
-	for _, other := range c.devs {
-		d.link(di, other, ai)
 	}
 	c.devs = append(c.devs, di)
 }
@@ -281,81 +262,141 @@ func sortPairs(out [][2]string) [][2]string {
 
 // QualifyingPairs returns the device pairs currently meeting the exact
 // MinCommonApps criterion, each name-ordered, the list sorted. The exact
-// tier reads its pairwise counts; the sketch tier verifies its banding
-// candidates — so the sketch tier's list can only miss pairs whose
-// signatures never collided in a band (measured recall loss), never
+// tier counts every pair's shared live cells; the sketch tier verifies
+// its banding candidates — so the sketch tier's list can only miss pairs
+// whose signatures never collided in a band (measured recall loss), never
 // contain a pair the exact criterion rejects.
 func (d *Detector) QualifyingPairs() [][2]string {
 	var out [][2]string
-	if d.cfg.Sketching() {
-		d.sortCells()
-		var scratch []int32
-		for pk := range d.candidatePairs() {
-			a, b := int32(pk>>32), int32(uint32(pk))
-			scratch = d.appendCommonLiveApps(scratch[:0], a, b)
-			if len(scratch) >= d.cfg.MinCommonApps {
-				out = append(out, d.namePair(a, b))
-			}
+	d.eachQualifying(func(a int32, bs, _ []int32) {
+		for _, b := range bs {
+			out = append(out, d.namePair(a, b))
 		}
-	} else {
-		for pk, apps := range d.pairs {
-			if len(apps) >= d.cfg.MinCommonApps {
-				out = append(out, d.namePair(int32(pk>>32), int32(uint32(pk))))
-			}
-		}
-	}
+	})
 	return sortPairs(out)
 }
 
-// joinPair merges one qualifying device pair into the union-find forest,
-// folding the pair's linking apps into the set tracked at the merged
-// root. Set union is commutative, so the final forest and app sets are
-// independent of the order pairs arrive in — which is what lets both the
-// exact pairs map and the sketch tier's candidate set feed it from
-// map-iteration order.
-func joinPair(uf *unionFind, linkApps map[int32]map[int32]struct{}, a, b int32, apps []int32) {
-	ra, rb := uf.find(a), uf.find(b)
+// eachQualifying reports every device pair meeting MinCommonApps as
+// stars: fn(a, bs, apps) says a qualifies with each partner in bs, and
+// apps is the union of those pairs' linking apps. Every qualifying pair
+// appears in exactly one star; stars come in no particular order, and fn
+// must not retain the slices. It returns how many candidate pairs the
+// sketch tier's banding emitted (0 for the exact tier).
+func (d *Detector) eachQualifying(fn func(a int32, bs, apps []int32)) (candidates int64) {
+	var apps []int32
+	if d.cfg.Sketching() {
+		cand := d.candidatePairs()
+		var b [1]int32
+		for pk := range cand {
+			a := int32(pk >> 32)
+			b[0] = int32(uint32(pk))
+			apps = d.appendCommonLiveApps(apps[:0], a, b[0])
+			if len(apps) >= d.cfg.MinCommonApps {
+				fn(a, b[:], apps)
+			}
+		}
+		return int64(len(cand))
+	}
+	// Exact tier: for each device a, count how many live cells it shares
+	// with every co-member b > a. A pair shares at most one cell per app,
+	// so the count is its shared synchronized-app count.
+	if n := len(d.devName); len(d.counts) < n {
+		d.counts = append(d.counts, make([]int32, n-len(d.counts))...)
+	}
+	need := int32(d.cfg.MinCommonApps)
+	for a, refs := range d.devCells {
+		touched := d.touched[:0]
+		for _, ref := range refs {
+			// Dead cells dropped their members, so they count nothing.
+			for _, b := range d.cells[uint32(ref)].devs {
+				if b <= int32(a) {
+					continue
+				}
+				if d.counts[b] == 0 {
+					touched = append(touched, b)
+				}
+				d.counts[b]++
+			}
+		}
+		// Keep the qualifying partners (their counts stay set for the
+		// app pass) and clear the rest.
+		bs := touched[:0]
+		for _, b := range touched {
+			if d.counts[b] >= need {
+				bs = append(bs, b)
+			} else {
+				d.counts[b] = 0
+			}
+		}
+		d.touched = touched
+		if len(bs) == 0 {
+			continue
+		}
+		// a's linking apps are its live cells holding a partner (only
+		// partners still have counts set).
+		apps = apps[:0]
+		for _, ref := range refs {
+			for _, b := range d.cells[uint32(ref)].devs {
+				if d.counts[b] >= need {
+					apps = append(apps, int32(ref>>32))
+					break
+				}
+			}
+		}
+		fn(int32(a), bs, apps)
+		for _, b := range bs {
+			d.counts[b] = 0
+		}
+	}
+	return 0
+}
+
+// joinStar merges device a with each of its qualifying partners in the
+// union-find forest, folding their linking apps into the set tracked at
+// the merged root. Set union is commutative, so the final forest and app
+// sets are independent of the order stars arrive in — which is what lets
+// the sketch tier feed it in map-iteration order.
+func joinStar(uf *unionFind, linkApps map[int32]map[int32]struct{}, a int32, bs, apps []int32) {
+	// merged is the app set of a's component. It stays out of linkApps
+	// until the unions are done, so a's current root never has an entry.
+	ra := uf.find(a)
 	merged := linkApps[ra]
+	delete(linkApps, ra)
 	if merged == nil {
 		merged = make(map[int32]struct{}, len(apps))
 	}
 	for _, app := range apps {
 		merged[app] = struct{}{}
 	}
-	if rb != ra {
-		for app := range linkApps[rb] {
-			merged[app] = struct{}{}
+	for _, b := range bs {
+		if rb := uf.find(b); rb != uf.find(a) {
+			for app := range linkApps[rb] {
+				merged[app] = struct{}{}
+			}
+			delete(linkApps, rb)
 		}
+		uf.union(a, b)
 	}
-	root := uf.union(a, b)
-	delete(linkApps, ra)
-	delete(linkApps, rb)
-	linkApps[root] = merged
+	linkApps[uf.find(a)] = merged
 }
 
 // Groups extracts the current lockstep clusters: union-find over device
 // pairs sharing at least MinCommonApps synchronized apps, groups of at
 // least MinGroupSize, everything sorted deterministically. It can be
-// called repeatedly as events stream in; each call runs in the size of
-// the qualifying pair set (exact tier) or the banding candidate set
-// (sketch tier), not the full event history.
+// called repeatedly as events stream in; each call runs in the live
+// cells' co-membership (exact tier) or the banding candidate set (sketch
+// tier), not the full event history.
 func (d *Detector) Groups() []Group {
 	uf := newUnionFind(len(d.devName))
 	linkApps := map[int32]map[int32]struct{}{}
+	var verified int64
+	candidates := d.eachQualifying(func(a int32, bs, apps []int32) {
+		verified += int64(len(bs))
+		joinStar(uf, linkApps, a, bs, apps)
+	})
 	if d.cfg.Sketching() {
-		d.sketchJoin(uf, linkApps)
-	} else {
-		var scratch []int32
-		for pk, apps := range d.pairs {
-			if len(apps) < d.cfg.MinCommonApps {
-				continue
-			}
-			scratch = scratch[:0]
-			for app := range apps {
-				scratch = append(scratch, app)
-			}
-			joinPair(uf, linkApps, int32(pk>>32), int32(uint32(pk)), scratch)
-		}
+		d.lastCandidates, d.lastVerified = candidates, verified
+		d.metrics.addFunnel(candidates, verified)
 	}
 
 	members := map[int32][]int32{}

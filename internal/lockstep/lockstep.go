@@ -39,13 +39,13 @@ type Config struct {
 
 	// SketchHashes enables the MinHash/LSH sketch tier when positive: the
 	// detector keeps a SketchHashes-long MinHash signature per device over
-	// its live (app, bucket) cell set instead of the exact pairwise
-	// shared-app counts, and Groups generates candidate pairs by LSH
-	// banding before verifying each candidate exactly against the cell
-	// index. Precision is unchanged (every reported pair passes the exact
-	// MinCommonApps test); recall can only be lost at the banding step,
-	// where a qualifying pair's signatures never collide in any band.
-	// Zero keeps the exact quadratic tier.
+	// its live (app, bucket) cell set instead of the cells' member lists,
+	// and Groups generates candidate pairs by LSH banding before
+	// verifying each candidate exactly against the cell index. Precision
+	// is unchanged (every reported pair passes the exact MinCommonApps
+	// test); recall can only be lost at the banding step, where a
+	// qualifying pair's signatures never collide in any band. Zero keeps
+	// the exact tier, which counts every live cell's co-members.
 	SketchHashes int
 	// SketchRows is how many signature rows form one LSH band
 	// (SketchHashes/SketchRows bands; a candidate pair must agree on

@@ -1,32 +1,27 @@
 package lockstep
 
-import (
-	"slices"
+import "repro/internal/randx"
 
-	"repro/internal/randx"
-)
-
-// The sketch tier replaces the detector's quadratic pairwise state with a
+// The sketch tier replaces the exact tier's co-member counting — which
+// walks every live cell's full member list at each Groups call — with a
 // classic MinHash/LSH pipeline over each device's live (app, bucket) cell
-// set:
+// set, and keeps no per-cell member lists at all:
 //
 //   - Ingest keeps, per device, the minimum of k universal hashes over
 //     the cells the device joined while they were alive. Min is
 //     commutative and the cell-death decision depends only on arrival
 //     counts, so the signature after a stream of events is independent of
 //     how the events were batched — the same order-free argument the
-//     exact tier makes for its refcounts, which is what preserves the
-//     batch≡online contract behind the Detect facade.
+//     exact tier makes for its live-cell counts, which is what preserves
+//     the batch≡online contract behind the Detect facade.
 //   - Groups buckets signatures band by band (SketchRows rows per band)
 //     and emits every same-bucket pair as a candidate.
-//   - Every candidate is verified exactly: the pair's sorted cell lists
-//     are intersected and only currently-live common cells count, one
-//     shared synchronized app each (a device holds at most one cell per
-//     app, so common live cells and shared apps are the same count).
-//     A pair is reported only if that exact count clears MinCommonApps —
-//     identical to the exact tier's criterion, so precision is unchanged
-//     and recall can only be lost where banding never collides a
-//     qualifying pair.
+//   - Every candidate is verified exactly: appendCommonLiveApps
+//     intersects the pair's sorted cell lists and keeps the live common
+//     cells, one shared synchronized app each. A pair is reported only if
+//     that count clears MinCommonApps — the exact tier's criterion, so
+//     precision is unchanged and recall can only be lost where banding
+//     never collides a qualifying pair.
 //
 // All hash parameters derive from Config.SketchSeed via randx.Derive, so
 // a configuration is a pure function: the same seed yields the same
@@ -76,26 +71,15 @@ func mix64(x uint64) uint64 {
 }
 
 // sketchAdd records that device di joined cell key while it was alive:
-// the key enters the device's membership list (exact verification
-// intersects these) and lowers its signature minima.
+// the device enters banding and its signature minima drop.
 func (d *Detector) sketchAdd(di int32, key uint64) {
-	d.devCells[di] = append(d.devCells[di], key)
+	d.sketched[di] = true
 	h := mix64(key ^ d.sketchSalt)
 	sig := d.sigs[int(di)*d.sketchK : (int(di)+1)*d.sketchK]
 	for i, a := range d.hashA {
 		if v := a*h + d.hashB[i]; v < sig[i] {
 			sig[i] = v
 		}
-	}
-}
-
-// sortCells sorts every device's membership list in place. The lists
-// append in stream order and verification wants them sorted; re-sorting
-// at each extraction keeps them append-only between calls (each list is
-// a set, so sorting is order-insensitive).
-func (d *Detector) sortCells() {
-	for i := range d.devCells {
-		slices.Sort(d.devCells[i])
 	}
 }
 
@@ -114,28 +98,6 @@ func (d *Detector) Candidates() [][2]string {
 	return sortPairs(out)
 }
 
-// sketchJoin runs banding + exact verification and feeds qualifying pairs
-// into the union-find forest. Candidate generation is O(devices × bands)
-// plus the candidate pairs themselves; verification is linear in the two
-// cell lists per candidate.
-func (d *Detector) sketchJoin(uf *unionFind, linkApps map[int32]map[int32]struct{}) {
-	cand := d.candidatePairs()
-	d.lastCandidates = int64(len(cand))
-	d.lastVerified = 0
-	d.sortCells()
-	var scratch []int32
-	for pk := range cand {
-		a, b := int32(pk>>32), int32(uint32(pk))
-		scratch = d.appendCommonLiveApps(scratch[:0], a, b)
-		if len(scratch) < d.cfg.MinCommonApps {
-			continue
-		}
-		d.lastVerified++
-		joinPair(uf, linkApps, a, b, scratch)
-	}
-	d.metrics.addFunnel(d.lastCandidates, d.lastVerified)
-}
-
 // candidatePairs returns the packed device pairs whose signatures agree
 // on every row of at least one band.
 func (d *Detector) candidatePairs() map[uint64]struct{} {
@@ -148,8 +110,8 @@ func (d *Detector) candidatePairs() map[uint64]struct{} {
 	for band := 0; band < k/rows; band++ {
 		clear(buckets)
 		lo := band * rows
-		for di := range d.devCells {
-			if len(d.devCells[di]) == 0 {
+		for di, ok := range d.sketched {
+			if !ok {
 				continue
 			}
 			h := uint64(14695981039346656037) // FNV offset basis
@@ -184,7 +146,7 @@ func (d *Detector) appendCommonLiveApps(apps []int32, a, b int32) []int32 {
 		case ca[i] > cb[j]:
 			j++
 		default:
-			if c := d.cells[ca[i]]; c != nil && !c.dead {
+			if !d.cells[uint32(ca[i])].dead {
 				apps = append(apps, int32(ca[i]>>32))
 			}
 			i++

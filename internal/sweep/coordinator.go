@@ -227,14 +227,24 @@ func (co *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, co.g.assemble(cells))
 }
 
-// decode reads a JSON request body; on failure it writes 400 and
-// returns false.
+// maxRequestBytes bounds a request body. The largest legitimate request,
+// a completion carrying one Cell, is about a kilobyte of JSON.
+const maxRequestBytes = 1 << 20
+
+// decode reads a JSON request body of at most maxRequestBytes; on
+// failure it writes 413 (body over the bound) or 400 and returns false.
 func decode(w http.ResponseWriter, r *http.Request, in any) bool {
-	if err := json.NewDecoder(r.Body).Decode(in); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return false
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(in)
+	if err == nil {
+		return true
 	}
-	return true
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, fmt.Sprintf("bad request: %v", err), code)
+	return false
 }
 
 // writeOutcome maps queue sentinels onto the protocol's status codes.
