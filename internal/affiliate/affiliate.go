@@ -138,15 +138,7 @@ func (t Tab) Load(opts FetchOptions) ([]iip.WireOffer, error) {
 		if opts.MaxPages > 0 && page >= opts.MaxPages {
 			break
 		}
-		u := fmt.Sprintf("%s/offerwall?affiliate=%s&country=%s&day=%d&offset=%d&limit=%d",
-			opts.BaseURL,
-			url.QueryEscape(t.app.Package),
-			url.QueryEscape(opts.Country),
-			int(opts.Day),
-			page*wallPageSize,
-			wallPageSize,
-		)
-		resp, err := client.Get(u)
+		resp, err := client.Get(t.PageURL(opts, page))
 		if err != nil {
 			return all, fmt.Errorf("affiliate: wall fetch %s/%s: %w", t.app.Package, t.IIP, err)
 		}
@@ -166,6 +158,20 @@ func (t Tab) Load(opts FetchOptions) ([]iip.WireOffer, error) {
 		}
 	}
 	return all, nil
+}
+
+// PageURL is the wall request Load issues for the given scroll position
+// (0-based page). The monitor uses it to find each page's intercepted
+// response, so Load and the monitor share one URL format.
+func (t Tab) PageURL(opts FetchOptions, page int) string {
+	return fmt.Sprintf("%s/offerwall?affiliate=%s&country=%s&day=%d&offset=%d&limit=%d",
+		opts.BaseURL,
+		url.QueryEscape(t.app.Package),
+		url.QueryEscape(opts.Country),
+		int(opts.Day),
+		page*wallPageSize,
+		wallPageSize,
+	)
 }
 
 // PointsToUSD converts this app's reward points to dollars.

@@ -12,8 +12,10 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/apk"
+	"repro/internal/conc"
 	"repro/internal/dates"
 	"repro/internal/playapi"
 	"repro/internal/playstore"
@@ -50,15 +52,19 @@ func newDataset() *Dataset {
 type Crawler struct {
 	// BaseURL of the store's HTTP surface.
 	BaseURL string
-	// Client issues requests; nil means http.DefaultClient.
-	Client *http.Client
 	// EveryDays is the crawl period (paper: every other day => 2).
 	EveryDays int
 
+	client  *http.Client // pooled for inFlight fetches
 	targets []string
 	data    *Dataset
 	started *dates.Date
 }
+
+// inFlight bounds the fetches a crawl keeps in flight. The crawler's own
+// client holds at most that many connections per host, all kept idle
+// between requests, so a crawl dials each connection once.
+const inFlight = 8
 
 // New returns a crawler for the given targets (advertised + baseline app
 // packages).
@@ -66,16 +72,13 @@ func New(baseURL string, targets []string) *Crawler {
 	return &Crawler{
 		BaseURL:   baseURL,
 		EveryDays: 2,
-		targets:   append([]string(nil), targets...),
-		data:      newDataset(),
+		client: &http.Client{
+			Transport: &http.Transport{MaxIdleConnsPerHost: inFlight, MaxConnsPerHost: inFlight},
+			Timeout:   10 * time.Second,
+		},
+		targets: append([]string(nil), targets...),
+		data:    newDataset(),
 	}
-}
-
-func (c *Crawler) client() *http.Client {
-	if c.Client != nil {
-		return c.Client
-	}
-	return http.DefaultClient
 }
 
 // MaybeCrawl runs a crawl if the day falls on the crawler's period; it is
@@ -92,56 +95,62 @@ func (c *Crawler) MaybeCrawl(day dates.Date) error {
 }
 
 // CrawlNow unconditionally crawls all targets and charts for the day.
+//
+// The fetches run concurrently into per-index slots and are committed
+// under one lock in target order, then chart order. A crawl is
+// all-or-nothing: if any fetch fails, nothing is committed and the error
+// of the first failed fetch in that order is returned.
 func (c *Crawler) CrawlNow(day dates.Date) error {
-	for _, pkg := range c.targets {
-		doc, err := c.fetchProfile(pkg)
-		if err != nil {
-			return fmt.Errorf("crawler: profile %s: %w", pkg, err)
+	charts := playstore.ChartNames
+	profiles := make([]playapi.ProfileDoc, len(c.targets))
+	ranks := make([]map[string]int, len(charts))
+	errs := make([]error, len(c.targets)+len(charts))
+	conc.ForN(inFlight, len(errs), func(i int) {
+		if i < len(c.targets) {
+			pkg := c.targets[i]
+			if err := c.getJSON(c.BaseURL+"/apps/"+pkg, &profiles[i]); err != nil {
+				errs[i] = fmt.Errorf("crawler: profile %s: %w", pkg, err)
+			}
+			return
 		}
-		c.data.mu.Lock()
-		c.data.profiles[pkg] = doc
-		c.data.bins[pkg] = append(c.data.bins[pkg], BinSnapshot{Day: day, Bin: doc.InstallBin})
-		c.data.mu.Unlock()
-	}
-	for _, chart := range playstore.ChartNames {
-		doc, err := c.fetchChart(chart, day)
-		if err != nil {
-			return fmt.Errorf("crawler: chart %s: %w", chart, err)
+		j := i - len(c.targets)
+		var doc playapi.ChartDoc
+		if err := c.getJSON(fmt.Sprintf("%s/charts/%s?day=%d", c.BaseURL, charts[j], int(day)), &doc); err != nil {
+			errs[i] = fmt.Errorf("crawler: chart %s: %w", charts[j], err)
+			return
 		}
-		ranks := make(map[string]int, len(doc.Entries))
+		ranks[j] = make(map[string]int, len(doc.Entries))
 		for _, e := range doc.Entries {
-			ranks[e.Package] = e.Rank
+			ranks[j][e.Package] = e.Rank
 		}
-		c.data.mu.Lock()
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+
+	c.data.mu.Lock()
+	defer c.data.mu.Unlock()
+	for i, pkg := range c.targets {
+		c.data.profiles[pkg] = profiles[i]
+		c.data.bins[pkg] = append(c.data.bins[pkg], BinSnapshot{Day: day, Bin: profiles[i].InstallBin})
+	}
+	for j, chart := range charts {
 		byDay, ok := c.data.charts[chart]
 		if !ok {
 			byDay = map[dates.Date]map[string]int{}
 			c.data.charts[chart] = byDay
 		}
-		byDay[day] = ranks
-		c.data.mu.Unlock()
+		byDay[day] = ranks[j]
 	}
-	c.data.mu.Lock()
 	c.data.days = append(c.data.days, day)
-	c.data.mu.Unlock()
 	return nil
-}
-
-func (c *Crawler) fetchProfile(pkg string) (playapi.ProfileDoc, error) {
-	var doc playapi.ProfileDoc
-	err := c.getJSON(c.BaseURL+"/apps/"+pkg, &doc)
-	return doc, err
-}
-
-func (c *Crawler) fetchChart(name string, day dates.Date) (playapi.ChartDoc, error) {
-	var doc playapi.ChartDoc
-	err := c.getJSON(fmt.Sprintf("%s/charts/%s?day=%d", c.BaseURL, name, int(day)), &doc)
-	return doc, err
 }
 
 // DownloadAPK fetches and parses an app's APK for static analysis.
 func (c *Crawler) DownloadAPK(pkg string) (apk.APK, error) {
-	resp, err := c.client().Get(c.BaseURL + "/apks/" + pkg)
+	resp, err := c.client.Get(c.BaseURL + "/apks/" + pkg)
 	if err != nil {
 		return apk.APK{}, fmt.Errorf("crawler: apk %s: %w", pkg, err)
 	}
@@ -157,7 +166,7 @@ func (c *Crawler) DownloadAPK(pkg string) (apk.APK, error) {
 }
 
 func (c *Crawler) getJSON(url string, v any) error {
-	resp, err := c.client().Get(url)
+	resp, err := c.client.Get(url)
 	if err != nil {
 		return err
 	}

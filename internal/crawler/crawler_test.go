@@ -1,7 +1,10 @@
 package crawler
 
 import (
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/apk"
@@ -16,9 +19,16 @@ type fixture struct {
 	store *playstore.Store
 	srv   *httptest.Server
 	crawl *Crawler
+	// conns counts the connections the store facade accepted.
+	conns atomic.Int64
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
+	return newFixtureWith(t, nil)
+}
+
+// newFixtureWith interposes wrap, when non-nil, on the store facade.
+func newFixtureWith(t testing.TB, wrap func(http.Handler) http.Handler) *fixture {
 	t.Helper()
 	store := playstore.New(dates.StudyStart)
 	store.AddDeveloper(playstore.Developer{ID: "d", Name: "Dev Co", Country: "USA"})
@@ -37,18 +47,26 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(playapi.New(store, map[string]apk.APK{"app.growing": a}).Handler())
-	t.Cleanup(srv.Close)
-	return &fixture{
-		store: store,
-		srv:   srv,
-		crawl: New(srv.URL, []string{"app.growing", "app.static"}),
+	f := &fixture{store: store}
+	h := playapi.New(store, map[string]apk.APK{"app.growing": a}).Handler()
+	if wrap != nil {
+		h = wrap(h)
 	}
+	f.srv = httptest.NewUnstartedServer(h)
+	f.srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			f.conns.Add(1)
+		}
+	}
+	f.srv.Start()
+	t.Cleanup(f.srv.Close)
+	f.crawl = New(f.srv.URL, []string{"app.growing", "app.static"})
+	return f
 }
 
 // runDays steps the store n days; installsPerDay installs land on
 // app.growing each day.
-func (f *fixture) runDays(t *testing.T, n int, installsPerDay int) {
+func (f *fixture) runDays(t testing.TB, n int, installsPerDay int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		day := dates.StudyStart.AddDays(i)

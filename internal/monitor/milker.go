@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/affiliate"
+	"repro/internal/conc"
 	"repro/internal/dates"
 	"repro/internal/iip"
 	"repro/internal/offers"
@@ -81,11 +82,31 @@ func NewMilker(affiliates []*affiliate.App, endpoints map[string]string) (*Milke
 // Close tears down the proxy.
 func (m *Milker) Close() error { return m.proxy.Stop() }
 
+// inFlight bounds the wall loads a milking pass keeps in flight. The
+// proxy's transports hold at most that many connections per host, all
+// kept idle between requests, so a pass dials each connection once.
+const inFlight = 8
+
+// load is one fuzzer stimulus: an affiliate tab opened from a vantage
+// country on a pass's day.
+type load struct {
+	app  *affiliate.App
+	tab  affiliate.Tab
+	opts affiliate.FetchOptions
+}
+
 // MilkDay performs one full milking pass for the given simulated day: the
 // UI fuzzer opens every offer-wall tab of every instrumented affiliate app
 // from every vantage country, and the proxy's interception records are
 // folded into the dataset.
+//
+// Loads run concurrently, but the fold walks them in canonical order
+// (affiliate, tab, country, page), finding each page's record by its URL,
+// so the dataset does not depend on which response arrived first. A pass
+// is all-or-nothing: if any load fails, its records are discarded and the
+// error of the canonically first failed load is returned.
 func (m *Milker) MilkDay(day dates.Date) error {
+	var loads []load
 	for _, app := range m.Affiliates {
 		for _, tab := range app.Tabs() {
 			base, ok := m.Endpoints[tab.IIP]
@@ -93,63 +114,88 @@ func (m *Milker) MilkDay(day dates.Date) error {
 				return fmt.Errorf("monitor: no endpoint for IIP %s", tab.IIP)
 			}
 			for _, country := range m.Countries {
-				// The fuzzer only generates stimuli; responses flow
-				// back through the proxy where they are recorded.
-				if _, err := tab.Load(affiliate.FetchOptions{
+				loads = append(loads, load{app: app, tab: tab, opts: affiliate.FetchOptions{
 					BaseURL: base,
 					Country: country,
 					Day:     day,
 					Client:  m.client,
-				}); err != nil {
-					return fmt.Errorf("monitor: fuzzing %s/%s (%s): %w", app.Package, tab.IIP, country, err)
-				}
+				}})
 			}
 		}
 	}
-	m.ingest(day)
+	// The fuzzer only generates stimuli; responses flow back through the
+	// proxy where they are recorded.
+	errs := make([]error, len(loads))
+	conc.ForN(inFlight, len(loads), func(i int) {
+		_, errs[i] = loads[i].tab.Load(loads[i].opts)
+	})
+	records := m.proxy.DrainRecords()
+	for i, err := range errs {
+		if err != nil {
+			l := loads[i]
+			return fmt.Errorf("monitor: fuzzing %s/%s (%s): %w", l.app.Package, l.tab.IIP, l.opts.Country, err)
+		}
+	}
+	walls := make([]*iip.WallResponse, len(records))
+	conc.ForN(inFlight, len(records), func(i int) {
+		if wall, ok := ParseWall(records[i]); ok {
+			walls[i] = &wall
+		}
+	})
+	byURL := make(map[string]*iip.WallResponse, len(records))
+	for i, rec := range records {
+		byURL[rec.URL] = walls[i]
+	}
+
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, l := range loads {
+		// Load stops at the first short page, so the pages recorded for
+		// a load are exactly 0..k.
+		for page := 0; ; page++ {
+			wall, ok := byURL[l.tab.PageURL(l.opts, page)]
+			if !ok {
+				break
+			}
+			if wall != nil {
+				m.fold(day, wall)
+			}
+		}
+	}
 	m.milkDays = append(m.milkDays, day)
-	m.mu.Unlock()
 	return nil
 }
 
-// ingest folds the proxy's records into the offer dataset.
-func (m *Milker) ingest(day dates.Date) {
-	records := m.proxy.DrainRecords()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, rec := range records {
-		wall, ok := ParseWall(rec)
+// fold merges one intercepted wall into the offer dataset. The first
+// observation of an offer fixes its ID and payout; later ones widen its
+// window and add countries. Callers hold m.mu.
+func (m *Milker) fold(day dates.Date, wall *iip.WallResponse) {
+	rate := m.rates[wall.Affiliate]
+	for _, wo := range wall.Offers {
+		o := offers.Offer{
+			ID:          wo.OfferID,
+			AppPackage:  wo.AppPackage,
+			IIP:         wall.Network,
+			Description: wo.Description,
+			PayoutUSD:   offers.NormalizePayout(float64(wo.Points), rate),
+			FirstSeen:   day,
+			LastSeen:    day,
+			Countries:   []string{wall.Country},
+		}
+		key := o.Key()
+		existing, ok := m.dataset[key]
 		if !ok {
+			m.dataset[key] = &o
 			continue
 		}
-		rate := m.rates[wall.Affiliate]
-		for _, wo := range wall.Offers {
-			o := offers.Offer{
-				ID:          wo.OfferID,
-				AppPackage:  wo.AppPackage,
-				IIP:         wall.Network,
-				Description: wo.Description,
-				PayoutUSD:   offers.NormalizePayout(float64(wo.Points), rate),
-				FirstSeen:   day,
-				LastSeen:    day,
-				Countries:   []string{wall.Country},
-			}
-			key := o.Key()
-			existing, ok := m.dataset[key]
-			if !ok {
-				m.dataset[key] = &o
-				continue
-			}
-			if day < existing.FirstSeen {
-				existing.FirstSeen = day
-			}
-			if day > existing.LastSeen {
-				existing.LastSeen = day
-			}
-			if !containsStr(existing.Countries, wall.Country) {
-				existing.Countries = append(existing.Countries, wall.Country)
-			}
+		if day < existing.FirstSeen {
+			existing.FirstSeen = day
+		}
+		if day > existing.LastSeen {
+			existing.LastSeen = day
+		}
+		if !containsStr(existing.Countries, wall.Country) {
+			existing.Countries = append(existing.Countries, wall.Country)
 		}
 	}
 }

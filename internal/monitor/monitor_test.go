@@ -3,8 +3,10 @@ package monitor
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/affiliate"
@@ -19,9 +21,24 @@ type wallFixture struct {
 	fyber *iip.Platform
 	ayet  *iip.Platform
 	milk  *Milker
+	// conns counts the connections each wall server (Fyber, ayeT)
+	// accepted.
+	conns [2]atomic.Int64
 }
 
-func newWallFixture(t *testing.T) *wallFixture {
+// wallOptions vary the wall fixture.
+type wallOptions struct {
+	// launch adds campaigns to the funded platforms.
+	launch func(t testing.TB, fyber, ayet *iip.Platform)
+	// wrap interposes on both wall servers' handlers.
+	wrap func(http.Handler) http.Handler
+}
+
+func newWallFixture(t testing.TB) *wallFixture {
+	return newWallFixtureWith(t, wallOptions{})
+}
+
+func newWallFixtureWith(t testing.TB, opts wallOptions) *wallFixture {
 	t.Helper()
 	platforms := iip.StandardPlatforms()
 	fyber, ayet := platforms[iip.Fyber], platforms[iip.AyetStudios]
@@ -52,16 +69,32 @@ func newWallFixture(t *testing.T) *wallFixture {
 	mustLaunch(fyber, "com.adv.one", "Install and Register", offers.Registration, 0.34)
 	mustLaunch(fyber, "com.adv.two", "Install and Reach level 10", offers.Usage, 0.50)
 	mustLaunch(ayet, "com.adv.three", "Install and Launch", offers.NoActivity, 0.05)
+	if opts.launch != nil {
+		opts.launch(t, fyber, ayet)
+	}
 
 	apps := affiliate.StandardAffiliates()
 	rates := map[string]float64{}
 	for _, a := range apps {
 		rates[a.Package] = a.PointsPerUSD
 	}
-	fyberSrv := httptest.NewServer(iip.NewServer(fyber, rates).Handler())
-	ayetSrv := httptest.NewServer(iip.NewServer(ayet, rates).Handler())
-	t.Cleanup(fyberSrv.Close)
-	t.Cleanup(ayetSrv.Close)
+	f := &wallFixture{fyber: fyber, ayet: ayet}
+	serve := func(p *iip.Platform, conns *atomic.Int64) *httptest.Server {
+		h := iip.NewServer(p, rates).Handler()
+		if opts.wrap != nil {
+			h = opts.wrap(h)
+		}
+		srv := httptest.NewUnstartedServer(h)
+		srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+			if state == http.StateNew {
+				conns.Add(1)
+			}
+		}
+		srv.Start()
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	fyberSrv, ayetSrv := serve(fyber, &f.conns[0]), serve(ayet, &f.conns[1])
 
 	// Restrict the milker to apps integrating only these two IIPs so
 	// every tab has an endpoint.
@@ -88,7 +121,8 @@ func newWallFixture(t *testing.T) *wallFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { milk.Close() })
-	return &wallFixture{fyber: fyber, ayet: ayet, milk: milk}
+	f.milk = milk
+	return f
 }
 
 func TestProxyRecordsTraffic(t *testing.T) {

@@ -12,7 +12,6 @@
 package monitor
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -42,7 +41,7 @@ type Proxy struct {
 
 // NewProxy returns an unstarted proxy.
 func NewProxy() *Proxy {
-	return &Proxy{outbound: &http.Transport{MaxIdleConnsPerHost: 16}}
+	return &Proxy{outbound: &http.Transport{MaxIdleConnsPerHost: inFlight, MaxConnsPerHost: inFlight}}
 }
 
 // Start binds the proxy to a loopback port. Call Stop when done.
@@ -70,8 +69,12 @@ func (p *Proxy) Stop() error {
 func (p *Proxy) Client() *http.Client {
 	proxyURL := &url.URL{Scheme: "http", Host: p.listener.Addr().String()}
 	return &http.Client{
-		Transport: &http.Transport{Proxy: http.ProxyURL(proxyURL)},
-		Timeout:   10 * time.Second,
+		Transport: &http.Transport{
+			Proxy:               http.ProxyURL(proxyURL),
+			MaxIdleConnsPerHost: inFlight,
+			MaxConnsPerHost:     inFlight,
+		},
+		Timeout: 10 * time.Second,
 	}
 }
 
@@ -113,7 +116,7 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	w.Write(bytes.NewBuffer(body).Bytes())
+	w.Write(body)
 }
 
 // DrainRecords returns all accumulated records and clears the buffer.
