@@ -103,6 +103,22 @@ func (e *Enc) Blob(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// UvarintLen returns how many bytes Uvarint(v) appends.
+func UvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// VarintLen returns how many bytes Varint(v) appends.
+func VarintLen(v int64) int { return UvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+// StrLen returns how many bytes Str(s) (or Blob of len(s) bytes) appends;
+// encoders use these sizes to allocate an exactly sized buffer up front.
+func StrLen(s string) int { return UvarintLen(uint64(len(s))) + len(s) }
+
 // Dec decodes a buffer produced by Enc. It is error-sticky: after the
 // first failure every read returns the zero value and Err reports the
 // failure, so decoders can run a straight-line field sequence and check
@@ -238,27 +254,34 @@ func (d *Dec) Bool() bool {
 }
 
 // Str reads a length-prefixed string.
-func (d *Dec) Str() string {
+func (d *Dec) Str() string { return string(d.BlobView()) }
+
+// InternStr reads a length-prefixed string like Str, but returns the
+// copy tab already holds for the same bytes, adding a new one otherwise:
+// a decoder that meets the same value many times allocates it once.
+func (d *Dec) InternStr(tab map[string]string) string {
+	b := d.BlobView()
+	if s, ok := tab[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	tab[s] = s
+	return s
+}
+
+// BlobView reads a length-prefixed byte slice without copying it: the
+// result aliases the decoder's input.
+func (d *Dec) BlobView() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(d.Remaining()) {
 		d.fail(ErrTooLong)
-		return ""
+		return nil
 	}
-	return string(d.take(int(n)))
+	return d.take(int(n))
 }
 
 // Blob reads a length-prefixed byte slice (a copy).
-func (d *Dec) Blob() []byte {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(d.Remaining()) {
-		d.fail(ErrTooLong)
-		return nil
-	}
-	return append([]byte(nil), d.take(int(n))...)
-}
+func (d *Dec) Blob() []byte { return append([]byte(nil), d.BlobView()...) }

@@ -98,3 +98,31 @@ func TestDoneDetectsTrailingBytes(t *testing.T) {
 		t.Error("trailing byte not detected")
 	}
 }
+
+// TestEncodedLengths: the size helpers exact-size buffers with agree
+// with what the encoder appends, at every varint width boundary.
+func TestEncodedLengths(t *testing.T) {
+	for shift := 0; shift < 64; shift++ {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			e := NewEnc(0)
+			e.Uvarint(v)
+			if got := UvarintLen(v); got != e.Len() {
+				t.Errorf("UvarintLen(%d) = %d, encoder appends %d", v, got, e.Len())
+			}
+			for _, sv := range []int64{int64(v), -int64(v)} {
+				e.Reset()
+				e.Varint(sv)
+				if got := VarintLen(sv); got != e.Len() {
+					t.Errorf("VarintLen(%d) = %d, encoder appends %d", sv, got, e.Len())
+				}
+			}
+		}
+	}
+	for _, s := range []string{"", "a", string(make([]byte, 127)), string(make([]byte, 128)), string(make([]byte, 1<<14))} {
+		e := NewEnc(0)
+		e.Str(s)
+		if got := StrLen(s); got != e.Len() {
+			t.Errorf("StrLen(%d bytes) = %d, encoder appends %d", len(s), got, e.Len())
+		}
+	}
+}

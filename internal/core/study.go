@@ -301,8 +301,9 @@ func RunHoneyOnly(cfg sim.Config) (*Study, error) {
 // openRunLog opens the event log file: created fresh for a new run, or —
 // when resuming — truncated to the checkpoint's offset and appended so
 // the resulting bytes are identical to an uninterrupted run's log. The
-// returned flush pushes the buffered bytes to disk (the checkpoint
-// callback calls it so checkpoints never reference unwritten bytes).
+// returned flush pushes the buffered bytes to disk and syncs the file (the
+// checkpoint callback calls it so checkpoints never reference unwritten
+// bytes).
 func (s *Study) openRunLog(resume *stream.Checkpoint) (log *stream.Writer, flush func() error, closeLog func(), err error) {
 	path := s.Opts.EventLogPath
 	if resume == nil {
@@ -320,7 +321,7 @@ func (s *Study) openRunLog(resume *stream.Checkpoint) (log *stream.Writer, flush
 			log.SetSegmentBytes(s.Opts.SegmentBytes)
 		}
 		log.SetMetrics(stream.NewWriterMetrics(s.Opts.Obs))
-		return log, bw.Flush, func() { bw.Flush(); f.Close() }, nil
+		return log, syncLog(bw, f), func() { bw.Flush(); f.Close() }, nil
 	}
 	if resume.LogOffset == 0 {
 		return nil, nil, nil, fmt.Errorf("core: checkpoint was taken without an event log; start a fresh log instead of resuming %s", path)
@@ -357,7 +358,19 @@ func (s *Study) openRunLog(resume *stream.Checkpoint) (log *stream.Writer, flush
 	bw := bufio.NewWriterSize(s.wrapEventLog(f), 1<<20)
 	log = s.World.ResumeRunLog(bw, resume)
 	log.SetMetrics(stream.NewWriterMetrics(s.Opts.Obs))
-	return log, bw.Flush, func() { bw.Flush(); f.Close() }, nil
+	return log, syncLog(bw, f), func() { bw.Flush(); f.Close() }, nil
+}
+
+// syncLog returns the run log's flush: the buffered bytes go to the file
+// and the file is synced, so they are on disk, not just in the page
+// cache, before a checkpoint that points past them is written.
+func syncLog(bw *bufio.Writer, f *os.File) func() error {
+	return func() error {
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		return f.Sync()
+	}
 }
 
 func (s *Study) wrapEventLog(w io.Writer) io.Writer {

@@ -82,17 +82,23 @@ func (s *OfferSession) SyncTo(m *Mediator) {
 }
 
 // EncodeSnapshot serializes the ledger: every balance (sorted by account)
-// and the full transaction log in posting order, floats bit-exact.
+// and the full transaction log in posting order, floats bit-exact, into a
+// buffer sized exactly up front.
 func (l *Ledger) EncodeSnapshot() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	enc := binenc.NewEnc(1 << 12)
-	enc.U8(ledgerSnapshotVersion)
 	accounts := make([]string, 0, len(l.balances))
+	size := 1 + binenc.UvarintLen(uint64(len(l.balances))) + binenc.UvarintLen(uint64(len(l.txs)))
 	for acct := range l.balances {
 		accounts = append(accounts, acct)
+		size += binenc.StrLen(acct) + 8
+	}
+	for _, tx := range l.txs {
+		size += binenc.StrLen(tx.From) + binenc.StrLen(tx.To) + 8 + binenc.StrLen(tx.Memo)
 	}
 	sort.Strings(accounts)
+	enc := binenc.NewEnc(size)
+	enc.U8(ledgerSnapshotVersion)
 	enc.Uvarint(uint64(len(accounts)))
 	for _, acct := range accounts {
 		enc.Str(acct)
@@ -121,9 +127,13 @@ func (l *Ledger) RestoreSnapshot(data []byte) error {
 	if dec.Err() == nil && nBal > uint64(dec.Remaining()) {
 		return fmt.Errorf("mediator: decoding ledger snapshot: %w", binenc.ErrTooLong)
 	}
+	// Transfers repeat a few hundred account names and a handful of memos
+	// over and over: intern them, seeded with the balance names, so each
+	// distinct string is allocated once.
+	names := make(map[string]string, nBal)
 	balances := make(map[string]float64, nBal)
 	for i := uint64(0); i < nBal && dec.Err() == nil; i++ {
-		acct := dec.Str()
+		acct := dec.InternStr(names)
 		balances[acct] = dec.F64()
 	}
 	nTxs := dec.Uvarint()
@@ -133,10 +143,10 @@ func (l *Ledger) RestoreSnapshot(data []byte) error {
 	txs := make([]Tx, 0, nTxs)
 	for i := uint64(0); i < nTxs && dec.Err() == nil; i++ {
 		txs = append(txs, Tx{
-			From:   dec.Str(),
-			To:     dec.Str(),
+			From:   dec.InternStr(names),
+			To:     dec.InternStr(names),
 			Amount: dec.F64(),
-			Memo:   dec.Str(),
+			Memo:   dec.InternStr(names),
 		})
 	}
 	if err := dec.Done(); err != nil {

@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/offers"
@@ -80,4 +81,59 @@ func TestLedgerSnapshotRoundTrip(t *testing.T) {
 	if err := l2.RestoreSnapshot(snap[:len(snap)-1]); err == nil {
 		t.Error("truncated ledger snapshot must not decode")
 	}
+}
+
+// FuzzLedgerRestoreSnapshot feeds RestoreSnapshot mangled snapshots. It
+// must never panic, a full and a balances-only ledger must agree on what
+// they accept, and whatever is accepted must re-encode to a fixed point
+// of restore and encode with the same transactions (the interned From,
+// To and Memo strings included).
+func FuzzLedgerRestoreSnapshot(f *testing.F) {
+	l := NewLedger()
+	for _, tx := range []Tx{
+		{From: "dev:a", To: "iip:x", Amount: 1.25, Memo: "campaign"},
+		{From: "iip:x", To: "user:w1", Amount: 0.3, Memo: "payout"},
+		{From: "iip:x", To: "user:w2", Amount: 0.3, Memo: "payout"},
+		{From: "user:w1", To: "dev:a", Amount: 4.99, Memo: "purchase"},
+	} {
+		if err := l.Post(tx.From, tx.To, tx.Amount, tx.Memo); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(l.EncodeSnapshot())
+	f.Add(NewLedger().EncodeSnapshot())
+	f.Add([]byte{ledgerSnapshotVersion, 1, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0, 0})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		full, bal := NewLedger(), NewLedger()
+		bal.DisableTxLog()
+		err := full.RestoreSnapshot(data)
+		if errBal := bal.RestoreSnapshot(data); (err == nil) != (errBal == nil) {
+			t.Fatalf("full ledger restore err %v, balances-only %v", err, errBal)
+		}
+		if err != nil {
+			return
+		}
+		if n := bal.NumTransactions(); n != 0 {
+			t.Fatalf("balances-only ledger restored %d transactions", n)
+		}
+		enc := full.EncodeSnapshot()
+		again := NewLedger()
+		if err := again.RestoreSnapshot(enc); err != nil {
+			t.Fatalf("re-encoded snapshot does not restore: %v", err)
+		}
+		if !bytes.Equal(again.EncodeSnapshot(), enc) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+		txs, txs2 := full.Transactions(), again.Transactions()
+		if len(txs) != len(txs2) {
+			t.Fatalf("%d transactions, %d after re-encoding", len(txs), len(txs2))
+		}
+		for i := range txs {
+			a, b := txs[i], txs2[i]
+			if a.From != b.From || a.To != b.To || a.Memo != b.Memo || math.Float64bits(a.Amount) != math.Float64bits(b.Amount) {
+				t.Fatalf("transaction %d changed across re-encoding: %+v vs %+v", i, a, b)
+			}
+		}
+	})
 }

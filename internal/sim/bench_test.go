@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/dates"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/playstore"
 	"repro/internal/randx"
 	"repro/internal/scenario"
+	"repro/internal/stream"
 )
 
 // benchDeliveryFixture hand-assembles the smallest world that can run the
@@ -146,5 +148,50 @@ func BenchmarkDeliverOne(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCheckpointRoundTrip times one full checkpoint round trip of
+// the TinyConfig world at day 35 (a few hundred thousand install
+// records): stream it out (WriteTo into io.Discard), then decode the same
+// bytes and iterate the decoded install list, which is what Restore
+// consumes. Run with -benchmem: the allocations are the point.
+func BenchmarkCheckpointRoundTrip(b *testing.B) {
+	w, err := NewWorld(TinyConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	var cp *stream.Checkpoint
+	if _, err := w.RunOpts(RunOptions{
+		CheckpointEvery: 35,
+		Checkpoint: func(c *stream.Checkpoint) error {
+			cp = c
+			return nil
+		},
+	}); err != nil {
+		b.Fatal(err)
+	}
+	enc := cp.Encode()
+	b.SetBytes(int64(len(enc)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cp.WriteTo(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		dec, err := stream.DecodeCheckpoint(enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for _, err := range dec.Installs.All() {
+			if err != nil {
+				b.Fatal(err)
+			}
+			n++
+		}
+		if n != cp.Installs.Len() {
+			b.Fatalf("decoded %d installs, want %d", n, cp.Installs.Len())
+		}
 	}
 }

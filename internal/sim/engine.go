@@ -386,7 +386,7 @@ func (e *engine) resolveUnit(c *PlannedCampaign, poolAccts map[string][]string) 
 // byte-identically after the just-completed day: the cumulative stats,
 // the log offset, snapshots of the store, ledger, mediator (with session
 // click numbering folded in), and every platform, the exact RNG position
-// of every work-unit stream, and the install log so far.
+// of every work-unit stream, and a view of the install log so far.
 func (e *engine) checkpoint(day dates.Date, stats RunStats, logOffset int64) (*stream.Checkpoint, error) {
 	w := e.w
 	for _, g := range e.groups {
@@ -442,17 +442,13 @@ func (e *engine) checkpoint(day dates.Date, stats RunStats, logOffset int64) (*s
 			}
 		}
 	}
-	// A spilled log streams back from disk here: checkpoints carry the
-	// complete install list, so checkpointing a massive spilled run is a
-	// deliberate O(run) materialization (disable checkpoints or the spill
-	// window when that matters).
-	cp.Installs = make([]stream.Install, 0, w.InstallLog.Len())
-	for rec := range w.InstallLog.All() {
-		cp.Installs = append(cp.Installs, stream.Install{Device: rec.Device, App: rec.App, Day: rec.Day})
-	}
+	// The install history is a view of the log, not a copy: the records
+	// stream from RAM (and a spilled log's file) only when the checkpoint
+	// is written. The checkpoint's bytes still grow with the run's length.
 	if err := w.InstallLog.Err(); err != nil {
 		return nil, err
 	}
+	cp.Installs = w.InstallLog.CheckpointView()
 	return cp, nil
 }
 

@@ -25,6 +25,7 @@ import (
 type InstallLog struct {
 	mem     []InstallRecord // resident tail (the whole log when not spilling)
 	spilled int             // records already flushed to the spill file
+	resets  int             // Reset count: invalidates checkpoint views
 
 	window int    // spill threshold; 0 = unbounded in-RAM log
 	dir    string // spill directory ("" = os.TempDir())
@@ -141,10 +142,41 @@ func (l *InstallLog) Slice() []InstallRecord {
 	return out
 }
 
+// CheckpointView returns the log's current records as a checkpoint's
+// install view: no copy, the records stream from the log (and its spill
+// file) whenever the checkpoint is written. Appends after the call do not
+// show through; a Reset does, so the view then fails instead of reading
+// another history.
+func (l *InstallLog) CheckpointView() stream.Installs {
+	n, resets := l.Len(), l.resets
+	return stream.NewInstalls(n, func(yield func(stream.Install, error) bool) {
+		if l.resets != resets {
+			yield(stream.Install{}, fmt.Errorf("sim: install log was reset after the checkpoint was taken"))
+			return
+		}
+		i := 0
+		for rec := range l.All() {
+			if i == n {
+				return
+			}
+			if !yield(stream.Install{Device: rec.Device, App: rec.App, Day: rec.Day}, nil) {
+				return
+			}
+			i++
+		}
+		if err := l.Err(); err != nil {
+			yield(stream.Install{}, err)
+		} else if i < n {
+			yield(stream.Install{}, fmt.Errorf("sim: install log holds %d records, checkpoint expects %d", i, n))
+		}
+	})
+}
+
 // Reset discards every record (spilled state included) and reserves
 // capacity for n records, clamped to the window when spilling. Restore
 // uses it to rebuild the log from a checkpoint.
 func (l *InstallLog) Reset(n int) {
+	l.resets++
 	l.mem = l.mem[:0]
 	l.spilled = 0
 	l.haveDay = false
@@ -270,6 +302,10 @@ func (l *InstallLog) flush() {
 func (l *InstallLog) iterSpill(yield func(InstallRecord) bool) bool {
 	if l.err != nil {
 		return true // records lost to a failed spill; surface via Err
+	}
+	if l.rf == nil {
+		l.err = fmt.Errorf("sim: reading install-log spill: log is closed")
+		return true
 	}
 	if err := l.bw.Flush(); err != nil {
 		l.err = fmt.Errorf("sim: flushing install-log spill: %w", err)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dates"
 	"repro/internal/randx"
+	"repro/internal/stream"
 )
 
 // collect drains All into a slice, failing the test on a spill I/O error.
@@ -162,5 +163,61 @@ func TestInstallLogSpillWorldEquivalence(t *testing.T) {
 	}
 	if n := wSpill.Ledger.NumTransactions(); n != 0 {
 		t.Errorf("balances-only world retained %d ledger transactions", n)
+	}
+}
+
+// TestInstallLogCheckpointView: a checkpoint's view of a spilling log
+// yields exactly the records present when it was taken, however many are
+// appended (and spilled) afterwards, and fails, rather than reading
+// another history, once the log is reset or closed.
+func TestInstallLogCheckpointView(t *testing.T) {
+	var l InstallLog
+	if err := l.EnableSpill(t.TempDir(), 4); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := func(i int) InstallRecord {
+		return InstallRecord{Device: fmt.Sprintf("dev-%d", i), App: "app", Day: dates.Date(100 + i/3)}
+	}
+	for i := 0; i < 10; i++ {
+		l.Append(rec(i))
+	}
+	view := l.CheckpointView()
+	for i := 10; i < 30; i++ {
+		l.Append(rec(i))
+	}
+	i := 0
+	for in, err := range view.All() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (InstallRecord{Device: in.Device, App: in.App, Day: in.Day}); got != rec(i) {
+			t.Fatalf("view record %d = %+v, want %+v", i, got, rec(i))
+		}
+		i++
+	}
+	if i != 10 || view.Len() != 10 {
+		t.Fatalf("view yielded %d records, Len %d; want 10", i, view.Len())
+	}
+
+	viewErr := func(v stream.Installs) error {
+		for _, err := range v.All() {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	l.Reset(0)
+	if viewErr(view) == nil {
+		t.Error("a view taken before Reset still iterates")
+	}
+	for i := 0; i < 10; i++ {
+		l.Append(rec(i))
+	}
+	view = l.CheckpointView()
+	l.Close()
+	if viewErr(view) == nil {
+		t.Error("a view of a closed spilled log still iterates")
 	}
 }

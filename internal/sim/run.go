@@ -52,7 +52,12 @@ type RunOptions struct {
 
 	// Checkpoint, when non-nil, receives a day-boundary checkpoint every
 	// CheckpointEvery days (counted from the window start, so a resumed
-	// run checkpoints on the same days the original would have).
+	// run checkpoints on the same days the original would have). cp's
+	// install history is a live view of the world's install log
+	// (stream.Installs): write or encode cp in the callback or after the
+	// run returns, never from another goroutine while the run goes on,
+	// and before the log is next reset (Restore) or closed. Encode's
+	// bytes, or DecodeCheckpoint of them, are a copy that lasts.
 	Checkpoint      func(cp *stream.Checkpoint) error
 	CheckpointEvery int // days between checkpoints; <= 0 means every day
 

@@ -163,8 +163,11 @@ func (w *World) Restore(cp *stream.Checkpoint) error {
 	if enf := store.Enforcer(); enf != nil {
 		w.Enforcer = enf
 	}
-	w.InstallLog.Reset(len(cp.Installs))
-	for _, in := range cp.Installs {
+	w.InstallLog.Reset(cp.Installs.Len())
+	for in, err := range cp.Installs.All() {
+		if err != nil {
+			return fmt.Errorf("sim: restoring install log: %w", err)
+		}
 		w.InstallLog.Append(InstallRecord{Device: in.Device, App: in.App, Day: in.Day})
 	}
 	w.restored = cp

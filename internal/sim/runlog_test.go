@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -203,6 +204,7 @@ func TestResumeBitIdentical(t *testing.T) {
 	})
 	liveStore := liveWorld.Store.EncodeSnapshot()
 	liveLedger := liveWorld.Ledger.EncodeSnapshot()
+	liveInstalls := collect(t, &liveWorld.InstallLog)
 	if len(cps) != liveStats.Days {
 		t.Fatalf("captured %d checkpoints, want %d", len(cps), liveStats.Days)
 	}
@@ -232,6 +234,9 @@ func TestResumeBitIdentical(t *testing.T) {
 		}
 		if !bytes.Equal(w2.Ledger.EncodeSnapshot(), liveLedger) {
 			t.Errorf("resume from %s: final ledger differs", cp.Day)
+		}
+		if diff := installLogDiff(collect(t, &w2.InstallLog), liveInstalls); diff != "" {
+			t.Errorf("resume from %s: final install log %s", cp.Day, diff)
 		}
 	}
 
@@ -334,5 +339,99 @@ func TestResumeTwiceFromSameCheckpoint(t *testing.T) {
 	}
 	if !bytes.Equal(w.Store.EncodeSnapshot(), snap1) {
 		t.Error("second resume from the same checkpoint diverged (stale restore marker?)")
+	}
+}
+
+// installLogDiff describes the first difference between two install
+// logs, or returns "" when they are element-wise equal.
+func installLogDiff(got, want []InstallRecord) string {
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			return fmt.Sprintf("differs at record %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("has %d records, want %d", len(got), len(want))
+	}
+	return ""
+}
+
+// TestCheckpointIdenticalAcrossSpillWindow: a checkpoint streams its
+// install history from the live log, so a spilled log (records read back
+// from the spill file) must checkpoint the exact bytes the in-RAM log
+// does, through WriteTo and Encode alike, and a spilled world resumed
+// from one of them must end with the in-RAM run's install log.
+func TestCheckpointIdenticalAcrossSpillWindow(t *testing.T) {
+	const window = 512
+	config := func(window int) Config {
+		cfg := TinyConfig()
+		cfg.InstallLogWindow = window
+		cfg.InstallLogDir = t.TempDir()
+		return cfg
+	}
+	run := func(window int) ([][]byte, RunStats, *World) {
+		w, err := NewWorld(config(window))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var encs [][]byte
+		stats, err := w.RunOpts(RunOptions{
+			CheckpointEvery: 7,
+			Checkpoint: func(cp *stream.Checkpoint) error {
+				var buf bytes.Buffer
+				if _, err := cp.WriteTo(&buf); err != nil {
+					return err
+				}
+				if !bytes.Equal(cp.Encode(), buf.Bytes()) {
+					return fmt.Errorf("checkpoint on %s: Encode and WriteTo disagree", cp.Day)
+				}
+				encs = append(encs, buf.Bytes())
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encs, stats, w
+	}
+
+	ramEncs, ramStats, wRAM := run(0)
+	defer wRAM.Close()
+	spillEncs, spillStats, wSpill := run(window)
+	defer wSpill.Close()
+	if wSpill.InstallLog.Len() <= window {
+		t.Fatalf("world too small to exercise spilling: %d records", wSpill.InstallLog.Len())
+	}
+	if spillStats != ramStats {
+		t.Errorf("run stats diverge: in-RAM %+v, spill %+v", ramStats, spillStats)
+	}
+	if len(ramEncs) != 5 || len(spillEncs) != len(ramEncs) {
+		t.Fatalf("checkpoints: %d in RAM, %d spilled; want 5 each", len(ramEncs), len(spillEncs))
+	}
+	for i := range ramEncs {
+		if !bytes.Equal(spillEncs[i], ramEncs[i]) {
+			t.Errorf("checkpoint %d differs between the in-RAM and the spilled log (%d vs %d bytes)",
+				i, len(ramEncs[i]), len(spillEncs[i]))
+		}
+	}
+
+	mid, err := stream.DecodeCheckpoint(spillEncs[len(spillEncs)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, err := NewWorld(config(window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	stats2, err := w2.RunOpts(RunOptions{Resume: mid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats2 != ramStats {
+		t.Errorf("resumed spilled run: stats %+v, want %+v", stats2, ramStats)
+	}
+	if diff := installLogDiff(collect(t, &w2.InstallLog), collect(t, &wRAM.InstallLog)); diff != "" {
+		t.Errorf("resumed spilled run: install log %s", diff)
 	}
 }

@@ -232,6 +232,17 @@ func TestResumeWriterContinuesByteStream(t *testing.T) {
 	}
 }
 
+// InstallList returns a view of an in-memory install list.
+func InstallList(list []Install) Installs {
+	return NewInstalls(len(list), func(yield func(Install, error) bool) {
+		for _, in := range list {
+			if !yield(in, nil) {
+				return
+			}
+		}
+	})
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	c := &Checkpoint{
 		Day: 42, Days: 12, OrganicInstalls: 100, IncentivizedInstalls: 50,
@@ -239,7 +250,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Store: []byte("store"), Ledger: []byte("ledger"), Mediator: []byte("med"),
 		Platforms: []NamedBlob{{Name: "fyber", Data: []byte{1}}, {Name: "rankapp", Data: []byte{2}}},
 		Streams:   []NamedBlob{{Name: "engine/com.x", Data: []byte{3, 4}}},
-		Installs:  []Install{{Device: "d", App: "a", Day: 41}},
+		Installs:  InstallList([]Install{{Device: "d", App: "a", Day: 41}}),
 	}
 	enc := c.Encode()
 	got, err := DecodeCheckpoint(enc)
