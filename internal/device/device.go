@@ -272,7 +272,7 @@ func installedApps(r *randx.Rand, gen *textgen.Gen, cfg PoolConfig) []string {
 	n := r.IntBetween(8, 35)
 	apps := make([]string, 0, n+2)
 	for i := 0; i < n; i++ {
-		apps = append(apps, gen.PackageName(gen.AppTitle()))
+		apps = append(apps, gen.PackageName(gen.AppName()))
 	}
 	// A MoneyAppProb fraction of the pool carries at least one
 	// money-keyword affiliate app; within that group, the pool's top

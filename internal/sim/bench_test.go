@@ -195,3 +195,34 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewWorld times a whole world build: the catalog chain plus
+// the seven crowd-worker pools and their devices' package names. Run
+// with -benchmem: the allocations are the point.
+func BenchmarkNewWorld(b *testing.B) {
+	study := TinyConfig()
+	if err := study.Resize(0, 6000, 0); err != nil {
+		b.Fatal(err)
+	}
+	study.Workers = 2
+	tiny := TinyConfig()
+	tiny.Workers = 1
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"tiny/workers=1", tiny},
+		{"study/workers=2", study},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w, err := NewWorld(tc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				w.Close()
+			}
+		})
+	}
+}

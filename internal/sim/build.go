@@ -353,16 +353,15 @@ func (w *World) buildAPKs() error {
 	return nil
 }
 
-// buildPools generates per-IIP crowd-worker pools.
-func (w *World) buildPools() {
+// buildPool generates one IIP's crowd-worker pool from the pool's own
+// stream, so pools build independently of each other and of the world.
+func (w *World) buildPool(name string) []*device.Worker {
 	defaults := device.DefaultPools()
-	for _, name := range iip.StandardNames {
-		cfg, ok := defaults[name]
-		if !ok {
-			cfg = defaults["generic"]
-			cfg.IIP = name
-		}
-		r := randx.Derive(w.Cfg.Seed, "pool-"+name)
-		w.Pools[name] = device.GeneratePool(r, textgen.New(r), cfg, w.Cfg.WorkerPoolSize)
+	cfg, ok := defaults[name]
+	if !ok {
+		cfg = defaults["generic"]
+		cfg.IIP = name
 	}
+	r := randx.Derive(w.Cfg.Seed, "pool-"+name)
+	return device.GeneratePool(r, textgen.New(r), cfg, w.Cfg.WorkerPoolSize)
 }

@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/dates"
 	"repro/internal/iip"
@@ -100,10 +101,11 @@ type Config struct {
 	// Obfuscation is the APK obfuscation probability for static analysis.
 	Obfuscation float64
 
-	// Workers bounds the day engine's worker pool. 0 (the default) uses
-	// GOMAXPROCS. Results are identical for every setting — the engine's
-	// random streams are owned per work unit, not per worker — so this is
-	// purely a throughput knob.
+	// Workers bounds the goroutines that build the world and run the day
+	// engine. 0 (the default) uses GOMAXPROCS. Results are identical for
+	// every setting — random streams are owned per work unit (each
+	// crowd-worker pool at build time, each engine unit), not per
+	// goroutine — so this is purely a throughput knob.
 	Workers int
 
 	// Adversary selects the worker-pool behaviour of every campaign unit
@@ -303,6 +305,14 @@ func MassiveConfig() Config {
 	// would dwarf the device population.
 	cfg.LedgerBalancesOnly = true
 	return cfg
+}
+
+// workerCount resolves Workers: values <= 0 mean GOMAXPROCS.
+func (c Config) workerCount() int {
+	if c.Workers > 0 {
+		return c.Workers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // Resize applies the free world-size parameters (0 = keep the base

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -208,10 +207,7 @@ const organicMeanFraud = 0.05
 // engine either, so the snapshot changes nothing observable while keeping
 // the organic fan-out race-free.
 func newEngine(w *World) (*engine, error) {
-	workers := w.Cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := w.Cfg.workerCount()
 	// Wire the same resolved bound into the store's StepDay fan-out, so
 	// one knob governs every pool and a Workers=1 run is genuinely
 	// serial end to end, even if Cfg.Workers was mutated after NewWorld.

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/iip"
@@ -218,6 +220,42 @@ func TestPlatformsSortedOrder(t *testing.T) {
 	for i, name := range iip.StandardNames {
 		if ps[i].Name != name {
 			t.Errorf("platform %d = %s, want %s", i, ps[i].Name, name)
+		}
+	}
+}
+
+// TestNewWorldIdenticalAcrossWorkers checks that building the worker
+// pools concurrently with the catalog chain changes no byte of the world.
+func TestNewWorldIdenticalAcrossWorkers(t *testing.T) {
+	build := func(workers int) *World {
+		cfg := TinyConfig()
+		if err := cfg.Resize(0, 2000, 0); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workers = workers
+		w, err := NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	ref := build(1)
+	refSnap := ref.Store.EncodeSnapshot()
+	for _, workers := range []int{2, 8} {
+		w := build(workers)
+		for _, name := range iip.StandardNames {
+			if !reflect.DeepEqual(w.Pools[name], ref.Pools[name]) {
+				t.Errorf("workers=%d: pool %s differs from the serial build", workers, name)
+			}
+		}
+		if !bytes.Equal(w.Store.EncodeSnapshot(), refSnap) {
+			t.Errorf("workers=%d: store snapshot differs from the serial build", workers)
+		}
+		if !reflect.DeepEqual(w.Campaigns, ref.Campaigns) {
+			t.Errorf("workers=%d: campaigns differ from the serial build", workers)
+		}
+		if !reflect.DeepEqual(w.APKs, ref.APKs) {
+			t.Errorf("workers=%d: APKs differ from the serial build", workers)
 		}
 	}
 }

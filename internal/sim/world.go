@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/affiliate"
 	"repro/internal/apk"
+	"repro/internal/conc"
 	"repro/internal/crunchbase"
 	"repro/internal/dates"
 	"repro/internal/device"
@@ -160,17 +161,25 @@ func NewWorld(cfg Config) (*World, error) {
 	w.Store.SetChartSize(cfg.ChartSize)
 	w.Store.SetHorizon(cfg.Window.End)
 
-	if err := w.buildCatalog(); err != nil {
-		return nil, fmt.Errorf("sim: building catalog: %w", err)
+	// The catalog → campaigns → crunchbase → APKs chain alone draws from
+	// w.rand and w.gen; each worker pool owns its own stream and
+	// generator. So the pools build concurrently with each other and
+	// with the chain (unit 0) and draw exactly what a serial build draws.
+	pools := make([][]*device.Worker, len(iip.StandardNames))
+	var err error
+	conc.ForN(cfg.workerCount(), 1+len(pools), func(i int) {
+		if i == 0 {
+			err = w.buildChain()
+			return
+		}
+		pools[i-1] = w.buildPool(iip.StandardNames[i-1])
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := w.buildCampaigns(); err != nil {
-		return nil, fmt.Errorf("sim: building campaigns: %w", err)
+	for i, name := range iip.StandardNames {
+		w.Pools[name] = pools[i]
 	}
-	w.buildCrunchbase()
-	if err := w.buildAPKs(); err != nil {
-		return nil, fmt.Errorf("sim: building APKs: %w", err)
-	}
-	w.buildPools()
 	w.cacheAffiliates()
 	// Construction is the generator's last use. Its uniqueness maps
 	// retain every package and company name ever drawn — O(world), with
@@ -178,6 +187,22 @@ func NewWorld(cfg Config) (*World, error) {
 	// rather than carry them through the run.
 	w.gen = nil
 	return w, nil
+}
+
+// buildChain builds everything that draws from the world's own streams,
+// in draw order.
+func (w *World) buildChain() error {
+	if err := w.buildCatalog(); err != nil {
+		return fmt.Errorf("sim: building catalog: %w", err)
+	}
+	if err := w.buildCampaigns(); err != nil {
+		return fmt.Errorf("sim: building campaigns: %w", err)
+	}
+	w.buildCrunchbase()
+	if err := w.buildAPKs(); err != nil {
+		return fmt.Errorf("sim: building APKs: %w", err)
+	}
+	return nil
 }
 
 // Close releases resources the world holds outside the heap — today the
@@ -222,10 +247,10 @@ func (w *World) newDeveloper(r *randx.Rand, idx int, prefix string) playstore.De
 
 // publishApp creates a listing plus its organic activity rates.
 func (w *World) publishApp(r *randx.Rand, dev playstore.DeveloperID, genre string, released dates.Date, installs int64) (string, error) {
-	title := w.gen.AppTitle()
-	pkg := w.gen.PackageName(title)
+	name := w.gen.AppName()
+	pkg := w.gen.PackageName(name)
 	if err := w.Store.Publish(playstore.Listing{
-		Package: pkg, Title: title, Genre: genre,
+		Package: pkg, Title: name.Title(), Genre: genre,
 		Developer: dev, Released: released,
 	}); err != nil {
 		return "", err

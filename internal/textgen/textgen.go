@@ -7,6 +7,7 @@ package textgen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/randx"
@@ -70,9 +71,8 @@ var nameSuffixes = []string{
 	" Lite", " Premium", " Master", " Mania", " World", " Land",
 }
 
-// moneyWords are keywords that the paper observed in affiliate-app names
-// ("money", "reward", "cash"); used for reward-app naming and for the
-// keyword analysis in Section 3.
+// moneyWords are the keywords the paper observed in affiliate-app names
+// ("money", "reward", "cash"), for the keyword analysis in Section 3.
 var moneyWords = []string{"money", "reward", "cash", "earn", "gift", "pay"}
 
 var companyStems = []string{
@@ -103,49 +103,48 @@ func New(r *randx.Rand) *Gen {
 	return &Gen{r: r, usedPkg: map[string]bool{}, usedCompany: map[string]bool{}}
 }
 
-// AppTitle generates a plausible store listing title.
-func (g *Gen) AppTitle() string {
-	adj := randx.Choice(g.r, nameAdjectives)
-	noun := randx.Choice(g.r, nameNouns)
-	suf := randx.Choice(g.r, nameSuffixes)
-	return adj + " " + noun + suf
+// AppName is a drawn app name: indexes into the adjective, noun and
+// suffix tables. Title and PackageName render it; no title is parsed.
+type AppName struct{ adj, noun, suf uint8 }
+
+// AppName draws an adjective, a noun and a suffix, in that order.
+func (g *Gen) AppName() AppName {
+	adj, noun := g.r.IntN(len(nameAdjectives)), g.r.IntN(len(nameNouns))
+	return AppName{uint8(adj), uint8(noun), uint8(g.r.IntN(len(nameSuffixes)))}
 }
 
-// RewardAppTitle generates a money/reward-keyword affiliate-app title like
-// the "CashPirate" / "make money" family the paper identifies.
-func (g *Gen) RewardAppTitle() string {
-	w := randx.Choice(g.r, moneyWords)
-	noun := randx.Choice(g.r, []string{"Pirate", "Tree", "App", "Box", "Time", "Rain", "Hub", "Farm"})
-	return strings.Title(w) + " " + noun + " - Earn Rewards" //nolint:staticcheck // ASCII-only words
+// Title renders the name as a plausible store listing title.
+func (n AppName) Title() string {
+	return nameAdjectives[n.adj] + " " + nameNouns[n.noun] + nameSuffixes[n.suf]
 }
 
-// PackageName derives a unique Android package name from a title.
-func (g *Gen) PackageName(title string) string {
-	base := strings.ToLower(strings.Join(strings.Fields(title), "."))
-	base = sanitizePkg(base)
-	tld := randx.Choice(g.r, tlds)
-	stem := strings.ToLower(randx.Choice(g.r, companyStems))
-	pkg := fmt.Sprintf("%s.%s.%s", tld, stem, base)
-	for g.usedPkg[pkg] {
-		pkg = fmt.Sprintf("%s.%s.%s%d", tld, stem, base, g.r.IntN(10000))
-	}
-	g.usedPkg[pkg] = true
-	return pkg
-}
+// The word tables' package forms, lowered once. A suffix's leading space
+// becomes its dot, so "Super Quest 3D" renders as "super.quest.3d".
+var pkgStems, pkgAdjectives = lowered(companyStems), lowered(nameAdjectives)
+var pkgNouns, pkgSuffixes = lowered(nameNouns), lowered(nameSuffixes)
 
-func sanitizePkg(s string) string {
-	var b strings.Builder
-	for _, c := range s {
-		switch {
-		case c >= 'a' && c <= 'z', c >= '0' && c <= '9', c == '.':
-			b.WriteRune(c)
-		}
-	}
-	out := strings.Trim(b.String(), ".")
-	if out == "" {
-		out = "app"
+func lowered(words []string) (out []string) {
+	for _, w := range words {
+		out = append(out, strings.ToLower(strings.ReplaceAll(w, " ", ".")))
 	}
 	return out
+}
+
+// PackageName renders n as a unique Android package name,
+// tld.stem.adj.noun[.suffix]; a taken one gets a drawn number appended.
+func (g *Gen) PackageName(n AppName) string {
+	var buf [64]byte
+	b := append(buf[:0], randx.Choice(g.r, tlds)...)
+	b = append(append(b, '.'), randx.Choice(g.r, pkgStems)...)
+	b = append(append(b, '.'), pkgAdjectives[n.adj]...)
+	b = append(append(b, '.'), pkgNouns[n.noun]...)
+	b = append(b, pkgSuffixes[n.suf]...)
+	for base := len(b); g.usedPkg[string(b)]; {
+		b = strconv.AppendInt(b[:base], int64(g.r.IntN(10000)), 10)
+	}
+	pkg := string(b)
+	g.usedPkg[pkg] = true
+	return pkg
 }
 
 // CompanyName generates a unique developer/company name. The grammar's

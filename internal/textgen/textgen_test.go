@@ -1,6 +1,7 @@
 package textgen
 
 import (
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -12,11 +13,11 @@ func TestDeterminism(t *testing.T) {
 	a := New(randx.New(5))
 	b := New(randx.New(5))
 	for i := 0; i < 50; i++ {
-		ta, tb := a.AppTitle(), b.AppTitle()
-		if ta != tb {
+		na, nb := a.AppName(), b.AppName()
+		if ta, tb := na.Title(), nb.Title(); ta != tb {
 			t.Fatalf("titles diverged: %q vs %q", ta, tb)
 		}
-		if a.PackageName(ta) != b.PackageName(tb) {
+		if a.PackageName(na) != b.PackageName(nb) {
 			t.Fatal("package names diverged")
 		}
 	}
@@ -27,7 +28,7 @@ func TestPackageNameUniqueAndValid(t *testing.T) {
 	valid := regexp.MustCompile(`^[a-z0-9.]+$`)
 	seen := map[string]bool{}
 	for i := 0; i < 2000; i++ {
-		pkg := g.PackageName(g.AppTitle())
+		pkg := g.PackageName(g.AppName())
 		if seen[pkg] {
 			t.Fatalf("duplicate package name: %s", pkg)
 		}
@@ -53,16 +54,6 @@ func TestCompanyNameUnique(t *testing.T) {
 			t.Fatalf("duplicate company: %s", c)
 		}
 		seen[c] = true
-	}
-}
-
-func TestRewardAppTitleHasKeyword(t *testing.T) {
-	g := New(randx.New(3))
-	for i := 0; i < 100; i++ {
-		title := g.RewardAppTitle()
-		if !HasMoneyKeyword(title) {
-			t.Fatalf("reward title lacks money keyword: %q", title)
-		}
 	}
 }
 
@@ -152,5 +143,89 @@ func TestSSIDShape(t *testing.T) {
 		if s := g.SSID(); !re.MatchString(s) {
 			t.Errorf("unexpected SSID shape: %q", s)
 		}
+	}
+}
+
+// refPackageBase is the reference title-to-package transform: a title's
+// words joined by dots, lowered, and stripped to [a-z0-9.]. It is the
+// oracle for PackageName's word-table rendering.
+func refPackageBase(title string) string {
+	base := strings.ToLower(strings.Join(strings.Fields(title), "."))
+	var b strings.Builder
+	for _, c := range base {
+		switch {
+		case c >= 'a' && c <= 'z', c >= '0' && c <= '9', c == '.':
+			b.WriteRune(c)
+		}
+	}
+	out := strings.Trim(b.String(), ".")
+	if out == "" {
+		out = "app"
+	}
+	return out
+}
+
+// refAppTitle is the reference title draw: adjective, noun, suffix.
+func refAppTitle(g *Gen) string {
+	adj := randx.Choice(g.r, nameAdjectives)
+	noun := randx.Choice(g.r, nameNouns)
+	suf := randx.Choice(g.r, nameSuffixes)
+	return adj + " " + noun + suf
+}
+
+// refPackageName is the reference title-based package naming, draws
+// included; numbered reports whether the collision fallback fired.
+func refPackageName(g *Gen, title string) (pkg string, numbered bool) {
+	base := refPackageBase(title)
+	tld := randx.Choice(g.r, tlds)
+	stem := strings.ToLower(randx.Choice(g.r, companyStems))
+	pkg = fmt.Sprintf("%s.%s.%s", tld, stem, base)
+	for g.usedPkg[pkg] {
+		pkg = fmt.Sprintf("%s.%s.%s%d", tld, stem, base, g.r.IntN(10000))
+		numbered = true
+	}
+	g.usedPkg[pkg] = true
+	return pkg, numbered
+}
+
+func TestPackageRenderingMatchesTitleTransform(t *testing.T) {
+	g := New(randx.New(10))
+	for adj := range nameAdjectives {
+		for noun := range nameNouns {
+			for suf := range nameSuffixes {
+				n := AppName{uint8(adj), uint8(noun), uint8(suf)}
+				clear(g.usedPkg) // no numbered fallback: render the name alone
+				got := strings.SplitN(g.PackageName(n), ".", 3)[2]
+				if want := refPackageBase(n.Title()); got != want {
+					t.Fatalf("%+v: rendered %q, title transform gives %q", n, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestPackageNameMatchesTitleBasedSequence(t *testing.T) {
+	const names = 200_000
+	ref, cur := New(randx.New(11)), New(randx.New(11))
+	numbered := 0
+	for i := 0; i < names; i++ {
+		title := refAppTitle(ref)
+		want, renamed := refPackageName(ref, title)
+		if renamed {
+			numbered++
+		}
+		n := cur.AppName()
+		if got := n.Title(); got != title {
+			t.Fatalf("name %d: title %q, want %q", i, got, title)
+		}
+		if got := cur.PackageName(n); got != want {
+			t.Fatalf("name %d: package %q, want %q", i, got, want)
+		}
+	}
+	if numbered == 0 {
+		t.Fatal("the numbered-collision branch never fired; the sequence does not cover it")
+	}
+	if a, b := ref.r.Uint64(), cur.r.Uint64(); a != b {
+		t.Fatal("streams diverged after the last name")
 	}
 }
