@@ -85,13 +85,14 @@ func (s *Store) effectiveChartSizeLocked() int {
 }
 
 // freeScore computes the engagement score used by top-free and top-games.
-// prev is the preceding window, feeding a trend term: the store's public
-// charts list "trending" apps, so recent engagement growth counts beyond
-// absolute volume. That trend term is what lets an activity campaign lift
-// a mid-size app over larger static apps — the mechanism behind the
-// paper's Table 6 finding that activity offers (vetted IIPs) push apps
-// into top charts while pure install bursts do not.
-func freeScore(w, prev windowMetrics, mode ChartScoring) float64 {
+// prev holds the preceding window's dau and sessionSec, feeding a trend
+// term: the store's public charts list "trending" apps, so recent
+// engagement growth counts beyond absolute volume. That trend term is what
+// lets an activity campaign lift a mid-size app over larger static apps —
+// the mechanism behind the paper's Table 6 finding that activity offers
+// (vetted IIPs) push apps into top charts while pure install bursts do
+// not.
+func freeScore(w windowMetrics, prev trendInts, mode ChartScoring) float64 {
 	installs := math.Log1p(float64(w.installs))
 	if mode == InstallsOnlyScoring {
 		return installs
@@ -142,26 +143,6 @@ func (s *Store) ChartRank(name string, day dates.Date, pkg string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.ranks[name][day][pkg]
-}
-
-// ChartRanks returns the package->rank index for a chart on a previously
-// stepped day (nil when the chart was not computed that day). The copy is
-// the caller's own — one O(chart-size) allocation per call. Hot callers —
-// the engine's organic phase resolves chart presence for every app every
-// simulated day — fetch it once per day and read it without further store
-// locking.
-func (s *Store) ChartRanks(name string, day dates.Date) map[string]int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	idx := s.ranks[name][day]
-	if idx == nil {
-		return nil
-	}
-	cp := make(map[string]int, len(idx))
-	for pkg, rank := range idx {
-		cp[pkg] = rank
-	}
-	return cp
 }
 
 // ChartPercentile converts a rank to the percentile-rank representation of

@@ -1,6 +1,7 @@
 package playstore
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -46,9 +47,10 @@ func appOf(t *testing.T, s *Store, pkg string) *app {
 
 // TestDenseWindowMatchesReference drives the store through an adversarial
 // write pattern — day gaps, out-of-order writes, writes before the first
-// active day — and checks after every step that the rolling-window fast
-// path agrees bit-for-bit with the reference summation for the chart
-// window, the trend window, and the clawback window.
+// active day, a snapshot round trip — and checks after every step that the
+// rolling-window fast path agrees bit-for-bit with the reference summation
+// for the chart window, the trend window, and the clawback window, and
+// that the rolling previous-window sums agree with it exactly.
 func TestDenseWindowMatchesReference(t *testing.T) {
 	s := New(dates.StudyStart)
 	s.AddDeveloper(Developer{ID: "d"})
@@ -58,10 +60,60 @@ func TestDenseWindowMatchesReference(t *testing.T) {
 	}
 	r := randx.New(7)
 	d0 := dates.StudyStart
-	// Offsets deliberately include backward jumps and a pre-base write.
-	offsets := []int{5, 5, 6, 9, 2, 30, 29, 31, -3, 31, 60, 58, 61, 61, 0, 90}
+	// Offsets deliberately include backward jumps, a pre-base write,
+	// anchor gaps of 1-6, 7-13 and 14 or more days, and back-dated
+	// session writes (steps 18 and 22) into the previous window.
+	offsets := []int{5, 5, 6, 9, 2, 30, 29, 31, -3, 31, 60, 58, 61, 61, 0, 90,
+		100, 95, 92, 99, 117, 112, 110, 150, 140, 153}
+	const roundTripStep = 12
+	// checkPrev compares the rolling previous-window sums, and the trend
+	// query at end, with the reference.
+	checkPrev := func(step int, a *app, end dates.Date) {
+		t.Helper()
+		if a.n == 0 {
+			return
+		}
+		if want := refWindow(a, a.winEnd.AddDays(-chartWindowDays), chartWindowDays).trend(); a.prev != want {
+			t.Fatalf("step %d (anchor %s): prev = %+v, want %+v", step, a.winEnd, a.prev, want)
+		}
+		if got, want := a.trend(end), refWindow(a, end.AddDays(-chartWindowDays), chartWindowDays).trend(); got != want {
+			t.Fatalf("step %d: trend(%s) = %+v, want %+v", step, end, got, want)
+		}
+	}
+	// gaps counts anchor advances by class: 1-6, 7-13 and 14+ days.
+	var gaps [3]int
+	countGap := func(from, to dates.Date) {
+		switch g := int(to - from); {
+		case g <= 0:
+		case g < chartWindowDays:
+			gaps[0]++
+		case g < 2*chartWindowDays:
+			gaps[1]++
+		default:
+			gaps[2]++
+		}
+	}
+	intoPrev := 0 // session writes that landed in the previous window
 	for step, off := range offsets {
+		if step == roundTripStep {
+			snap := s.EncodeSnapshot()
+			restored, err := DecodeSnapshot(snap)
+			if err != nil {
+				t.Fatalf("step %d: decoding snapshot: %v", step, err)
+			}
+			if !bytes.Equal(restored.EncodeSnapshot(), snap) {
+				t.Fatalf("step %d: snapshot round trip is not byte-identical", step)
+			}
+			s = restored
+			a := appOf(t, s, pkg)
+			checkPrev(step, a, a.winEnd)
+		}
 		day := d0.AddDays(off)
+		before := appOf(t, s, pkg)
+		anchor, placed := before.winEnd, before.n > 0
+		if placed && step%4 == 2 && day <= anchor.AddDays(-chartWindowDays) && day > anchor.AddDays(-2*chartWindowDays) {
+			intoPrev++
+		}
 		switch step % 4 {
 		case 0:
 			if err := s.RecordInstall(pkg, Install{Day: day, Source: SourceReferral, FraudScore: r.Float64()}); err != nil {
@@ -81,6 +133,11 @@ func TestDenseWindowMatchesReference(t *testing.T) {
 			}
 		}
 		a := appOf(t, s, pkg)
+		if placed {
+			countGap(anchor, a.winEnd)
+		}
+		checkPrev(step, a, a.winEnd)
+		anchor = a.winEnd
 		for _, q := range []struct {
 			end  dates.Date
 			days int
@@ -101,6 +158,13 @@ func TestDenseWindowMatchesReference(t *testing.T) {
 				t.Fatalf("step %d: float bits differ: %+v vs %+v", step, got, want)
 			}
 		}
+		countGap(anchor, a.winEnd)
+		checkPrev(step, a, a.winEnd)
+		checkPrev(step, a, day)
+	}
+	if gaps[0] == 0 || gaps[1] == 0 || gaps[2] == 0 || intoPrev == 0 {
+		t.Fatalf("write pattern covers anchor gaps %v (1-6, 7-13, 14+) and %d previous-window writes; want all nonzero",
+			gaps, intoPrev)
 	}
 }
 
@@ -195,8 +259,9 @@ func TestTopKMatchesFullSort(t *testing.T) {
 	}
 }
 
-// TestChartRanksIndex checks the O(1) rank index agrees with the chart
-// entries and with ChartRank, and is absent for unstepped days.
+// TestChartRanksIndex checks the O(1) rank index behind ChartRank agrees
+// with the chart entries of the day, ChartOn and Chart alike, and is
+// absent for unstepped days.
 func TestChartRanksIndex(t *testing.T) {
 	s := New(dates.StudyStart)
 	s.AddDeveloper(Developer{ID: "d"})
@@ -212,24 +277,34 @@ func TestChartRanksIndex(t *testing.T) {
 	s.SetChartSize(10)
 	s.StepDay(dates.StudyStart)
 
-	ranks := s.ChartRanks(ChartTopFree, dates.StudyStart)
+	on := s.ChartOn(ChartTopFree, dates.StudyStart)
 	chart := s.Chart(ChartTopFree)
-	if len(chart) != 10 || len(ranks) != 10 {
-		t.Fatalf("chart %d entries, index %d entries, want 10/10", len(chart), len(ranks))
+	if len(chart) != 10 || len(on) != 10 {
+		t.Fatalf("chart %d entries, ChartOn %d entries, want 10/10", len(chart), len(on))
 	}
-	for _, e := range chart {
-		if ranks[e.Package] != e.Rank {
-			t.Errorf("index rank for %s = %d, want %d", e.Package, ranks[e.Package], e.Rank)
+	ranked := 0
+	for i, e := range chart {
+		if on[i] != e {
+			t.Errorf("ChartOn entry %d = %+v, want %+v", i, on[i], e)
 		}
 		if got := s.ChartRank(ChartTopFree, dates.StudyStart, e.Package); got != e.Rank {
 			t.Errorf("ChartRank(%s) = %d, want %d", e.Package, got, e.Rank)
 		}
 	}
-	if ranks["rank.app.00"] != 0 {
+	for i := 0; i < 30; i++ {
+		if s.ChartRank(ChartTopFree, dates.StudyStart, fmt.Sprintf("rank.app.%02d", i)) > 0 {
+			ranked++
+		}
+	}
+	if ranked != 10 {
+		t.Errorf("%d apps have a rank, want the chart's 10", ranked)
+	}
+	if s.ChartRank(ChartTopFree, dates.StudyStart, "rank.app.00") != 0 {
 		t.Error("app below the cut must be absent from the index")
 	}
-	if s.ChartRanks(ChartTopFree, dates.StudyStart.AddDays(1)) != nil {
-		t.Error("unstepped day must have no rank index")
+	if s.ChartOn(ChartTopFree, dates.StudyStart.AddDays(1)) != nil ||
+		s.ChartRank(ChartTopFree, dates.StudyStart.AddDays(1), chart[0].Package) != 0 {
+		t.Error("unstepped day must have no chart and no rank index")
 	}
 }
 

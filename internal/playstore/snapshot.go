@@ -168,7 +168,7 @@ func DecodeSnapshot(data []byte) (*Store, error) {
 		if _, ok := sh.apps[a.pkg]; ok {
 			return nil, fmt.Errorf("playstore: snapshot %w: %s", ErrDuplicateApp, a.pkg)
 		}
-		sh.apps[a.pkg] = a
+		sh.add(a)
 		s.pkgs = append(s.pkgs, a.pkg)
 	}
 
@@ -207,7 +207,10 @@ func DecodeSnapshot(data []byte) (*Store, error) {
 
 // decodeApp rebuilds one app row-by-row off the wire, allocating its
 // column range in the owning shard's arena (the package name decodes
-// first, so the shard is known before any day data is read).
+// first, so the shard is known before any day data is read). The wire
+// carries the rolling window sums; they must agree with the app's own
+// columns, and the previous-window sums, which the wire does not carry,
+// are rebuilt from them.
 func decodeApp(dec *binenc.Dec, s *Store) (*app, error) {
 	pkg := dec.Str()
 	a := &app{
@@ -239,7 +242,7 @@ func decodeApp(dec *binenc.Dec, s *Store) (*app, error) {
 	}
 	if nDays > 0 {
 		ar := a.ar
-		a.off = ar.alloc(int(nDays))
+		a.off = ar.alloc(int(nDays), 0)
 		a.n = int(nDays)
 		a.room = int(nDays)
 		for j := a.off; j < a.off+a.n; j++ {
@@ -255,6 +258,17 @@ func decodeApp(dec *binenc.Dec, s *Store) (*app, error) {
 	}
 	if dec.Err() != nil {
 		return nil, fmt.Errorf("playstore: decoding app %s: %w", a.pkg, dec.Err())
+	}
+	a.game = gameGenres[a.genre]
+	if a.n > 0 && a.winEnd < a.base.AddDays(a.n-1) {
+		return nil, fmt.Errorf("playstore: snapshot app %s: window anchor %d precedes its last day %d",
+			a.pkg, a.winEnd, a.base.AddDays(a.n-1))
+	}
+	win := a.win
+	a.rebuildWindows()
+	if a.win != win {
+		return nil, fmt.Errorf("playstore: snapshot app %s: window sums %+v disagree with its days %+v",
+			a.pkg, win, a.win)
 	}
 	return a, nil
 }

@@ -2,6 +2,7 @@ package playstore
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/dates"
@@ -11,7 +12,7 @@ import (
 // buildSnapshotFixture assembles a store with developers, apps, daily
 // activity, stepped charts, and an enforcer, so the snapshot covers every
 // section of the wire format.
-func buildSnapshotFixture(t *testing.T) *Store {
+func buildSnapshotFixture(t testing.TB) *Store {
 	t.Helper()
 	day0 := dates.StudyStart
 	s := New(day0)
@@ -113,6 +114,68 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 	if _, err := DecodeSnapshot(bad); err == nil {
 		t.Error("unknown snapshot version must not decode")
 	}
+}
+
+// TestSnapshotDecodeRejectsInconsistentWindow checks that decoding
+// recomputes every app's rolling window from its own days: a snapshot
+// whose wire sums differ in one varint, or whose anchor precedes the app's
+// last day, is refused instead of seeding wrong chart scores.
+func TestSnapshotDecodeRejectsInconsistentWindow(t *testing.T) {
+	s := buildSnapshotFixture(t)
+	snap := s.EncodeSnapshot()
+	if _, err := DecodeSnapshot(snap); err != nil {
+		t.Fatalf("consistent snapshot: %v", err)
+	}
+
+	a := appOf(t, s, "com.b")
+	a.win.sessions++ // com.b records no sessions: varint 0 becomes 1
+	bad := s.EncodeSnapshot()
+	a.win.sessions--
+	if len(bad) != len(snap) {
+		t.Fatalf("corrupted snapshot is %d bytes, want %d", len(bad), len(snap))
+	}
+	diff := 0
+	for i := range snap {
+		if bad[i] != snap[i] {
+			diff++
+		}
+	}
+	if diff != 1 {
+		t.Fatalf("corruption changed %d bytes, want 1", diff)
+	}
+	if _, err := DecodeSnapshot(bad); err == nil || !strings.Contains(err.Error(), "window sums") {
+		t.Errorf("snapshot with a wrong window sum: err = %v, want a window-sum error", err)
+	}
+
+	a.winEnd--
+	bad = s.EncodeSnapshot()
+	a.winEnd++
+	if _, err := DecodeSnapshot(bad); err == nil || !strings.Contains(err.Error(), "window anchor") {
+		t.Errorf("snapshot with an anchor before the last day: err = %v, want a window-anchor error", err)
+	}
+}
+
+// FuzzStoreDecodeSnapshot feeds arbitrary bytes to the snapshot decoder,
+// which rebuilds and checks derived window state from the columns it
+// reads. Whatever decodes must re-encode to a snapshot that decodes back
+// to the identical bytes.
+func FuzzStoreDecodeSnapshot(f *testing.F) {
+	f.Add(buildSnapshotFixture(f).EncodeSnapshot())
+	f.Add(New(dates.StudyStart).EncodeSnapshot())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		snap := s.EncodeSnapshot()
+		again, err := DecodeSnapshot(snap)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if !bytes.Equal(again.EncodeSnapshot(), snap) {
+			t.Fatal("snapshot encode→decode→encode is not byte-identical")
+		}
+	})
 }
 
 func TestEnforcerStateRoundTrip(t *testing.T) {

@@ -39,7 +39,22 @@ const NumShards = 32
 type shard struct {
 	mu   sync.RWMutex
 	apps map[string]*app
-	cols colArena
+	// order lists the resident apps in publication order. StepDay scans
+	// it rather than the map: most apps first write in that order too,
+	// so the scan walks the arena forward instead of hopping through
+	// hash-bucket order.
+	order []*app
+	cols  colArena
+	// step is StepDay's per-shard output, reused across days. Only
+	// StepDay touches it, under the store write lock.
+	step stepPartial
+}
+
+// stepPartial is one shard's StepDay output: the positive chart scores
+// and the enforcement actions taken.
+type stepPartial struct {
+	free, games, grossing []scoredApp
+	enforced              []EnforceAction
 }
 
 // Store is the simulated Play Store. All methods are safe for concurrent
@@ -191,16 +206,27 @@ func (s *Store) Publish(l Listing) error {
 	if _, ok := sh.apps[l.Package]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicateApp, l.Package)
 	}
-	sh.apps[l.Package] = &app{
+	sh.add(&app{
 		pkg:      l.Package,
 		title:    l.Title,
 		genre:    l.Genre,
+		game:     gameGenres[l.Genre],
 		dev:      l.Developer,
 		released: l.Released,
 		ar:       &sh.cols,
-	}
+	})
 	s.pkgs = append(s.pkgs, l.Package)
 	return nil
+}
+
+// add makes a resident of the shard; the caller holds the shard write
+// lock (or owns the store exclusively, as snapshot decoding does).
+func (sh *shard) add(a *app) {
+	sh.apps[a.pkg] = a
+	sh.order = append(sh.order, a)
+	if a.room == 0 {
+		sh.cols.unplaced++
+	}
 }
 
 // NumApps returns the catalog size.
@@ -454,33 +480,32 @@ func (s *Store) Console(pkg string, from, to dates.Date) ([]ConsoleDay, error) {
 // StepDay advances the store to the given day: it runs enforcement over
 // the trailing window and recomputes all top charts. Days must be stepped
 // in nondecreasing order. The scan and score pass fans out over the
-// shards — each worker walks its shard's apps under that shard's lock,
-// appending positive scores to pre-sized per-shard slices (no map churn on
-// the daily path) — and the partials are then merged through a bounded
-// top-K selection, so ranking costs O(n log k) in the chart size k rather
-// than a full catalog sort. Enforcement decisions are keyed by (app, day)
-// and the selection is order-independent, so the result is identical no
-// matter how the fan-out is scheduled.
+// shards — each worker walks its shard's apps in publication order under
+// that shard's lock, appending positive scores to per-shard slices reused
+// from day to day (no map churn or allocation on the daily path) — and the
+// partials are then merged through a bounded top-K selection, so ranking
+// costs O(n log k) in the chart size k rather than a full catalog sort.
+// Enforcement decisions are keyed by (app, day) and the selection is
+// order-independent, so the result is identical no matter how the fan-out
+// is scheduled.
 func (s *Store) StepDay(day dates.Date) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.today = day
 
-	type partial struct {
-		free, games, grossing []scoredApp
-		enforced              []EnforceAction
-	}
-	partials := make([]partial, NumShards)
 	scanShard := func(i int) {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		p := partial{
-			free:     make([]scoredApp, 0, len(sh.apps)),
-			games:    make([]scoredApp, 0, len(sh.apps)),
-			grossing: make([]scoredApp, 0, len(sh.apps)),
+		p := &sh.step
+		if n := len(sh.order); cap(p.free) < n {
+			p.free = make([]scoredApp, 0, n)
+			p.games = make([]scoredApp, 0, n)
+			p.grossing = make([]scoredApp, 0, n)
 		}
-		for _, a := range sh.apps {
+		p.free, p.games, p.grossing = p.free[:0], p.games[:0], p.grossing[:0]
+		p.enforced = p.enforced[:0]
+		for _, a := range sh.order {
 			// One trailing-window aggregation serves both the enforcer
 			// scan and chart scoring (the scan only mutates removal
 			// counters, never window inputs).
@@ -493,10 +518,9 @@ func (s *Store) StepDay(day dates.Date) {
 			if a.released > day {
 				continue
 			}
-			prev := a.window(day.AddDays(-chartWindowDays), chartWindowDays)
-			if fs := freeScore(w, prev, s.scoring); fs > 0 {
+			if fs := freeScore(w, a.trend(day), s.scoring); fs > 0 {
 				p.free = append(p.free, scoredApp{a.pkg, fs})
-				if gameGenres[a.genre] {
+				if a.game {
 					p.games = append(p.games, scoredApp{a.pkg, fs})
 				}
 			}
@@ -504,7 +528,6 @@ func (s *Store) StepDay(day dates.Date) {
 				p.grossing = append(p.grossing, scoredApp{a.pkg, gs})
 			}
 		}
-		partials[i] = p
 	}
 	workers := s.stepWorkers
 	if workers <= 0 || workers > NumShards {
@@ -512,12 +535,12 @@ func (s *Store) StepDay(day dates.Date) {
 	}
 	conc.ForN(workers, NumShards, scanShard)
 
-	// Merge the per-shard enforcement actions into one canonical list:
-	// shard-map iteration order varies run to run, so the merged list is
-	// sorted by package before anything observable (the run log) sees it.
+	// Merge the per-shard enforcement actions into one canonical list,
+	// sorted by package before anything observable (the run log) sees
+	// it, so it does not depend on which shard an app hashes to.
 	s.lastEnforce = s.lastEnforce[:0]
-	for i := range partials {
-		s.lastEnforce = append(s.lastEnforce, partials[i].enforced...)
+	for i := range s.shards {
+		s.lastEnforce = append(s.lastEnforce, s.shards[i].step.enforced...)
 	}
 	sort.Slice(s.lastEnforce, func(i, j int) bool {
 		return s.lastEnforce[i].Package < s.lastEnforce[j].Package
@@ -527,14 +550,15 @@ func (s *Store) StepDay(day dates.Date) {
 	free := newTopK(size)
 	games := newTopK(size)
 	grossing := newTopK(size)
-	for i := range partials {
-		for _, e := range partials[i].free {
+	for i := range s.shards {
+		p := &s.shards[i].step
+		for _, e := range p.free {
 			free.push(e)
 		}
-		for _, e := range partials[i].games {
+		for _, e := range p.games {
 			games.push(e)
 		}
-		for _, e := range partials[i].grossing {
+		for _, e := range p.grossing {
 			grossing.push(e)
 		}
 	}
@@ -544,8 +568,8 @@ func (s *Store) StepDay(day dates.Date) {
 }
 
 // setChartLocked publishes one day's chart: the latest entries, the
-// per-day history, and the package->rank index that makes ChartRank and
-// ChartRanks O(1) in the chart size.
+// per-day history, and the package->rank index that makes ChartRank O(1)
+// in the chart size.
 func (s *Store) setChartLocked(name string, day dates.Date, entries []ChartEntry) {
 	s.charts[name] = entries
 	h, ok := s.history[name]

@@ -140,25 +140,55 @@ type colArena struct {
 	// Purely an allocation-sizing hint: values, iteration order, and
 	// the snapshot wire format are identical with or without it.
 	horizon dates.Date
+
+	// unplaced counts the shard's apps that have not yet written (and so
+	// own no range). An app's first write reserves column capacity for
+	// all of them at its own range length, so a shard's columns are
+	// allocated once instead of walking append's growth ladder, which
+	// copies all eight columns at every step and holds old and new
+	// arrays at once.
+	unplaced int
 }
 
 // alloc extends every column by n zeroed slots and returns the starting
-// offset of the new range. Ranges are never freed: an app that outgrows
+// offset of the new range; when the columns are full, it grows them with
+// room for spare more slots. Ranges are never freed: an app that outgrows
 // its range relocates to the tail and abandons the old one, so with
 // doubling growth at most half of each column is dead — the same
 // constant-factor overhead as slice append, paid arena-wide instead of
 // per-app.
-func (ar *colArena) alloc(n int) int {
+func (ar *colArena) alloc(n, spare int) int {
 	off := len(ar.organic)
-	ar.organic = append(ar.organic, make([]int64, n)...)
-	ar.referral = append(ar.referral, make([]int64, n)...)
-	ar.removed = append(ar.removed, make([]int64, n)...)
-	ar.fraudSum = append(ar.fraudSum, make([]float64, n)...)
-	ar.sessions = append(ar.sessions, make([]int64, n)...)
-	ar.sessionSec = append(ar.sessionSec, make([]int64, n)...)
-	ar.revenue = append(ar.revenue, make([]float64, n)...)
-	ar.activeUser = append(ar.activeUser, make([]int64, n)...)
+	end := off + n
+	c := cap(ar.organic)
+	if end > c {
+		// Double at least, so relocations past the reservation stay
+		// amortized O(1).
+		c = max(end+spare, 2*c)
+	}
+	ar.organic = extendCol(ar.organic, end, c)
+	ar.referral = extendCol(ar.referral, end, c)
+	ar.removed = extendCol(ar.removed, end, c)
+	ar.fraudSum = extendCol(ar.fraudSum, end, c)
+	ar.sessions = extendCol(ar.sessions, end, c)
+	ar.sessionSec = extendCol(ar.sessionSec, end, c)
+	ar.revenue = extendCol(ar.revenue, end, c)
+	ar.activeUser = extendCol(ar.activeUser, end, c)
 	return off
+}
+
+// extendCol extends col to length end, first moving it into an array of
+// capacity c when end exceeds its capacity. Slots past len were never
+// written, so the new slots are zero either way. Unlike append's growth,
+// make need not clear a tail of fresh pages, so a reserved tail costs
+// little resident memory until it is written.
+func extendCol[T int64 | float64](col []T, end, c int) []T {
+	if end > cap(col) {
+		grown := make([]T, len(col), c)
+		copy(grown, col)
+		col = grown
+	}
+	return col[:end]
 }
 
 // app is the store-internal mutable state for a listing.
@@ -181,12 +211,18 @@ func (ar *colArena) alloc(n int) int {
 // dense columns in ascending day order — the same summation order as the
 // seed engine — so every chart score and enforcement draw stays
 // bit-identical while still never touching a map.
+//
+// The chart score's trend term also reads the previous window,
+// (winEnd-14, winEnd-7], but only its dau and sessionSec. Those two roll
+// the same way in prev: each day that leaves win enters prev, and the day
+// 14 back leaves it. So StepDay's trend query is O(1) too.
 type app struct {
 	pkg      string
 	title    string
 	genre    string
 	dev      DeveloperID
 	released dates.Date
+	game     bool // genre is eligible for the top-games chart
 
 	installs int64 // cumulative net installs
 
@@ -198,6 +234,7 @@ type app struct {
 
 	winEnd dates.Date // newest day the rolling window is anchored at
 	win    winInts    // exact integer sums over (winEnd-7, winEnd]
+	prev   trendInts  // exact trend-term sums over (winEnd-14, winEnd-7]
 }
 
 // dayMetrics is the value view of one app-day: the row the columns are
@@ -241,6 +278,27 @@ func (w *winInts) sub(o winInts) {
 	w.dau -= o.dau
 }
 
+// trendInts are the two previous-window fields freeScore's trend term
+// reads, maintained as an exact rolling sum beside winInts.
+type trendInts struct {
+	sessionSec int64
+	dau        int64
+}
+
+func (t *trendInts) add(o trendInts) {
+	t.sessionSec += o.sessionSec
+	t.dau += o.dau
+}
+
+func (t *trendInts) sub(o trendInts) {
+	t.sessionSec -= o.sessionSec
+	t.dau -= o.dau
+}
+
+func (w winInts) trend() trendInts {
+	return trendInts{sessionSec: w.sessionSec, dau: w.dau}
+}
+
 // initialRoom is the first column range allocated for an app on its first
 // write. Small enough that a catalog where most apps see little activity
 // stays cheap, large enough that a window's worth of days fits without a
@@ -261,7 +319,12 @@ func (a *app) slot(d dates.Date) int {
 			if h := a.ar.horizon; h > d && int(h-d)+1 > room {
 				room = int(h-d) + 1
 			}
-			a.off = a.ar.alloc(room)
+			// Reserve for the shard's apps still unplaced. On a run's
+			// forward day path they start on this day or later, so
+			// none needs a longer range; one that does just grows the
+			// columns again.
+			a.ar.unplaced--
+			a.off = a.ar.alloc(room, room*max(a.ar.unplaced, 0))
 			a.room = room
 		}
 		a.n = 1
@@ -298,7 +361,7 @@ func (a *app) relocate(need, shift int) {
 		room *= 2
 	}
 	ar := a.ar
-	off := ar.alloc(room)
+	off := ar.alloc(room, 0)
 	copy(ar.organic[off+shift:], ar.organic[a.off:a.off+a.n])
 	copy(ar.referral[off+shift:], ar.referral[a.off:a.off+a.n])
 	copy(ar.removed[off+shift:], ar.removed[a.off:a.off+a.n])
@@ -362,34 +425,83 @@ func (a *app) dayInts(d dates.Date) winInts {
 	}
 }
 
-// rollTo advances the rolling window anchor so win covers (end-7, end].
-// Steady-state day advances are +1 (one subtract, one add); gaps of a full
-// window or more rebuild from the columns directly, so the amortized cost
-// per simulated day is O(1). The anchor never moves backward: every day
-// newer than winEnd is guaranteed to have an all-zero (or absent) slot,
-// which keeps the incremental sums exact.
+// dayTrend reads the trend-term contribution of day d, zero outside the
+// dense range.
+func (a *app) dayTrend(d dates.Date) trendInts {
+	j := a.slotAt(d)
+	if j < 0 {
+		return trendInts{}
+	}
+	return trendInts{sessionSec: a.ar.sessionSec[j], dau: a.ar.activeUser[j]}
+}
+
+// sumInts sums the integer window fields over the days [from,
+// from+chartWindowDays), straight from the columns.
+func (a *app) sumInts(from dates.Date) winInts {
+	var w winInts
+	for k := 0; k < chartWindowDays; k++ {
+		w.add(a.dayInts(from.AddDays(k)))
+	}
+	return w
+}
+
+// rebuildWindows recomputes win and prev for the anchor winEnd from the
+// columns.
+func (a *app) rebuildWindows() {
+	a.win = a.sumInts(a.winEnd.AddDays(-(chartWindowDays - 1)))
+	a.prev = a.sumInts(a.winEnd.AddDays(-(2*chartWindowDays - 1))).trend()
+}
+
+// rollTo advances the rolling window anchor so win covers (end-7, end]
+// and prev covers (end-14, end-7]. Steady-state day advances are +1: the
+// day leaving win enters prev, and the day 14 back leaves prev. Gaps of a
+// full window or more rebuild both from the columns directly, so the
+// amortized cost per simulated day is O(1). The anchor never moves
+// backward: every day newer than winEnd is guaranteed to have an all-zero
+// (or absent) slot, which keeps the incremental sums exact.
 func (a *app) rollTo(end dates.Date) {
-	if int(end-a.winEnd) >= chartWindowDays {
-		a.win = winInts{}
-		for d := end.AddDays(-(chartWindowDays - 1)); d <= end; d++ {
-			a.win.add(a.dayInts(d))
-		}
-	} else {
-		for e := a.winEnd + 1; e <= end; e++ {
-			a.win.sub(a.dayInts(e.AddDays(-chartWindowDays)))
-			a.win.add(a.dayInts(e))
-		}
+	if gap := end - a.winEnd; gap < 0 || gap >= chartWindowDays {
+		// A negative gap is an overflowed one, so it is a large gap.
+		a.winEnd = end
+		a.rebuildWindows()
+		return
+	}
+	for e := a.winEnd + 1; e <= end; e++ {
+		leaving := a.dayInts(e.AddDays(-chartWindowDays))
+		a.win.sub(leaving)
+		a.win.add(a.dayInts(e))
+		a.prev.add(leaving.trend())
+		a.prev.sub(a.dayTrend(e.AddDays(-2 * chartWindowDays)))
 	}
 	a.winEnd = end
 }
 
 // winTrack mirrors an integer delta just applied to day d into the rolling
-// window. The record paths call it after mutating the slot returned by
+// windows. The record paths call it after mutating the slot returned by
 // slot(), which has already anchored the window at the newest written day.
 func (a *app) winTrack(d dates.Date, delta winInts) {
-	if d > a.winEnd.AddDays(-chartWindowDays) && d <= a.winEnd {
+	switch {
+	case d > a.winEnd:
+	case d > a.winEnd.AddDays(-chartWindowDays):
 		a.win.add(delta)
+	case d > a.winEnd.AddDays(-2*chartWindowDays):
+		a.prev.add(delta.trend())
 	}
+}
+
+// trend returns the trend-term fields of the window ending
+// chartWindowDays before end. The caller has just queried
+// window(end, chartWindowDays), so the anchor is at or past end; at the
+// anchor — StepDay's once-per-app-per-day case — the rolling prev answers
+// in O(1), and any other end scans the columns.
+func (a *app) trend(end dates.Date) trendInts {
+	if a.n == 0 {
+		return trendInts{}
+	}
+	if end == a.winEnd {
+		return a.prev
+	}
+	return a.window(end.AddDays(-chartWindowDays), chartWindowDays).trend()
 }
 
 // windowMetrics aggregates the trailing-window activity used for chart
@@ -411,8 +523,8 @@ type windowMetrics struct {
 // are O(1) copies of the incremental sums, and only the two float fields
 // are re-summed, in ascending day order over the dense float columns,
 // preserving the seed engine's float bit patterns (see the app doc). Every
-// other query (the previous-window trend term, the enforcer's 30-day
-// clawback, arbitrary test queries) scans the dense range directly — still
+// other query (the enforcer's 30-day clawback, a trend window off the
+// anchor, arbitrary test queries) scans the dense range directly — still
 // pure contiguous arithmetic, never map probes.
 //
 // Callers hold the shard lock. A chart-window query with end beyond the
@@ -455,6 +567,10 @@ func (a *app) window(end dates.Date, days int) windowMetrics {
 		w.dau += ar.activeUser[j]
 	}
 	return w
+}
+
+func (w windowMetrics) trend() trendInts {
+	return trendInts{sessionSec: w.sessionSec, dau: w.dau}
 }
 
 // clamp converts an inclusive day range to inclusive range-relative

@@ -56,6 +56,11 @@ type engine struct {
 	// pre-resolved.
 	organic []organicUnit
 
+	// charted flags, per organic unit, presence on yesterday's top-free
+	// chart; unitOf resolves a chart entry's package to its unit.
+	charted []bool
+	unitOf  map[string]int
+
 	// groups are the campaign work units: all campaigns of one developer,
 	// in first-appearance order of w.Campaigns (the canonical flush
 	// order), each fully resolved to handles.
@@ -217,7 +222,10 @@ func newEngine(w *World) (*engine, error) {
 
 	pkgs := w.Store.Packages()
 	e.organic = make([]organicUnit, len(pkgs))
+	e.charted = make([]bool, len(pkgs))
+	e.unitOf = make(map[string]int, len(pkgs))
 	for i, pkg := range pkgs {
+		e.unitOf[pkg] = i
 		h, err := w.Store.AppHandle(pkg)
 		if err != nil {
 			return nil, fmt.Errorf("sim: resolving organic app %s: %w", pkg, err)
@@ -513,6 +521,17 @@ func (e *engine) parallelFor(n int, fn func(i int) error) error {
 	return firstErr
 }
 
+// markCharted sets charted for exactly the organic units on day's top-free
+// chart.
+func (e *engine) markCharted(day dates.Date) {
+	clear(e.charted)
+	for _, c := range e.w.Store.ChartOn(playstore.ChartTopFree, day) {
+		if i, ok := e.unitOf[c.Package]; ok {
+			e.charted[i] = true
+		}
+	}
+}
+
 // stepDay executes one simulated day: the organic phase fanned out over
 // apps, a barrier, the campaign phase fanned out over developer groups,
 // and the ordered sink flush.
@@ -524,12 +543,13 @@ func (e *engine) stepDay(day dates.Date, stats *RunStats) error {
 	}
 
 	// Phase 1: organic activity, one unit per app. Yesterday's top-free
-	// rank index is fetched once and shared read-only across the fan-out,
-	// so the per-app chart-presence check is a single map read with no
-	// store locking. All randomness is drawn before the handle's shard
-	// lock is taken, so the lock covers exactly the (app, day) write
-	// batch — one acquisition per unit instead of one per record call.
-	prevRanks := w.Store.ChartRanks(playstore.ChartTopFree, day.AddDays(-1))
+	// chart is resolved once into per-unit flags, shared read-only across
+	// the fan-out, so the per-app chart-presence check is a slice read
+	// with no hashing and no store locking. All randomness is drawn
+	// before the handle's shard lock is taken, so the lock covers exactly
+	// the (app, day) write batch — one acquisition per unit instead of
+	// one per record call.
+	e.markCharted(day.AddDays(-1))
 	deltas := e.deltas
 	err := e.parallelFor(len(e.organic), func(i int) error {
 		u := &e.organic[i]
@@ -537,7 +557,7 @@ func (e *engine) stepDay(day dates.Date, stats *RunStats) error {
 		// Chart presence yesterday boosts organic acquisition
 		// ("visibility"), the reason developers want top-chart slots.
 		boost := 1.0
-		if prevRanks[u.pkg] > 0 {
+		if e.charted[i] {
 			boost = 1.5
 		}
 		n := int64(r.Poisson(u.install * boost))
