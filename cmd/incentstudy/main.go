@@ -36,8 +36,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -124,25 +122,14 @@ func main() {
 		CheckpointEvery: *checkpointEvery,
 		ResumePath:      *resume,
 	}
-	// The study's progress callback stays printf-style (core predates
-	// structured logging) but lands in the leveled logger, so -log-format
-	// json yields machine-readable progress records.
-	if !*quiet {
-		opts.Logf = func(format string, args ...any) {
-			logger.Info(fmt.Sprintf(format, args...))
-		}
-	}
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(obs.DefaultTraceCap)
-	opts.Obs, opts.Trace = reg, tr
-	if *faultWrite != "" {
-		prob, fseed, err := parseFaultWrite(*faultWrite)
-		if err != nil {
-			log.Fatalf("incentstudy: %v", err)
-		}
-		inj := fault.New(fault.Config{Seed: fseed, WriteErrorProb: prob, TornWrites: true})
-		opts.WrapEventLog = inj.Writer
+	opts.Log, opts.Obs, opts.Trace = logger, reg, tr
+	inj, err := fault.ParseWriteFaults(*faultWrite)
+	if err != nil {
+		log.Fatalf("incentstudy: -fault-write: %v", err)
 	}
+	opts.Fault = inj
 	if *metricsAddr != "" {
 		bound, shutdown, err := obs.Serve(*metricsAddr, reg, tr, *pprofOn)
 		if err != nil {
@@ -211,20 +198,4 @@ func main() {
 		}
 		logger.Info("offer dataset written", "path", *dumpOffers)
 	}
-}
-
-// parseFaultWrite parses "probability[:seed]".
-func parseFaultWrite(s string) (prob float64, seed uint64, err error) {
-	probStr, seedStr, hasSeed := strings.Cut(s, ":")
-	prob, err = strconv.ParseFloat(probStr, 64)
-	if err != nil || prob < 0 || prob > 1 {
-		return 0, 0, fmt.Errorf("-fault-write %q: want probability in [0,1]", s)
-	}
-	if hasSeed {
-		seed, err = strconv.ParseUint(seedStr, 10, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("-fault-write %q: bad seed", s)
-		}
-	}
-	return prob, seed, nil
 }

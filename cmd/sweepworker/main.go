@@ -39,7 +39,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -92,13 +91,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var injector *fault.Injector
-	if *faultWrite != "" {
-		prob, seed, err := parseFaultWrite(*faultWrite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		injector = fault.New(fault.Config{Seed: seed, WriteErrorProb: prob, TornWrites: true})
+	injector, err := fault.ParseWriteFaults(*faultWrite)
+	if err != nil {
+		log.Fatalf("-fault-write: %v", err)
 	}
 
 	spoolDir := *spool
@@ -152,20 +147,4 @@ func main() {
 		}
 		log.Fatal(err)
 	}
-}
-
-// parseFaultWrite parses "probability[:seed]".
-func parseFaultWrite(s string) (prob float64, seed uint64, err error) {
-	probStr, seedStr, hasSeed := strings.Cut(s, ":")
-	prob, err = strconv.ParseFloat(probStr, 64)
-	if err != nil || prob < 0 || prob > 1 {
-		return 0, 0, fmt.Errorf("-fault-write %q: want probability in [0,1]", s)
-	}
-	if hasSeed {
-		seed, err = strconv.ParseUint(seedStr, 10, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("-fault-write %q: bad seed", s)
-		}
-	}
-	return prob, seed, nil
 }

@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
 
 	"repro/internal/report"
@@ -31,7 +32,7 @@ func main() {
 	res, err := sweep.Run(sweep.Options{
 		Scenarios: []string{"paper-baseline", "sybil-split", "device-churn"},
 		Seeds:     []uint64{20190301},
-		Logf:      log.Printf,
+		Log:       slog.Default(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
 
 	"repro/internal/core"
@@ -19,7 +20,7 @@ func main() {
 	study, err := core.Run(cfg, core.Options{
 		MilkEveryDays: 4,
 		SkipHoney:     true,
-		Logf:          log.Printf,
+		Log:           slog.Default(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -10,17 +10,16 @@
 package core
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"io"
+	"log/slog"
 	"net"
 	"net/http"
-	"os"
 	"time"
 
 	"repro/internal/crawler"
 	"repro/internal/dates"
+	"repro/internal/fault"
 	"repro/internal/iip"
 	"repro/internal/monitor"
 	"repro/internal/obs"
@@ -37,8 +36,8 @@ type Options struct {
 	MilkEveryDays int
 	// SkipHoney disables the Section 3 experiment.
 	SkipHoney bool
-	// Verbose emits progress via the Logf callback.
-	Logf func(format string, args ...any)
+	// Log, when non-nil, receives the study's progress messages.
+	Log *slog.Logger
 
 	// EventLogPath, when set, streams the run's event-sourced log to this
 	// file (DESIGN.md E6). On resume the file is truncated to the
@@ -68,11 +67,10 @@ type Options struct {
 	// shorter observation window — replay the event log when the full
 	// stream is needed.
 	ResumePath string
-	// WrapEventLog, when non-nil, wraps the event log's file writer below
-	// the buffering layer — the hook the chaos harness uses to inject
-	// torn writes (fault.Injector.Writer) at the same depth a real crash
-	// mid-write would tear the file.
-	WrapEventLog func(io.Writer) io.Writer
+	// Fault, when non-nil, injects write faults into the event log below
+	// its buffer, at the depth where a crash mid-write tears the file
+	// (chaos testing).
+	Fault *fault.Injector
 
 	// Obs, when non-nil, receives the run's metrics: day-engine phase
 	// timings and event counts (sim_*) plus run-log writer throughput
@@ -84,8 +82,8 @@ type Options struct {
 }
 
 func (o *Options) log(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
+	if o.Log != nil {
+		o.Log.Info(fmt.Sprintf(format, args...))
 	}
 }
 
@@ -203,31 +201,21 @@ func RunCtx(ctx context.Context, cfg sim.Config, opts Options) (*Study, error) {
 
 	// The run log opens after any pre-run activity (honey campaigns) so
 	// the base snapshot matches the state the day loop starts from.
-	var flushLog func() error
+	var runLog *sim.RunLogFile
 	if opts.EventLogPath != "" {
-		log, flush, closeLog, err := s.openRunLog(runOpts.Resume)
-		if err != nil {
+		if runLog, err = world.OpenRunLogFile(opts.EventLogPath, runOpts.Resume, opts.Fault); err != nil {
 			s.Close()
-			return nil, err
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		defer closeLog()
-		runOpts.Log = log
-		flushLog = flush
+		runOpts.Log = runLog.Log
+		if runOpts.Resume == nil && opts.SegmentBytes > 0 {
+			runLog.Log.SetSegmentBytes(opts.SegmentBytes)
+		}
+		runLog.Log.SetMetrics(stream.NewWriterMetrics(opts.Obs))
 	}
 	if opts.CheckpointPath != "" {
 		runOpts.CheckpointEvery = opts.CheckpointEvery
-		runOpts.Checkpoint = func(cp *stream.Checkpoint) error {
-			// Durability order: the log bytes the checkpoint's offset
-			// points at must be on disk before the checkpoint exists, or a
-			// hard crash between buffer flushes leaves a checkpoint no
-			// successor can resume from.
-			if flushLog != nil {
-				if err := flushLog(); err != nil {
-					return err
-				}
-			}
-			return stream.WriteCheckpointFile(opts.CheckpointPath, cp)
-		}
+		runOpts.Checkpoint = runLog.Checkpoint(opts.CheckpointPath)
 	}
 
 	opts.log("running %d-day study window", world.Cfg.Window.Days())
@@ -244,6 +232,11 @@ func RunCtx(ctx context.Context, cfg sim.Config, opts Options) (*Study, error) {
 		return nil
 	}
 	runStats, err := world.RunOpts(runOpts)
+	if runLog != nil {
+		if cerr := runLog.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		s.Close()
 		return nil, fmt.Errorf("core: running world: %w", err)
@@ -296,88 +289,6 @@ func RunHoneyOnly(cfg sim.Config) (*Study, error) {
 	}
 	s.Results.Section3 = honey
 	return s, nil
-}
-
-// openRunLog opens the event log file: created fresh for a new run, or —
-// when resuming — truncated to the checkpoint's offset and appended so
-// the resulting bytes are identical to an uninterrupted run's log. The
-// returned flush pushes the buffered bytes to disk and syncs the file (the
-// checkpoint callback calls it so checkpoints never reference unwritten
-// bytes).
-func (s *Study) openRunLog(resume *stream.Checkpoint) (log *stream.Writer, flush func() error, closeLog func(), err error) {
-	path := s.Opts.EventLogPath
-	if resume == nil {
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: creating event log: %w", err)
-		}
-		bw := bufio.NewWriterSize(s.wrapEventLog(f), 1<<20)
-		log, err := s.World.NewRunLog(bw)
-		if err != nil {
-			f.Close()
-			return nil, nil, nil, fmt.Errorf("core: opening event log: %w", err)
-		}
-		if s.Opts.SegmentBytes > 0 {
-			log.SetSegmentBytes(s.Opts.SegmentBytes)
-		}
-		log.SetMetrics(stream.NewWriterMetrics(s.Opts.Obs))
-		return log, syncLog(bw, f), func() { bw.Flush(); f.Close() }, nil
-	}
-	if resume.LogOffset == 0 {
-		return nil, nil, nil, fmt.Errorf("core: checkpoint was taken without an event log; start a fresh log instead of resuming %s", path)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: opening event log for resume: %w", err)
-	}
-	if fi, err := f.Stat(); err != nil || fi.Size() < resume.LogOffset {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("core: event log shorter than checkpoint offset %d (err=%v)", resume.LogOffset, err)
-	}
-	// Refuse to truncate a file that is not this run's log: the prefix
-	// must carry a readable header whose seed and window match the world.
-	hdr, ok, err := stream.NewTail(f).Header()
-	if err != nil || !ok {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("core: %s is not a run log for this world (header unreadable: %v)", path, err)
-	}
-	if hdr.Seed != s.World.Cfg.Seed || hdr.WindowStart != s.World.Cfg.Window.Start || hdr.WindowEnd != s.World.Cfg.Window.End {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("core: %s belongs to a different run (seed %d window %s..%s, want seed %d window %s..%s)",
-			path, hdr.Seed, hdr.WindowStart, hdr.WindowEnd,
-			s.World.Cfg.Seed, s.World.Cfg.Window.Start, s.World.Cfg.Window.End)
-	}
-	if err := f.Truncate(resume.LogOffset); err != nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("core: truncating event log at checkpoint: %w", err)
-	}
-	if _, err := f.Seek(resume.LogOffset, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("core: seeking event log: %w", err)
-	}
-	bw := bufio.NewWriterSize(s.wrapEventLog(f), 1<<20)
-	log = s.World.ResumeRunLog(bw, resume)
-	log.SetMetrics(stream.NewWriterMetrics(s.Opts.Obs))
-	return log, syncLog(bw, f), func() { bw.Flush(); f.Close() }, nil
-}
-
-// syncLog returns the run log's flush: the buffered bytes go to the file
-// and the file is synced, so they are on disk, not just in the page
-// cache, before a checkpoint that points past them is written.
-func syncLog(bw *bufio.Writer, f *os.File) func() error {
-	return func() error {
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return f.Sync()
-	}
-}
-
-func (s *Study) wrapEventLog(w io.Writer) io.Writer {
-	if s.Opts.WrapEventLog == nil {
-		return w
-	}
-	return s.Opts.WrapEventLog(w)
 }
 
 // startInfrastructure brings up the store facade, the per-IIP offer-wall

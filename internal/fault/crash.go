@@ -47,6 +47,27 @@ func ParseCrashPlan(spec string) (*CrashPlan, error) {
 	return p, nil
 }
 
+// ParseWriteFaults builds the torn-write injector of a "probability[:seed]"
+// spec, the -fault-write flag of the binaries that write run logs. The
+// empty spec injects nothing and returns a nil injector.
+func ParseWriteFaults(spec string) (*Injector, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	probStr, seedStr, hasSeed := strings.Cut(spec, ":")
+	prob, err := strconv.ParseFloat(probStr, 64)
+	if err != nil || prob < 0 || prob > 1 {
+		return nil, fmt.Errorf("fault: write faults %q: want probability in [0,1]", spec)
+	}
+	var seed uint64
+	if hasSeed {
+		if seed, err = strconv.ParseUint(seedStr, 10, 64); err != nil {
+			return nil, fmt.Errorf("fault: write faults %q: bad seed", spec)
+		}
+	}
+	return New(Config{Seed: seed, WriteErrorProb: prob, TornWrites: true}), nil
+}
+
 // String renders the remaining plan (for logging).
 func (p *CrashPlan) String() string {
 	p.mu.Lock()

@@ -194,3 +194,41 @@ func TestCrashPlan(t *testing.T) {
 	var nilPlan *CrashPlan
 	nilPlan.Hit("anything") // must not panic
 }
+
+func TestParseWriteFaults(t *testing.T) {
+	for _, tc := range []struct {
+		spec    string
+		nilInj  bool
+		wantErr bool
+		prob    float64
+		seed    uint64
+	}{
+		{spec: "0.5", prob: 0.5},
+		{spec: "0.5:7", prob: 0.5, seed: 7},
+		{spec: "1.5", wantErr: true},
+		{spec: "x", wantErr: true},
+		{spec: "0.1:y", wantErr: true},
+		{spec: "", nilInj: true},
+	} {
+		inj, err := ParseWriteFaults(tc.spec)
+		switch {
+		case tc.wantErr:
+			if err == nil || !strings.Contains(err.Error(), tc.spec) {
+				t.Errorf("ParseWriteFaults(%q) error = %v, want one naming the spec", tc.spec, err)
+			}
+		case err != nil:
+			t.Errorf("ParseWriteFaults(%q): %v", tc.spec, err)
+		case tc.nilInj:
+			if inj != nil {
+				t.Errorf("ParseWriteFaults(%q) = %+v, want a nil injector", tc.spec, inj.cfg)
+			}
+		case inj == nil:
+			t.Errorf("ParseWriteFaults(%q) = nil injector", tc.spec)
+		default:
+			want := Config{Seed: tc.seed, WriteErrorProb: tc.prob, TornWrites: true}
+			if inj.cfg != want {
+				t.Errorf("ParseWriteFaults(%q) config = %+v, want %+v", tc.spec, inj.cfg, want)
+			}
+		}
+	}
+}

@@ -70,15 +70,6 @@ type Click struct {
 	Day     dates.Date
 }
 
-// Certification records a certified offer completion.
-type Certification struct {
-	Click     Click
-	Completed dates.Date
-	// FeeUSD is the mediator's per-user charge to the developer
-	// (AppsFlyer charges $0.03/user).
-	FeeUSD float64
-}
-
 // Mediator is one attribution service instance.
 type Mediator struct {
 	Name string
@@ -87,17 +78,14 @@ type Mediator struct {
 
 	mu       sync.Mutex
 	required map[string]EventType // offerID -> completing event
-	clicks   map[string]*clickState
-	// nextClick numbers clicks per offer rather than globally: offers are
-	// delivered concurrently by the day engine, and per-offer sequences
-	// keep click IDs deterministic regardless of cross-offer interleaving.
+	// nextClick counts each offer's clicks as of the last
+	// OfferSession.SyncTo or snapshot restore; a session resolved later
+	// numbers on from there. Clicks are numbered per offer rather than
+	// globally: offers are delivered concurrently by the day engine, and
+	// per-offer sequences keep click IDs deterministic regardless of
+	// cross-offer interleaving.
 	nextClick map[string]int
 	certified int
-}
-
-type clickState struct {
-	click     Click
-	certified bool
 }
 
 // New returns a mediator service. The default per-user fee matches the
@@ -107,7 +95,6 @@ func New(name string) *Mediator {
 		Name:       name,
 		FeePerUser: 0.03,
 		required:   map[string]EventType{},
-		clicks:     map[string]*clickState{},
 		nextClick:  map[string]int{},
 	}
 }
@@ -118,46 +105,6 @@ func (m *Mediator) RegisterOffer(offerID string, t offers.Type) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.required[offerID] = RequiredEvent(t)
-}
-
-// TrackClick mints a tracking click for a user starting an offer.
-func (m *Mediator) TrackClick(offerID, worker string, day dates.Date) Click {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nextClick[offerID]++
-	c := Click{
-		ID:      fmt.Sprintf("%s-%s-c%06d", m.Name, offerID, m.nextClick[offerID]),
-		OfferID: offerID,
-		Worker:  worker,
-		Day:     day,
-	}
-	m.clicks[c.ID] = &clickState{click: c}
-	return c
-}
-
-// Postback receives an SDK event for a click. When the event matches the
-// offer's completing requirement, the completion is certified exactly
-// once; non-completing events return (nil, nil).
-func (m *Mediator) Postback(clickID string, event EventType, day dates.Date) (*Certification, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.clicks[clickID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownClick, clickID)
-	}
-	req, ok := m.required[st.click.OfferID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownOfferReq, st.click.OfferID)
-	}
-	if event != req {
-		return nil, nil
-	}
-	if st.certified {
-		return nil, fmt.Errorf("%w: %s", ErrAlreadyCertified, clickID)
-	}
-	st.certified = true
-	m.certified++
-	return &Certification{Click: st.click, Completed: day, FeeUSD: m.FeePerUser}, nil
 }
 
 // CertifyBatch records n certified completions for an offer without

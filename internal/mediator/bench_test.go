@@ -6,23 +6,10 @@ import (
 	"repro/internal/offers"
 )
 
-// BenchmarkPostback compares the two click-tracking paths (DESIGN.md E5):
-// "map" is the string-keyed mediator API — Sprintf click ID, global lock,
-// map insert per click — and "session" is the per-offer OfferSession the
-// day engine uses, where a click is a slice append addressed by ClickRef
-// and the string ID is never materialized.
+// BenchmarkPostback measures the day engine's click path (DESIGN.md E5):
+// a click through the per-offer OfferSession is a slice append addressed
+// by ClickRef, and its string ID is never materialized.
 func BenchmarkPostback(b *testing.B) {
-	b.Run("map", func(b *testing.B) {
-		m := New("bench")
-		m.RegisterOffer("offer-1", offers.Registration)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c := m.TrackClick("offer-1", "w", 0)
-			if _, err := m.Postback(c.ID, EventRegister, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("session", func(b *testing.B) {
 		m := New("bench")
 		m.RegisterOffer("offer-1", offers.Registration)

@@ -3,6 +3,7 @@ package mediator
 import (
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -198,20 +199,35 @@ func TestPostAllRejectsInvalidBatchAtomically(t *testing.T) {
 func TestClickIDsPerOfferDeterministic(t *testing.T) {
 	// Interleaving clicks across offers must not change any offer's own
 	// ID sequence — the property the parallel engine relies on.
-	a := New("af")
-	b := New("af")
-	a.TrackClick("o1", "w", 0)
-	c1 := a.TrackClick("o2", "w", 0)
-	a.TrackClick("o1", "w", 0)
-	c2 := a.TrackClick("o2", "w", 0)
-
-	d1 := b.TrackClick("o2", "w", 0)
-	b.TrackClick("o1", "w", 0)
-	b.TrackClick("o1", "w", 0)
-	d2 := b.TrackClick("o2", "w", 0)
-	if c1.ID != d1.ID || c2.ID != d2.ID {
-		t.Errorf("o2 click IDs depend on cross-offer interleaving: %s/%s vs %s/%s",
-			c1.ID, c2.ID, d1.ID, d2.ID)
+	ids := func(order []string) []string {
+		m := New("af")
+		sessions := map[string]*OfferSession{}
+		for _, offer := range []string{"o1", "o2"} {
+			m.RegisterOffer(offer, offers.NoActivity)
+			s, err := m.Session(offer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessions[offer] = s
+		}
+		var o2 []string
+		for _, offer := range order {
+			s := sessions[offer]
+			c, err := s.Click(s.TrackClick("w", 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if offer == "o2" {
+				o2 = append(o2, c.ID)
+			}
+		}
+		return o2
+	}
+	want := []string{"af-o2-c000001", "af-o2-c000002"}
+	for _, order := range [][]string{{"o1", "o2", "o1", "o2"}, {"o2", "o1", "o1", "o2"}} {
+		if got := ids(order); !reflect.DeepEqual(got, want) {
+			t.Errorf("order %v: o2 click IDs %v, want %v", order, got, want)
+		}
 	}
 }
 
@@ -245,52 +261,64 @@ func TestRequiredEvent(t *testing.T) {
 func TestAttributionLifecycle(t *testing.T) {
 	m := New("appsflyer")
 	m.RegisterOffer("offer-1", offers.Registration)
-	click := m.TrackClick("offer-1", "worker-9", dates.StudyStart)
-
-	// Opening the app is not enough for a registration offer.
-	cert, err := m.Postback(click.ID, EventOpen, dates.StudyStart)
-	if err != nil || cert != nil {
-		t.Fatalf("open should not certify: cert=%v err=%v", cert, err)
-	}
-	// Registering completes it.
-	cert, err = m.Postback(click.ID, EventRegister, dates.StudyStart.AddDays(1))
+	s, err := m.Session("offer-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cert == nil {
-		t.Fatal("registration should certify")
+	ref := s.TrackClick("worker-9", dates.StudyStart)
+
+	// Opening the app is not enough for a registration offer.
+	if ok, err := s.Postback(ref, EventOpen); err != nil || ok {
+		t.Fatalf("open should not certify: ok=%v err=%v", ok, err)
 	}
-	if cert.Click.Worker != "worker-9" || cert.FeeUSD != 0.03 {
-		t.Errorf("certification wrong: %+v", cert)
+	// Registering completes it.
+	if ok, err := s.Postback(ref, EventRegister); err != nil || !ok {
+		t.Fatalf("registration should certify: ok=%v err=%v", ok, err)
 	}
+	click, err := s.Click(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if click.Worker != "worker-9" || m.FeePerUser != 0.03 {
+		t.Errorf("certified click %+v, fee %v", click, m.FeePerUser)
+	}
+	m.AddCertified(1)
 	if m.Certified() != 1 {
 		t.Errorf("certified = %d", m.Certified())
 	}
 	// Double certification is rejected (anti-fraud).
-	_, err = m.Postback(click.ID, EventRegister, dates.StudyStart.AddDays(2))
-	if !errors.Is(err, ErrAlreadyCertified) {
+	if _, err := s.Postback(ref, EventRegister); !errors.Is(err, ErrAlreadyCertified) {
 		t.Errorf("want ErrAlreadyCertified, got %v", err)
 	}
 }
 
 func TestAttributionErrors(t *testing.T) {
 	m := New("kochava")
-	if _, err := m.Postback("ghost", EventOpen, 0); !errors.Is(err, ErrUnknownClick) {
-		t.Errorf("want ErrUnknownClick, got %v", err)
+	if _, err := m.Session("unregistered-offer"); !errors.Is(err, ErrUnknownOfferReq) {
+		t.Errorf("session: want ErrUnknownOfferReq, got %v", err)
 	}
-	c := m.TrackClick("unregistered-offer", "w", 0)
-	if _, err := m.Postback(c.ID, EventOpen, 0); !errors.Is(err, ErrUnknownOfferReq) {
-		t.Errorf("want ErrUnknownOfferReq, got %v", err)
+	if err := m.CertifyBatch("unregistered-offer", 3); !errors.Is(err, ErrUnknownOfferReq) {
+		t.Errorf("batch: want ErrUnknownOfferReq, got %v", err)
+	}
+	m.RegisterOffer("o", offers.NoActivity)
+	s, err := m.Session("o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Postback(ClickRef{Offer: "o"}, EventOpen); !errors.Is(err, ErrUnknownClick) {
+		t.Errorf("want ErrUnknownClick, got %v", err)
 	}
 }
 
 func TestNoActivityCertifiesOnOpen(t *testing.T) {
 	m := New("adjust")
 	m.RegisterOffer("o", offers.NoActivity)
-	c := m.TrackClick("o", "w", dates.StudyStart)
-	cert, err := m.Postback(c.ID, EventOpen, dates.StudyStart)
-	if err != nil || cert == nil {
-		t.Fatalf("open should certify a no-activity offer: %v %v", cert, err)
+	s, err := m.Session("o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s.Postback(s.TrackClick("w", dates.StudyStart), EventOpen); err != nil || !ok {
+		t.Fatalf("open should certify a no-activity offer: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -306,9 +334,16 @@ func TestEventTypeString(t *testing.T) {
 func TestClickIDsUnique(t *testing.T) {
 	m := New("af")
 	m.RegisterOffer("o", offers.NoActivity)
+	s, err := m.Session("o")
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := map[string]bool{}
 	for i := 0; i < 1000; i++ {
-		c := m.TrackClick("o", "w", 0)
+		c, err := s.Click(s.TrackClick("w", 0))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if seen[c.ID] {
 			t.Fatal("duplicate click ID")
 		}

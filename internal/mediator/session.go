@@ -37,11 +37,11 @@ type sessionClick struct {
 // phase (campaigns are partitioned by developer group), so per-event
 // locking would buy nothing. Certified counts accumulated through a
 // session reach the mediator's global total via AddCertified at the
-// engine's day barrier. The string-keyed Mediator API remains available
-// for callers that want internal locking; the session's numbering starts
-// after any clicks the offer already has, so IDs never collide with
-// clicks minted through the map before the session was resolved. Once a
-// session exists, it must be the offer's only click source.
+// engine's day barrier. The session's numbering starts after the clicks
+// the mediator already counts for the offer (SyncTo, RestoreSnapshot), so
+// IDs never collide with those of an earlier session or of the run a
+// checkpoint resumes. Once a session exists, it must be the offer's only
+// click source.
 type OfferSession struct {
 	name     string // mediator name, for lazy click-ID materialization
 	offerID  string
@@ -73,10 +73,8 @@ func (s *OfferSession) OfferID() string { return s.offerID }
 // NumClicks returns how many clicks the session has minted.
 func (s *OfferSession) NumClicks() int { return len(s.clicks) }
 
-// TrackClick mints a tracking click for a user starting the offer. The
-// returned ref uses the same per-offer numbering TrackClick on the
-// mediator would have assigned (Index n corresponds to click ID suffix
-// c%06d with base+n+1).
+// TrackClick mints a tracking click for a user starting the offer. Index n
+// of the returned ref is click ID suffix c%06d with base+n+1.
 func (s *OfferSession) TrackClick(worker string, day dates.Date) ClickRef {
 	s.clicks = append(s.clicks, sessionClick{worker: worker, day: day})
 	return ClickRef{Offer: s.offerID, Index: len(s.clicks) - 1}
@@ -85,8 +83,8 @@ func (s *OfferSession) TrackClick(worker string, day dates.Date) ClickRef {
 // Postback receives an SDK event for a click. It reports whether this
 // event certified the completion: true exactly once per click, when the
 // event matches the offer's completing requirement. Non-completing events
-// return (false, nil). Unlike the mediator's Postback it builds no
-// Certification — callers that need one materialize the Click lazily.
+// return (false, nil). Callers that need the click itself materialize it
+// lazily (Click).
 func (s *OfferSession) Postback(ref ClickRef, event EventType) (bool, error) {
 	st, err := s.state(ref)
 	if err != nil {
@@ -128,17 +126,17 @@ func (s *OfferSession) state(ref ClickRef) (*sessionClick, error) {
 	return &s.clicks[ref.Index], nil
 }
 
-// clickID builds the string ID for the click at idx, matching the format
-// and numbering of Mediator.TrackClick (continuing after any clicks the
-// offer had when the session was resolved).
+// clickID builds the string ID for the click at idx,
+// "<mediator>-<offer>-c%06d", numbered on after the clicks the offer had
+// when the session was resolved.
 func (s *OfferSession) clickID(idx int) string {
 	return fmt.Sprintf("%s-%s-c%06d", s.name, s.offerID, s.base+idx+1)
 }
 
 // AddCertified merges externally accumulated certified completions into
 // the mediator's total. The day engine counts session certifications in
-// per-unit sinks and folds them in here at each day barrier, keeping
-// Certified consistent with the string-keyed Postback/CertifyBatch paths.
+// per-unit sinks and folds them in here at each day barrier, beside the
+// bulk completions CertifyBatch counts.
 func (m *Mediator) AddCertified(n int) {
 	if n <= 0 {
 		return

@@ -27,23 +27,18 @@ func TestSessionRequiresRegisteredOffer(t *testing.T) {
 	}
 }
 
-// TestSessionClickNumberingMatchesMediator pins the lazy click-ID format
-// to the string-keyed TrackClick numbering: same format, same per-offer
-// sequence starting at 1.
-func TestSessionClickNumberingMatchesMediator(t *testing.T) {
-	legacy := New("appsflyer")
-	legacy.RegisterOffer("offer-1", offers.Registration)
+// TestSessionClickIDFormat pins the lazy click-ID format: mediator name,
+// offer, and a per-offer sequence starting at 1.
+func TestSessionClickIDFormat(t *testing.T) {
 	_, s := sessionFixture(t)
-	for i := 0; i < 3; i++ {
+	for i, want := range []string{"appsflyer-offer-1-c000001", "appsflyer-offer-1-c000002", "appsflyer-offer-1-c000003"} {
 		worker := fmt.Sprintf("w%d", i)
-		want := legacy.TrackClick("offer-1", worker, dates.StudyStart).ID
-		ref := s.TrackClick(worker, dates.StudyStart)
-		click, err := s.Click(ref)
+		click, err := s.Click(s.TrackClick(worker, dates.StudyStart))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if click.ID != want {
-			t.Fatalf("click %d: session ID %q, mediator ID %q", i, click.ID, want)
+			t.Fatalf("click %d: ID %q, want %q", i, click.ID, want)
 		}
 		if click.Worker != worker || click.Day != dates.StudyStart || click.OfferID != "offer-1" {
 			t.Fatalf("materialized click fields wrong: %+v", click)
@@ -55,11 +50,13 @@ func TestSessionClickNumberingMatchesMediator(t *testing.T) {
 }
 
 // TestSessionNumberingContinuesAfterMediatorClicks pins the collision
-// guard: a session resolved for an offer that already has map-tracked
-// clicks continues that numbering instead of restarting at 1.
+// guard: a session resolved for an offer whose earlier clicks the
+// mediator already counts (an earlier session synced into it) continues
+// that numbering instead of restarting at 1.
 func TestSessionNumberingContinuesAfterMediatorClicks(t *testing.T) {
-	m, _ := sessionFixture(t)
-	pre := m.TrackClick("offer-1", "w", dates.StudyStart)
+	m, first := sessionFixture(t)
+	first.TrackClick("w", dates.StudyStart)
+	first.SyncTo(m)
 	s, err := m.Session("offer-1")
 	if err != nil {
 		t.Fatal(err)
@@ -67,9 +64,6 @@ func TestSessionNumberingContinuesAfterMediatorClicks(t *testing.T) {
 	click, err := s.Click(s.TrackClick("w2", dates.StudyStart))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if click.ID == pre.ID {
-		t.Fatalf("session click ID %q collides with earlier mediator click", click.ID)
 	}
 	if want := "appsflyer-offer-1-c000002"; click.ID != want {
 		t.Fatalf("session click ID = %q, want %q", click.ID, want)

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 
+	"repro/internal/fault"
 	"repro/internal/mediator"
 	"repro/internal/playstore"
 	"repro/internal/stream"
@@ -172,4 +175,121 @@ func (w *World) Restore(cp *stream.Checkpoint) error {
 	}
 	w.restored = cp
 	return nil
+}
+
+// RunLogFile is a run log on disk, and the one place that creates such a
+// file, continues it at a checkpoint, and makes it durable (DESIGN.md E6,
+// "The durable run log"). Writes go through a 1 MiB buffer, which the run
+// loop flushes at every day barrier, so a tail reading the file through
+// ReadAt sees whole days. A write-fault injector sits below the buffer,
+// at the depth where a crash mid-write tears the file.
+type RunLogFile struct {
+	// Log is the run-log writer to attach as RunOptions.Log.
+	Log *stream.Writer
+	f   *os.File
+	bw  *bufio.Writer
+}
+
+// OpenRunLogFile opens this world's run log at path. With resume nil the
+// file is created fresh, header and base snapshot first. Otherwise the
+// file is continued at resume.LogOffset, so the bytes that follow equal
+// those of an uninterrupted run; it must be this run's log (its header
+// names the world's seed and window) and reach the offset, and both are
+// checked before it is truncated there, so a refused file is left as it
+// was. inj may be nil.
+func (w *World) OpenRunLogFile(path string, resume *stream.Checkpoint, inj *fault.Injector) (*RunLogFile, error) {
+	f, err := w.openLogFile(path, resume)
+	if err != nil {
+		return nil, err
+	}
+	l := &RunLogFile{f: f, bw: bufio.NewWriterSize(inj.Writer(f), 1<<20)}
+	if resume != nil {
+		l.Log = w.ResumeRunLog(l.bw, resume)
+	} else if l.Log, err = w.NewRunLog(l.bw); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("sim: opening run log: %w", err)
+	}
+	return l, nil
+}
+
+// openLogFile creates the file at path or, to continue it at resume,
+// checks the file and then truncates it at the offset and seeks there.
+func (w *World) openLogFile(path string, resume *stream.Checkpoint) (*os.File, error) {
+	if resume == nil {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, fmt.Errorf("sim: creating run log: %w", err)
+		}
+		return f, nil
+	}
+	off := resume.LogOffset
+	if off == 0 {
+		return nil, fmt.Errorf("sim: checkpoint was taken without an event log; start a fresh log instead of resuming %s", path)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return nil, fmt.Errorf("sim: opening run log for resume: %w", err)
+	}
+	fail := func(format string, args ...any) (*os.File, error) {
+		f.Close()
+		return nil, fmt.Errorf(format, args...)
+	}
+	if fi, err := f.Stat(); err != nil || fi.Size() < off {
+		return fail("sim: run log %s shorter than checkpoint offset %d (err=%v)", path, off, err)
+	}
+	hdr, ok, err := stream.NewTail(f).Header()
+	if err != nil || !ok {
+		return fail("sim: %s is not a run log for this world (header unreadable: %v)", path, err)
+	}
+	if hdr.Seed != w.Cfg.Seed || hdr.WindowStart != w.Cfg.Window.Start || hdr.WindowEnd != w.Cfg.Window.End {
+		return fail("sim: %s belongs to a different run (seed %d window %s..%s, want seed %d window %s..%s)",
+			path, hdr.Seed, hdr.WindowStart, hdr.WindowEnd, w.Cfg.Seed, w.Cfg.Window.Start, w.Cfg.Window.End)
+	}
+	if err := f.Truncate(off); err != nil {
+		return fail("sim: truncating run log at checkpoint: %w", err)
+	}
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return fail("sim: seeking run log: %w", err)
+	}
+	return f, nil
+}
+
+// ReadAt reads the file, for tails that follow the log while it is
+// written (stream.NewTail).
+func (l *RunLogFile) ReadAt(p []byte, off int64) (int, error) { return l.f.ReadAt(p, off) }
+
+// Checkpoint returns the RunOptions.Checkpoint callback that writes each
+// checkpoint atomically to path, after flushing and fsyncing the log
+// bytes its offset points at: a checkpoint never names bytes a power cut
+// can still take back. On a nil *RunLogFile (a run without a log) it
+// writes the checkpoint only.
+func (l *RunLogFile) Checkpoint(path string) func(*stream.Checkpoint) error {
+	return func(cp *stream.Checkpoint) error {
+		if l != nil {
+			if err := l.sync(); err != nil {
+				return err
+			}
+		}
+		return stream.WriteCheckpointFile(path, cp)
+	}
+}
+
+// sync pushes the buffered bytes to the file and the file to disk.
+func (l *RunLogFile) sync() error {
+	if err := l.bw.Flush(); err != nil {
+		return fmt.Errorf("sim: flushing run log: %w", err)
+	}
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("sim: syncing run log: %w", err)
+	}
+	return nil
+}
+
+// Close flushes, fsyncs and closes the file, and returns the first error.
+func (l *RunLogFile) Close() error {
+	err := l.sync()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

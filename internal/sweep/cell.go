@@ -63,124 +63,88 @@ type CellRunner struct {
 // is byte-exact. Cancelling ctx stops the run at the next day barrier
 // with the spool checkpointed (errors.Is(err, ctx.Err())); a successor
 // resumes the cell, it does not restart it.
+//
+// The run log is the detector's input either way: a Tail follows it at
+// each day barrier, as an out-of-process analytics job tailing the file
+// would. In memory it drains into a buffer. Spooled, it and periodic
+// checkpoints live under SpoolDir, so a successor of a killed run
+// salvages the log's torn tail (stream.Recover), restores the last
+// checkpoint, re-ingests the detector from the salvaged prefix and
+// continues the simulation, writing the bytes the uninterrupted run
+// would have.
 func (cr *CellRunner) Run(ctx context.Context, sp scenario.Spec, seed uint64) (Cell, CellRunInfo, error) {
+	var info CellRunInfo
 	cfg, err := sim.ConfigForSpec(sp)
 	if err != nil {
-		return Cell{}, CellRunInfo{}, err
+		return Cell{}, info, err
 	}
 	if seed != 0 {
 		cfg.Seed = seed
 	}
 	cfg.Workers = 1 // the grid parallelizes across cells
 	cell := Cell{Scenario: sp.Name, Seed: cfg.Seed}
+	fail := func(what string, err error) (Cell, CellRunInfo, error) {
+		return cell, info, fmt.Errorf("sweep: %s %s/seed=%d: %w", what, sp.Name, cfg.Seed, err)
+	}
+	w, err := sim.NewWorld(cfg)
+	if err != nil {
+		return fail("building", err)
+	}
+
+	opts := sim.RunOptions{Context: ctx}
+	var src io.ReaderAt
+	var spool *sim.RunLogFile
+	var logPath, ckptPath string
 	if cr.SpoolDir == "" {
-		info, err := cr.runMem(ctx, &cell, sp, cfg)
-		return cell, info, err
-	}
-	info, err := cr.runSpooled(ctx, &cell, sp, cfg)
-	return cell, info, err
-}
-
-// runMem is the in-memory path: the run log drains into a buffer a Tail
-// follows at each day barrier — the same online wiring examples/
-// monitoring uses against a file, minus the disk.
-func (cr *CellRunner) runMem(ctx context.Context, cell *Cell, sp scenario.Spec, cfg sim.Config) (CellRunInfo, error) {
-	var info CellRunInfo
-	w, err := sim.NewWorld(cfg)
-	if err != nil {
-		return info, fmt.Errorf("sweep: building %s/seed=%d: %w", sp.Name, cfg.Seed, err)
-	}
-	var buf memLog
-	runLog, err := w.NewRunLog(&buf)
-	if err != nil {
-		return info, err
-	}
-	tap := newDetectorTap(sp, &buf, cr.Detector)
-	stats, err := w.RunOpts(sim.RunOptions{
-		Context: ctx,
-		Log:     runLog,
-		Hook:    cr.dayHook(tap),
-	})
-	if err != nil {
-		return info, fmt.Errorf("sweep: running %s/seed=%d: %w", sp.Name, cfg.Seed, err)
-	}
-	info.DaysExecuted = stats.Days
-	cell.Stats = stats
-	scoreCell(cell, w, tap.det)
-	return info, nil
-}
-
-// runSpooled is the crash-resumable path: the run log and periodic
-// checkpoints live under SpoolDir, so a successor of a killed run
-// salvages the log's torn tail (stream.Recover), restores the last
-// checkpoint, re-ingests the detector from the salvaged prefix, and
-// continues the simulation — producing the same bytes the uninterrupted
-// run would have.
-func (cr *CellRunner) runSpooled(ctx context.Context, cell *Cell, sp scenario.Spec, cfg sim.Config) (CellRunInfo, error) {
-	var info CellRunInfo
-	logPath, ckptPath := cr.spoolPaths(sp.Name, cfg.Seed)
-	w, err := sim.NewWorld(cfg)
-	if err != nil {
-		return info, fmt.Errorf("sweep: building %s/seed=%d: %w", sp.Name, cfg.Seed, err)
-	}
-
-	cp := cr.loadResume(w, logPath, ckptPath, &info)
-	f, err := os.OpenFile(logPath, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return info, fmt.Errorf("sweep: spooling %s: %w", logPath, err)
-	}
-	defer f.Close()
-
-	var runLog *stream.Writer
-	tap := newDetectorTap(sp, f, cr.Detector)
-	if cp != nil {
-		if err := f.Truncate(cp.LogOffset); err != nil {
-			return info, fmt.Errorf("sweep: truncating spooled log: %w", err)
+		buf := &memLog{}
+		if opts.Log, err = w.NewRunLog(buf); err != nil {
+			return fail("logging", err)
 		}
-		if _, err := f.Seek(cp.LogOffset, io.SeekStart); err != nil {
-			return info, err
-		}
-		// Rebuild the detector from the already-simulated prefix: resume
-		// continues the cell, it does not restart the analysis.
-		if err := tap.drain(); err != nil {
-			return info, fmt.Errorf("sweep: re-ingesting spooled log: %w", err)
-		}
-		runLog = w.ResumeRunLog(cr.Fault.Writer(f), cp)
+		src = buf
 	} else {
-		if err := f.Truncate(0); err != nil {
-			return info, err
+		logPath, ckptPath = cr.spoolPaths(sp.Name, cfg.Seed)
+		opts.Resume = cr.loadResume(w, logPath, ckptPath, &info)
+		spool, err = w.OpenRunLogFile(logPath, opts.Resume, cr.Fault)
+		if err != nil && opts.Resume != nil {
+			opts.Resume, info = nil, CellRunInfo{} // a log that cannot continue restarts the cell
+			spool, err = w.OpenRunLogFile(logPath, nil, cr.Fault)
 		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return info, err
-		}
-		runLog, err = w.NewRunLog(cr.Fault.Writer(f))
 		if err != nil {
-			return info, err
+			return fail("spooling", err)
 		}
+		opts.Log, src = spool.Log, spool
+		opts.CheckpointEvery, opts.Checkpoint = cr.CheckpointEvery, spool.Checkpoint(ckptPath)
 	}
 
-	opts := sim.RunOptions{
-		Context:         ctx,
-		Log:             runLog,
-		Hook:            cr.dayHook(tap),
-		Resume:          cp,
-		CheckpointEvery: cr.CheckpointEvery,
-		Checkpoint: func(cp *stream.Checkpoint) error {
-			return stream.WriteCheckpointFile(ckptPath, cp)
-		},
+	tap := newDetectorTap(sp, src, cr.Detector)
+	opts.Hook = cr.dayHook(tap)
+	// A resumed cell first re-ingests the already-simulated prefix: resume
+	// continues the analysis too, it does not restart it.
+	if opts.Resume != nil {
+		if err := tap.drain(); err != nil {
+			spool.Close()
+			return fail("re-ingesting", err)
+		}
 	}
 	stats, err := w.RunOpts(opts)
+	if spool != nil {
+		if cerr := spool.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
-		return info, fmt.Errorf("sweep: running %s/seed=%d: %w", sp.Name, cfg.Seed, err)
+		return fail("running", err)
 	}
 	info.DaysExecuted = stats.Days - info.ResumedAfterDays
 	cell.Stats = stats
-	scoreCell(cell, w, tap.det)
-	// The cell is done and its result content-verifiable; the spool is
-	// scratch space, not an artifact.
-	os.Remove(logPath)
-	os.Remove(ckptPath)
-	return info, nil
+	scoreCell(&cell, w, tap.det)
+	if spool != nil {
+		// The cell is done and its result content-verifiable; the spool is
+		// scratch space, not an artifact.
+		os.Remove(logPath)
+		os.Remove(ckptPath)
+	}
+	return cell, info, nil
 }
 
 func (cr *CellRunner) spoolPaths(name string, seed uint64) (logPath, ckptPath string) {
@@ -191,8 +155,8 @@ func (cr *CellRunner) spoolPaths(name string, seed uint64) (logPath, ckptPath st
 // loadResume decides whether a predecessor's spool is continuable: the
 // checkpoint must read back, the salvaged log must reach the
 // checkpoint's offset, and the checkpoint must validate against this
-// world. Anything less falls back to a fresh run — which is always
-// correct, just slower.
+// world (OpenRunLogFile then checks the log's header). Anything less
+// falls back to a fresh run — which is always correct, just slower.
 func (cr *CellRunner) loadResume(w *sim.World, logPath, ckptPath string, info *CellRunInfo) *stream.Checkpoint {
 	cp, err := stream.ReadCheckpointFile(ckptPath)
 	if err != nil {
@@ -203,7 +167,7 @@ func (cr *CellRunner) loadResume(w *sim.World, logPath, ckptPath string, info *C
 		return nil
 	}
 	// Validate only: the destructive overlay (World.Restore) happens
-	// inside RunOpts, after the caller truncates the log — a checkpoint
+	// inside RunOpts, after OpenRunLogFile truncates the log — a checkpoint
 	// from a different seed or config bails out here with the fresh-run
 	// world untouched.
 	if err := w.ValidateResume(cp); err != nil {

@@ -137,6 +137,7 @@ func TestDistributedSweepChaos(t *testing.T) {
 	torn := 3  // incarnations whose log writes may tear (each dies at most once either way)
 	const maxIncarnations = 60
 	incarnations := 0
+	var injectors []*fault.Injector
 	for i := 0; ; i++ {
 		if i >= maxIncarnations {
 			t.Fatalf("grid not drained after %d worker incarnations: %+v", i, co.Progress())
@@ -144,13 +145,16 @@ func TestDistributedSweepChaos(t *testing.T) {
 		incarnations++
 
 		// The first few incarnations may die of a torn log write before
-		// their day-barrier kill fires; the probability is per Write call,
-		// so it must stay tiny or nothing ever reaches a checkpoint. Later
+		// their day-barrier kill fires. The spooled log is buffered and
+		// reaches the file about once per day barrier, so the probability
+		// is roughly per day: high enough that torn writes fire, low
+		// enough that incarnations still reach checkpoints. Later
 		// incarnations run clean so the grid always drains.
 		var injector *fault.Injector
 		if torn > 0 {
 			torn--
-			injector = fault.New(fault.Config{Seed: uint64(i + 1), WriteErrorProb: 0.0005, TornWrites: true})
+			injector = fault.New(fault.Config{Seed: uint64(i + 1), WriteErrorProb: 0.2, TornWrites: true})
+			injectors = append(injectors, injector)
 		}
 		httpFaults := fault.New(fault.Config{Seed: uint64(100 + i), RequestErrorProb: 0.05})
 
@@ -221,7 +225,16 @@ func TestDistributedSweepChaos(t *testing.T) {
 	if p.Expiries == 0 {
 		t.Errorf("no lease ever expired under chaos: %+v", p)
 	}
-	t.Logf("chaos drained: %d incarnations, progress=%+v", incarnations, p)
+	var fired []int64
+	var tornWrites int64
+	for _, in := range injectors {
+		fired = append(fired, in.Injected())
+		tornWrites += in.Injected()
+	}
+	if tornWrites < 2 {
+		t.Errorf("torn writes per faulty incarnation %v: want at least 2 in all", fired)
+	}
+	t.Logf("chaos drained: %d incarnations, torn writes per faulty incarnation %v, progress=%+v", incarnations, fired, p)
 }
 
 // TestCoordinatorCrashRestartChaos is the tentpole's acceptance bar: the
