@@ -257,7 +257,11 @@ func BenchmarkSection5LockstepDetector(b *testing.B) {
 	_, a := benchFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if l := a.Lockstep(); l.Groups == 0 {
+		l, err := a.Lockstep()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if l.Groups == 0 {
 			b.Fatal("detector found nothing")
 		}
 	}

@@ -85,7 +85,7 @@ func (a *Analysis) Arbitrage() ArbitrageResult {
 }
 
 // Lockstep recomputes the Section 5.2 defense evaluation.
-func (a *Analysis) Lockstep() LockstepResult { return a.study.buildLockstep() }
+func (a *Analysis) Lockstep() (LockstepResult, error) { return a.study.buildLockstep() }
 
 // Disclosure recomputes the Section 5.1 contact list.
 func (a *Analysis) Disclosure() []DisclosureRow { return a.study.buildDisclosure(a.views) }

@@ -47,7 +47,9 @@ func (s *Study) analyze() error {
 
 	s.Results.Enforcement = s.buildEnforcement(vetted, unvetted)
 	s.Results.Arbitrage = buildArbitrage(views, vetted, unvetted)
-	s.Results.Lockstep = s.buildLockstep()
+	if s.Results.Lockstep, err = s.buildLockstep(); err != nil {
+		return err
+	}
 	s.Results.Disclosure = s.buildDisclosure(views)
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/lockstep"
@@ -19,9 +20,14 @@ type LockstepResult struct {
 
 // buildLockstep mixes the incentivized install log with organic decoy
 // traffic (World.DetectionEvents, the shared ground-truth path the
-// scenario sweep also scores against) and runs the lockstep detector.
-func (s *Study) buildLockstep() LockstepResult {
+// scenario sweep also scores against) and runs the lockstep detector. An
+// install log whose spill failed or was closed yields a partial stream,
+// so it fails instead of scoring one.
+func (s *Study) buildLockstep() (LockstepResult, error) {
 	events, truth := s.World.DetectionEvents()
+	if err := s.World.InstallLog.Err(); err != nil {
+		return LockstepResult{}, fmt.Errorf("core: reading the install log: %w", err)
+	}
 	groups := lockstep.Detect(events, lockstep.DefaultConfig())
 	flagged := 0
 	for _, g := range groups {
@@ -31,7 +37,7 @@ func (s *Study) buildLockstep() LockstepResult {
 		Groups:         len(groups),
 		FlaggedDevices: flagged,
 		Eval:           lockstep.Evaluate(groups, truth),
-	}
+	}, nil
 }
 
 // DisclosureRow is one entry of the Section 5.1 responsible-disclosure

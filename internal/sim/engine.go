@@ -71,11 +71,6 @@ type engine struct {
 	sinks  []unitSink
 	deltas []organicDelta
 
-	// logBound caps InstallLog growth estimates: the log can never exceed
-	// its length at construction plus every campaign's then-remaining
-	// target (each delivery appends exactly one record on either path).
-	logBound int
-
 	// log, when non-nil, receives the event-sourced run log. Each organic
 	// unit and each campaign group buffers its events in its own encoder
 	// during the parallel phases; the barrier concatenates the buffers in
@@ -264,11 +259,7 @@ func newEngine(w *World) (*engine, error) {
 			return nil, err
 		}
 		e.groups[g] = append(e.groups[g], u)
-		if rem := u.offer.Remaining(); rem > 0 {
-			e.logBound += rem
-		}
 	}
-	e.logBound += w.InstallLog.Len()
 	e.sinks = make([]unitSink, len(e.groups))
 	e.deltas = make([]organicDelta, len(e.organic))
 	return e, nil
@@ -618,25 +609,6 @@ func (e *engine) stepDay(day dates.Date, stats *RunStats) error {
 	// flushing keeps the install log and ledger consistent with the store
 	// when a failed day is inspected post mortem. The earliest error —
 	// campaign before flush, lower sink first — is the one reported.
-	//
-	// The install log grows by one allocation sized for the remaining
-	// window at the current daily delivery rate — capped by the total
-	// deliveries still possible, so a burst day never reserves more than
-	// the campaigns can ever append — instead of repeated append
-	// doublings across the run. (A spilling log instead clamps the
-	// reservation at its resident window.)
-	need := 0
-	for g := range e.sinks {
-		need += len(e.sinks[g].log)
-	}
-	if need > 0 {
-		daysLeft := int(w.Cfg.Window.End-day) + 1
-		est := w.InstallLog.Len() + need*daysLeft
-		if est > e.logBound {
-			est = e.logBound
-		}
-		w.InstallLog.Reserve(need, est)
-	}
 	var certified int64
 	for g := range e.sinks {
 		s := &e.sinks[g]

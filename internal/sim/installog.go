@@ -12,20 +12,28 @@ import (
 )
 
 // InstallLog is the store-side device-resolved install stream. By default
-// every record stays in RAM, exactly like the plain slice it replaces. For
+// every record stays in RAM. The resident records live in fixed-size
+// chunks: appends fill the last chunk and start a new one when it is full,
+// so the log grows without ever relocating the records it holds. For
 // massive worlds EnableSpill bounds the resident tail: once the in-RAM
 // window fills, it is flushed to an anonymous temp file in the v3 run-log
 // format (CRC-framed day markers plus record-mode install batches, the
-// same frames the event log uses), so peak memory is O(window) while the
-// logical stream — Len, All, the checkpoint contents, the golden hashes —
-// is byte-for-byte what the unbounded log would hold.
+// same frames the event log uses) and its chunks are reused, so peak
+// memory is O(window) while the logical stream — Len, All, the checkpoint
+// contents, the golden hashes — is byte-for-byte what the unbounded log
+// would hold.
 //
 // The type is not safe for concurrent use; the engine appends only at day
 // barriers, on one goroutine, and readers run between days or post-run.
 type InstallLog struct {
-	mem     []InstallRecord // resident tail (the whole log when not spilling)
-	spilled int             // records already flushed to the spill file
-	resets  int             // Reset count: invalidates checkpoint views
+	// chunks[:used] hold the resident records in append order (the whole
+	// log when not spilling); each is full but the last. Chunks past used
+	// are empty and wait for reuse.
+	chunks  [][]InstallRecord
+	used    int
+	n       int // resident records
+	spilled int // records already flushed to the spill file
+	resets  int // Reset count: invalidates checkpoint views
 
 	window int    // spill threshold; 0 = unbounded in-RAM log
 	dir    string // spill directory ("" = os.TempDir())
@@ -40,11 +48,19 @@ type InstallLog struct {
 	err     error // sticky: first spill I/O failure
 }
 
+// installChunk is the record capacity of one resident chunk (about
+// 160 KB); a spill window smaller than this sizes its chunks to the
+// window instead.
+const installChunk = 1 << 12
+
 // Len returns the total number of records appended (spilled + resident).
-func (l *InstallLog) Len() int { return l.spilled + len(l.mem) }
+func (l *InstallLog) Len() int { return l.spilled + l.n }
 
 // Err returns the sticky spill I/O failure, if any. Appends never fail
-// individually; the engine checks once per day barrier.
+// individually; the engine checks once per day barrier. A read of the
+// spill (All) that fails or finds the log closed records its failure
+// here too, so a caller that ranged All checks Err before trusting what
+// it read.
 func (l *InstallLog) Err() error { return l.err }
 
 // EnableSpill bounds the resident tail at window records, spilling older
@@ -70,45 +86,62 @@ func (l *InstallLog) Spilling() bool { return l.window > 0 }
 // burst larger than the window never holds more than window records in
 // RAM.
 func (l *InstallLog) Append(recs ...InstallRecord) {
-	if l.window <= 0 {
-		l.mem = append(l.mem, recs...)
-		return
-	}
 	for len(recs) > 0 {
-		room := l.window - len(l.mem)
-		if room > len(recs) {
-			room = len(recs)
+		c := l.tail()
+		k := min(cap(*c)-len(*c), len(recs))
+		if l.window > 0 {
+			k = min(k, l.window-l.n)
 		}
-		l.mem = append(l.mem, recs[:room]...)
-		recs = recs[room:]
-		if len(l.mem) >= l.window {
+		*c = append(*c, recs[:k]...)
+		l.n += k
+		recs = recs[k:]
+		if l.window > 0 && l.n >= l.window {
 			l.flush()
 		}
 	}
 }
 
-// Reserve pre-grows the resident tail for an append of need records when
-// its spare capacity is short, sizing the new backing array for est total
-// records (the engine's remaining-window estimate). Spill mode caps the
-// reservation at the window — the tail never grows past it.
-func (l *InstallLog) Reserve(need, est int) {
-	if l.window > 0 {
-		if cap(l.mem) < l.window {
-			grown := make([]InstallRecord, len(l.mem), l.window)
-			copy(grown, l.mem)
-			l.mem = grown
+// tail returns the chunk the next append fills: the last resident chunk
+// while it has room, else the next empty chunk, reused or new.
+func (l *InstallLog) tail() *[]InstallRecord {
+	if l.used > 0 {
+		if c := &l.chunks[l.used-1]; len(*c) < cap(*c) {
+			return c
 		}
-		return
 	}
-	if cap(l.mem)-len(l.mem) >= need {
-		return
+	if l.used == len(l.chunks) {
+		l.chunks = append(l.chunks, make([]InstallRecord, 0, l.chunkCap()))
 	}
-	if est < l.spilled+len(l.mem)+need {
-		est = l.spilled + len(l.mem) + need
+	l.used++
+	return &l.chunks[l.used-1]
+}
+
+func (l *InstallLog) chunkCap() int {
+	if l.window > 0 && l.window < installChunk {
+		return l.window
 	}
-	grown := make([]InstallRecord, len(l.mem), est-l.spilled)
-	copy(grown, l.mem)
-	l.mem = grown
+	return installChunk
+}
+
+// resident ranges over the in-RAM records in append order.
+func (l *InstallLog) resident(yield func(*InstallRecord) bool) {
+	for _, c := range l.chunks[:l.used] {
+		for i := range c {
+			if !yield(&c[i]) {
+				return
+			}
+		}
+	}
+}
+
+// dropResident empties the resident chunks for reuse, clearing them so
+// they pin no device or package strings.
+func (l *InstallLog) dropResident() {
+	for i := range l.chunks[:l.used] {
+		clear(l.chunks[i])
+		l.chunks[i] = l.chunks[i][:0]
+	}
+	l.used, l.n = 0, 0
 }
 
 // All ranges over every record in append order: the spilled prefix
@@ -119,27 +152,12 @@ func (l *InstallLog) All() iter.Seq[InstallRecord] {
 		if l.spilled > 0 && !l.iterSpill(yield) {
 			return
 		}
-		for _, rec := range l.mem {
-			if !yield(rec) {
+		for rec := range l.resident {
+			if !yield(*rec) {
 				return
 			}
 		}
 	}
-}
-
-// Slice returns the log as one contiguous slice. When nothing has spilled
-// this is the resident tail itself (no copy — callers must not modify);
-// a spilled log is materialized, which costs O(run) memory and defeats
-// the spill bound, so hot paths should range All instead.
-func (l *InstallLog) Slice() []InstallRecord {
-	if l.spilled == 0 {
-		return l.mem
-	}
-	out := make([]InstallRecord, 0, l.Len())
-	for rec := range l.All() {
-		out = append(out, rec)
-	}
-	return out
 }
 
 // CheckpointView returns the log's current records as a checkpoint's
@@ -172,12 +190,12 @@ func (l *InstallLog) CheckpointView() stream.Installs {
 	})
 }
 
-// Reset discards every record (spilled state included) and reserves
-// capacity for n records, clamped to the window when spilling. Restore
-// uses it to rebuild the log from a checkpoint.
+// Reset discards every record (spilled state included) and allocates
+// chunks for n records up front, at most the window's worth when
+// spilling. Restore uses it to rebuild the log from a checkpoint.
 func (l *InstallLog) Reset(n int) {
 	l.resets++
-	l.mem = l.mem[:0]
+	l.dropResident()
 	l.spilled = 0
 	l.haveDay = false
 	if l.w != nil {
@@ -197,8 +215,8 @@ func (l *InstallLog) Reset(n int) {
 	if l.window > 0 && n > l.window {
 		n = l.window
 	}
-	if cap(l.mem) < n {
-		l.mem = make([]InstallRecord, 0, n)
+	for size := l.chunkCap(); len(l.chunks)*size < n; {
+		l.chunks = append(l.chunks, make([]InstallRecord, 0, size))
 	}
 }
 
@@ -265,35 +283,38 @@ const spillChunkBytes = 1 << 20
 // record's day from the enclosing frame just like the run log proper.
 func (l *InstallLog) flush() {
 	if l.err != nil {
-		l.mem = l.mem[:0] // failed spill: keep memory bounded anyway
+		l.dropResident() // failed spill: keep memory bounded anyway
 		return
 	}
 	if l.w == nil {
 		if err := l.open(); err != nil {
 			l.err = err
-			l.mem = l.mem[:0]
+			l.dropResident()
 			return
 		}
 	}
-	for i := 0; i < len(l.mem); {
-		day := l.mem[i].Day
-		if !l.haveDay || day != l.lastDay {
-			l.w.DayStart(day)
-			l.lastDay, l.haveDay = day, true
+	// One event-batch frame per run of same-day records, split when it
+	// reaches spillChunkBytes.
+	l.enc.Reset()
+	for rec := range l.resident {
+		if l.enc.Len() > 0 && (rec.Day != l.lastDay || l.enc.Len() >= spillChunkBytes) {
+			l.w.EventBatch(l.enc.Bytes())
+			l.enc.Reset()
 		}
-		l.enc.Reset()
-		for i < len(l.mem) && l.mem[i].Day == day && l.enc.Len() < spillChunkBytes {
-			rec := &l.mem[i]
-			l.enc.InstallRef(l.enc.StringRef(rec.App), rec.App, l.enc.DeviceRef(rec.Device), rec.Device, 0)
-			i++
+		if !l.haveDay || rec.Day != l.lastDay {
+			l.w.DayStart(rec.Day)
+			l.lastDay, l.haveDay = rec.Day, true
 		}
+		l.enc.InstallRef(l.enc.StringRef(rec.App), rec.App, l.enc.DeviceRef(rec.Device), rec.Device, 0)
+	}
+	if l.enc.Len() > 0 {
 		l.w.EventBatch(l.enc.Bytes())
 	}
 	if err := l.w.Err(); err != nil && l.err == nil {
 		l.err = err
 	}
-	l.spilled += len(l.mem)
-	l.mem = l.mem[:0]
+	l.spilled += l.n
+	l.dropResident()
 }
 
 // iterSpill streams the spilled prefix back from disk. The write buffer is

@@ -221,3 +221,118 @@ func TestInstallLogCheckpointView(t *testing.T) {
 		t.Error("a view of a closed spilled log still iterates")
 	}
 }
+
+// TestInstallLogChunksMatchSlice is the chunked storage's property test:
+// random batch sizes (single records, chunk-sized bursts landing on and
+// around chunk boundaries) at window 0 and at spill windows below, equal
+// to and past one chunk, with a CheckpointView taken before later appends
+// and a Reset mid-run. Len, All and the view always equal a plain slice,
+// and at window 0 an append never moves a record already held.
+func TestInstallLogChunksMatchSlice(t *testing.T) {
+	for _, window := range []int{0, 1, 7, 100, installChunk, installChunk + 100} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			r := randx.New(uint64(1000 + window))
+			var l InstallLog
+			if window > 0 {
+				if err := l.EnableSpill(t.TempDir(), window); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer l.Close()
+			var ref []InstallRecord
+			day := dates.Date(500)
+			seq := 0
+			appendBatch := func() {
+				var n int
+				switch r.IntN(3) {
+				case 0:
+					n = r.IntBetween(1, 9)
+				case 1:
+					n = r.IntN(1000)
+				default:
+					n = r.IntBetween(installChunk-3, installChunk+3)
+				}
+				if r.Bool(0.5) {
+					day++
+				}
+				batch := make([]InstallRecord, n)
+				for i := range batch {
+					seq++
+					batch[i] = InstallRecord{Device: fmt.Sprintf("dev-%d", seq), App: fmt.Sprintf("app.%d", seq%13), Day: day}
+				}
+				l.Append(batch...)
+				ref = append(ref, batch...)
+			}
+			check := func(what string) {
+				t.Helper()
+				if l.Len() != len(ref) {
+					t.Fatalf("%s: Len = %d, want %d", what, l.Len(), len(ref))
+				}
+				// A spilling log flushes exactly one window at a time and
+				// holds no more chunks than a window fills.
+				if size := l.chunkCap(); window > 0 && (l.n >= window || l.spilled%window != 0 || len(l.chunks) > (window+size-1)/size) {
+					t.Fatalf("%s: %d records spilled, %d resident in %d chunks of %d, window %d", what, l.spilled, l.n, len(l.chunks), size, window)
+				}
+				got := collect(t, &l)
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Fatalf("%s: record %d = %+v, want %+v", what, i, got[i], ref[i])
+					}
+				}
+			}
+
+			for len(ref) < 2*installChunk {
+				appendBatch()
+				if r.Bool(0.3) {
+					check("filling")
+				}
+			}
+			check("filled")
+			var first *InstallRecord
+			if window == 0 {
+				first = &l.chunks[0][0]
+			}
+			view, viewRef := l.CheckpointView(), append([]InstallRecord(nil), ref...)
+			for n := len(ref); len(ref) < n+installChunk+1; {
+				appendBatch()
+			}
+			check("after the view")
+			if first != nil && first != &l.chunks[0][0] {
+				t.Error("an append moved the first record")
+			}
+			i := 0
+			for in, err := range view.All() {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := (InstallRecord{Device: in.Device, App: in.App, Day: in.Day}); got != viewRef[i] {
+					t.Fatalf("view record %d = %+v, want %+v", i, got, viewRef[i])
+				}
+				i++
+			}
+			if i != len(viewRef) || view.Len() != len(viewRef) {
+				t.Fatalf("view yielded %d records, Len %d; want %d", i, view.Len(), len(viewRef))
+			}
+
+			// Reset mid-run and refill with a prefix, as Restore does.
+			ref = append([]InstallRecord(nil), ref[:r.IntN(len(ref))]...)
+			l.Reset(len(ref))
+			l.Append(ref...)
+			check("after Reset")
+			failed := false
+			for _, err := range view.All() {
+				if err != nil {
+					failed = true
+					break
+				}
+			}
+			if !failed {
+				t.Error("a view taken before Reset still iterates")
+			}
+			for n := len(ref); len(ref) < n+installChunk; {
+				appendBatch()
+			}
+			check("after Reset and appends")
+		})
+	}
+}

@@ -91,7 +91,7 @@ func TestTailFeedsLockstepOnline(t *testing.T) {
 	// Online == post-hoc: the batch detector over the world's own install
 	// log must report exactly the same groups.
 	events := make([]lockstep.Event, w.InstallLog.Len())
-	for i, rec := range w.InstallLog.Slice() {
+	for i, rec := range collect(t, &w.InstallLog) {
 		events[i] = lockstep.Event{Device: rec.Device, App: rec.App, Day: rec.Day}
 	}
 	want := lockstep.Detect(events, lockstep.DefaultConfig())

@@ -107,7 +107,7 @@ func TestReplayMatchesLive(t *testing.T) {
 	if !bytes.Equal(res.Ledger.EncodeSnapshot(), w.Ledger.EncodeSnapshot()) {
 		t.Error("replayed ledger snapshot differs from live ledger")
 	}
-	live := w.InstallLog.Slice()
+	live := collect(t, &w.InstallLog)
 	if len(res.Installs) != len(live) {
 		t.Fatalf("replayed install log has %d records, live %d", len(res.Installs), len(live))
 	}

@@ -1,0 +1,25 @@
+package sweep
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/scenario"
+)
+
+// BenchmarkCellRun runs one in-memory paper-baseline cell on the tiny
+// world: the world build, the 121-day run with its run log tailed into the
+// detector, and the scoring. Run with -benchmem; the bytes a cell
+// allocates are what its ledger, run-log buffer and install log keep.
+func BenchmarkCellRun(b *testing.B) {
+	sp, ok := scenario.Lookup("paper-baseline")
+	if !ok {
+		b.Fatal("paper-baseline missing")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := (&CellRunner{}).Run(context.Background(), sp, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

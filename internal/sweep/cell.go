@@ -82,6 +82,9 @@ func (cr *CellRunner) Run(ctx context.Context, sp scenario.Spec, seed uint64) (C
 		cfg.Seed = seed
 	}
 	cfg.Workers = 1 // the grid parallelizes across cells
+	// Nothing in a cell reads the ledger's transfer history; balances,
+	// and so every simulated value, are the same without it.
+	cfg.LedgerBalancesOnly = true
 	cell := Cell{Scenario: sp.Name, Seed: cfg.Seed}
 	fail := func(what string, err error) (Cell, CellRunInfo, error) {
 		return cell, info, fmt.Errorf("sweep: %s %s/seed=%d: %w", what, sp.Name, cfg.Seed, err)
@@ -137,7 +140,9 @@ func (cr *CellRunner) Run(ctx context.Context, sp scenario.Spec, seed uint64) (C
 	}
 	info.DaysExecuted = stats.Days - info.ResumedAfterDays
 	cell.Stats = stats
-	scoreCell(&cell, w, tap.det)
+	if err := scoreCell(&cell, w, tap.det); err != nil {
+		return fail("scoring", err)
+	}
 	if spool != nil {
 		// The cell is done and its result content-verifiable; the spool is
 		// scratch space, not an artifact.
@@ -198,6 +203,7 @@ func (cr *CellRunner) dayHook(tap *detectorTap) func(dates.Date) error {
 type detectorTap struct {
 	det    *lockstep.Detector
 	tail   *stream.Tail
+	mem    *memLog // src, when it is an in-memory log
 	ev     stream.Event
 	curDay dates.Date
 }
@@ -205,12 +211,17 @@ type detectorTap struct {
 func newDetectorTap(sp scenario.Spec, src io.ReaderAt, m *lockstep.Metrics) *detectorTap {
 	det := lockstep.NewDetector(sp.Detector.Config())
 	det.SetMetrics(m)
+	mem, _ := src.(*memLog)
 	return &detectorTap{
 		det:  det,
 		tail: stream.NewTail(src),
+		mem:  mem,
 	}
 }
 
+// drain ingests every complete event the log holds. An in-memory log then
+// drops what the tail has read: the tail reads forward only, and at a day
+// barrier, where drain runs, its offset is exact.
 func (tp *detectorTap) drain() error {
 	for {
 		ok, err := tp.tail.Next(&tp.ev)
@@ -218,6 +229,9 @@ func (tp *detectorTap) drain() error {
 			return err
 		}
 		if !ok {
+			if tp.mem != nil {
+				tp.mem.discard(tp.tail.Offset())
+			}
 			return nil
 		}
 		switch tp.ev.Kind {
@@ -234,12 +248,16 @@ func (tp *detectorTap) drain() error {
 }
 
 // scoreCell finishes a completed run: organic decoy background, then
-// groups scored against the world's recorded ground truth.
-func scoreCell(cell *Cell, w *sim.World, det *lockstep.Detector) {
+// groups scored against the world's recorded ground truth. Truth read
+// from a failed or closed spill would be partial, so it fails instead.
+func scoreCell(cell *Cell, w *sim.World, det *lockstep.Detector) error {
 	for _, dev := range w.DecoyEvents() {
 		det.Ingest(dev.Device, dev.App, dev.Day)
 	}
 	truth := w.TruthLabels()
+	if err := w.InstallLog.Err(); err != nil {
+		return fmt.Errorf("reading ground truth: %w", err)
+	}
 	groups := det.Groups()
 	cell.Truth = len(truth)
 	cell.Groups = len(groups)
@@ -249,6 +267,7 @@ func scoreCell(cell *Cell, w *sim.World, det *lockstep.Detector) {
 	}
 	cell.Eval = lockstep.Evaluate(groups, truth)
 	cell.Detector = det.Stats()
+	return nil
 }
 
 // IsInjected reports whether err stems from an injected fault — the
@@ -256,10 +275,13 @@ func scoreCell(cell *Cell, w *sim.World, det *lockstep.Detector) {
 func IsInjected(err error) bool { return errors.Is(err, fault.ErrInjected) }
 
 // memLog is the in-memory run log a cell writes and tails: Write appends,
-// ReadAt addresses absolute offsets. The writer (run loop) and reader
+// ReadAt addresses absolute offsets. It keeps only the bytes from base on:
+// discard drops the prefix the tail has read, so a cell holds about one
+// day of log, not the whole run. The writer (run loop) and reader
 // (day-barrier hook) share one goroutine, so no locking is needed.
 type memLog struct {
-	buf []byte
+	buf  []byte
+	base int64 // absolute offset of buf[0]
 }
 
 func (m *memLog) Write(p []byte) (int, error) {
@@ -268,6 +290,10 @@ func (m *memLog) Write(p []byte) (int, error) {
 }
 
 func (m *memLog) ReadAt(p []byte, off int64) (int, error) {
+	if off < m.base {
+		return 0, fmt.Errorf("sweep: run-log read at %d, before the kept bytes at %d", off, m.base)
+	}
+	off -= m.base
 	if off >= int64(len(m.buf)) {
 		return 0, io.EOF
 	}
@@ -276,4 +302,15 @@ func (m *memLog) ReadAt(p []byte, off int64) (int, error) {
 		return n, io.EOF
 	}
 	return n, nil
+}
+
+// discard drops the bytes before absolute offset off, keeping the buffer's
+// capacity for the next day's writes.
+func (m *memLog) discard(off int64) {
+	n := min(off-m.base, int64(len(m.buf)))
+	if n <= 0 {
+		return
+	}
+	m.buf = m.buf[:copy(m.buf, m.buf[n:])]
+	m.base += n
 }

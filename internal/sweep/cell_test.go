@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/dates"
 	"repro/internal/fault"
+	"repro/internal/lockstep"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // TestSpooledKillResumeEveryScenario: for every built-in scenario, a
@@ -112,5 +114,43 @@ func TestSpooledForeignLogRestartsCell(t *testing.T) {
 	}
 	if CellDigest(&got) != CellDigest(&want) {
 		t.Fatalf("restarted cell diverged:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestScoreCellFailsOnClosedSpill: a cell on a spilling world whose
+// install log is closed before scoring fails. All ends early on a closed
+// spill, so scoring on would count a partial ground truth.
+func TestScoreCellFailsOnClosedSpill(t *testing.T) {
+	sp, ok := scenario.Lookup(microName(t, "paper-baseline"))
+	if !ok {
+		t.Fatal("micro scenario missing")
+	}
+	cfg, err := sim.ConfigForSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.InstallLogWindow = 256
+	cfg.InstallLogDir = t.TempDir()
+	w, err := sim.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.InstallLog.Len(); n <= cfg.InstallLogWindow {
+		t.Fatalf("world too small to spill: %d records", n)
+	}
+	var open Cell
+	if err := scoreCell(&open, w, lockstep.NewDetector(sp.Detector.Config())); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.InstallLog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var closed Cell
+	if err := scoreCell(&closed, w, lockstep.NewDetector(sp.Detector.Config())); err == nil {
+		t.Fatalf("scored a closed spill: %d truth devices, %d with the log open", closed.Truth, open.Truth)
 	}
 }
