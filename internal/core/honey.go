@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"net/http"
 	"sort"
 
 	"repro/internal/dates"
@@ -98,11 +99,10 @@ func (s *Study) runHoneyExperiment() (*HoneyResults, error) {
 	}
 
 	collect := honeyapp.NewServer()
-	telURL, err := s.serve(collect.Handler())
-	if err != nil {
-		return nil, err
+	client := &honeyapp.Client{
+		BaseURL: s.surfaces.Serve(collect.Handler()),
+		HTTP:    &http.Client{Transport: &s.surfaces},
 	}
-	client := &honeyapp.Client{BaseURL: telURL}
 
 	results := &HoneyResults{}
 	uniqueApps := map[string]bool{}

@@ -7,19 +7,23 @@
 // interfaces the authors had against the live ecosystem: offer-wall HTTP
 // traffic, the store's public crawl surface, the developer console of apps
 // the researchers own, and a Crunchbase snapshot.
+//
+// The study speaks HTTP to those surfaces without sockets: the store API,
+// the offer walls and the honey app's telemetry backend are served
+// in-process (internal/httpmem), and the milker's recording proxy is the
+// phone's http.RoundTripper. Requests, responses and proxy capture are
+// those of the loopback deployment that cmd/milker and cmd/storectl run.
 package core
 
 import (
 	"context"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
-	"time"
 
 	"repro/internal/crawler"
 	"repro/internal/dates"
 	"repro/internal/fault"
+	"repro/internal/httpmem"
 	"repro/internal/iip"
 	"repro/internal/monitor"
 	"repro/internal/obs"
@@ -96,7 +100,8 @@ type Study struct {
 
 	Results Results
 
-	servers []*http.Server
+	// surfaces serves the study's HTTP handlers in-process.
+	surfaces httpmem.Transport
 }
 
 // Results aggregates every reproduced artifact.
@@ -184,10 +189,7 @@ func RunCtx(ctx context.Context, cfg sim.Config, opts Options) (*Study, error) {
 		s.Opts = opts
 	}
 
-	if err := s.startInfrastructure(); err != nil {
-		s.Close()
-		return nil, err
-	}
+	s.startInfrastructure()
 
 	if !opts.SkipHoney {
 		opts.log("running honey-app experiment (Section 3)")
@@ -291,14 +293,10 @@ func RunHoneyOnly(cfg sim.Config) (*Study, error) {
 	return s, nil
 }
 
-// startInfrastructure brings up the store facade, the per-IIP offer-wall
-// servers, the milker, and the crawler.
-func (s *Study) startInfrastructure() error {
-	// Play Store HTTP surface.
-	playURL, err := s.serve(playapi.New(s.World.Store, s.World.APKs).Handler())
-	if err != nil {
-		return fmt.Errorf("core: starting store API: %w", err)
-	}
+// startInfrastructure serves the store facade and the per-IIP offer
+// walls, and wires the milker and the crawler to them.
+func (s *Study) startInfrastructure() {
+	playURL := s.surfaces.Serve(playapi.New(s.World.Store, s.World.APKs).Handler())
 
 	// One offer-wall server per platform, all sharing the affiliate
 	// point-rate table.
@@ -308,74 +306,26 @@ func (s *Study) startInfrastructure() error {
 	}
 	endpoints := map[string]string{}
 	for _, p := range s.World.PlatformsSorted() {
-		u, err := s.serve(iip.NewServer(p, rates).Handler())
-		if err != nil {
-			return fmt.Errorf("core: starting %s wall: %w", p.Name, err)
-		}
-		endpoints[p.Name] = u
+		endpoints[p.Name] = s.surfaces.Serve(iip.NewServer(p, rates).Handler())
 	}
-
-	s.Milker, err = monitor.NewMilker(s.World.Affiliates, endpoints)
-	if err != nil {
-		return fmt.Errorf("core: starting milker: %w", err)
-	}
+	s.Milker = monitor.NewMilkerWithTransport(s.World.Affiliates, endpoints, &s.surfaces)
 
 	targets := make([]string, 0, len(s.World.Advertised)+len(s.World.Baseline))
 	for _, a := range s.World.Advertised {
 		targets = append(targets, a.Package)
 	}
 	targets = append(targets, s.World.Baseline...)
-	s.Crawler = crawler.New(playURL, targets)
-	return nil
+	s.Crawler = crawler.NewWithTransport(playURL, targets, &s.surfaces)
 }
 
-// serve starts an HTTP server on a loopback port and tracks it for
-// shutdown.
-func (s *Study) serve(h http.Handler) (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
-	go srv.Serve(ln) //nolint:errcheck // Serve returns on Close
-	s.servers = append(s.servers, srv)
-	return "http://" + ln.Addr().String(), nil
-}
-
-// Close tears down the study's HTTP infrastructure. Run leaves the
-// servers up so callers can keep re-deriving artifacts (NewAnalysis,
-// Figure 6 APK downloads) against the live surfaces; call Close when done.
+// Close releases the milker and the world. Run leaves the study's HTTP
+// surfaces served so callers can keep re-deriving artifacts (NewAnalysis,
+// Figure 6 APK downloads) against them; call Close when done.
 func (s *Study) Close() {
 	if s.Milker != nil {
 		s.Milker.Close()
 	}
-	for _, srv := range s.servers {
-		srv.Close()
-	}
 	if s.World != nil {
 		s.World.Close()
 	}
-}
-
-// Shutdown is the graceful counterpart of Close: in-flight requests
-// against the study's HTTP surfaces finish (bounded by ctx) before the
-// listeners close. Use it when a milker or crawler pass may still be
-// mid-request — a hard Close there surfaces spurious connection errors
-// for work that was about to succeed.
-func (s *Study) Shutdown(ctx context.Context) error {
-	if s.Milker != nil {
-		s.Milker.Close()
-	}
-	var first error
-	for _, srv := range s.servers {
-		if err := srv.Shutdown(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	if s.World != nil {
-		if err := s.World.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

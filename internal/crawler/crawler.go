@@ -55,29 +55,40 @@ type Crawler struct {
 	// EveryDays is the crawl period (paper: every other day => 2).
 	EveryDays int
 
-	client  *http.Client // pooled for inFlight fetches
+	client  *http.Client
 	targets []string
 	data    *Dataset
 	started *dates.Date
 }
 
-// inFlight bounds the fetches a crawl keeps in flight. The crawler's own
-// client holds at most that many connections per host, all kept idle
-// between requests, so a crawl dials each connection once.
+// inFlight bounds the fetches a crawl keeps in flight. Over TCP, the
+// crawler's own client holds at most that many connections per host,
+// all kept idle between requests, so a crawl dials each connection once.
 const inFlight = 8
 
+// maxBodyBytes bounds a document or APK the crawler reads; past it the
+// fetch fails. The largest real bodies are a top chart (956 bytes on the
+// 6,000-device 121-day study, 10,440 with the default world's 200-entry
+// charts) and an APK (2,657 and 3,207 bytes).
+const maxBodyBytes = 1 << 20
+
 // New returns a crawler for the given targets (advertised + baseline app
-// packages).
+// packages) that fetches over pooled TCP connections.
 func New(baseURL string, targets []string) *Crawler {
+	c := NewWithTransport(baseURL, targets, &http.Transport{MaxIdleConnsPerHost: inFlight, MaxConnsPerHost: inFlight})
+	c.client.Timeout = 10 * time.Second
+	return c
+}
+
+// NewWithTransport returns a crawler that fetches over rt, such as an
+// in-process transport serving the store's handler.
+func NewWithTransport(baseURL string, targets []string, rt http.RoundTripper) *Crawler {
 	return &Crawler{
 		BaseURL:   baseURL,
 		EveryDays: 2,
-		client: &http.Client{
-			Transport: &http.Transport{MaxIdleConnsPerHost: inFlight, MaxConnsPerHost: inFlight},
-			Timeout:   10 * time.Second,
-		},
-		targets: append([]string(nil), targets...),
-		data:    newDataset(),
+		client:    &http.Client{Transport: rt},
+		targets:   append([]string(nil), targets...),
+		data:      newDataset(),
 	}
 }
 
@@ -158,7 +169,7 @@ func (c *Crawler) DownloadAPK(pkg string) (apk.APK, error) {
 	if resp.StatusCode != http.StatusOK {
 		return apk.APK{}, fmt.Errorf("crawler: apk %s: status %d", pkg, resp.StatusCode)
 	}
-	blob, err := io.ReadAll(resp.Body)
+	blob, err := readAtMost(resp.Body, maxBodyBytes)
 	if err != nil {
 		return apk.APK{}, fmt.Errorf("crawler: apk %s: %w", pkg, err)
 	}
@@ -174,7 +185,20 @@ func (c *Crawler) getJSON(url string, v any) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("status %d for %s", resp.StatusCode, url)
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	doc, err := readAtMost(resp.Body, maxBodyBytes)
+	if err != nil {
+		return fmt.Errorf("%s: %w", url, err)
+	}
+	return json.Unmarshal(doc, v)
+}
+
+// readAtMost reads r to its end, failing once it passes max bytes.
+func readAtMost(r io.Reader, max int) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, int64(max)+1))
+	if err == nil && len(b) > max {
+		err = fmt.Errorf("body over %d bytes", max)
+	}
+	return b, err
 }
 
 // Dataset returns the accumulated observations.

@@ -1,6 +1,8 @@
 package crawler
 
 import (
+	"bytes"
+	"io"
 	"net/http"
 	"reflect"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/dates"
+	"repro/internal/httpmem"
 	"repro/internal/playstore"
 	"repro/internal/randx"
 )
@@ -150,5 +153,109 @@ func BenchmarkCrawlNow(b *testing.B) {
 		if err := c.CrawlNow(dates.StudyStart); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCrawlerRefusesOversizedBody pads the store's answers past the
+// bound: a crawl fails and commits nothing, and so does an APK download,
+// while a chart padded to exactly the bound still decodes.
+func TestCrawlerRefusesOversizedBody(t *testing.T) {
+	var pad atomic.Int64
+	f := newFixtureWith(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			n := int(pad.Load())
+			if n == 0 || r.URL.Path == "/apps/app.growing" || r.URL.Path == "/apps/app.static" {
+				next.ServeHTTP(w, r)
+				return
+			}
+			if strings.HasPrefix(r.URL.Path, "/apks/") {
+				w.Write(bytes.Repeat([]byte{0}, n))
+				return
+			}
+			doc := `{"chart":"x","day":0,"entries":[]}`
+			w.Write([]byte(doc + strings.Repeat(" ", n-len(doc))))
+		})
+	})
+	d0 := dates.StudyStart
+	f.store.StepDay(d0)
+	pad.Store(maxBodyBytes + 1)
+	if err := f.crawl.CrawlNow(d0); err == nil || !strings.Contains(err.Error(), "over") {
+		t.Errorf("crawl of an oversized chart: err %v, want a size error", err)
+	}
+	if days := f.crawl.Dataset().Days(); len(days) != 0 {
+		t.Errorf("failed crawl recorded days %v", days)
+	}
+	if _, err := f.crawl.DownloadAPK("app.growing"); err == nil || !strings.Contains(err.Error(), "over") {
+		t.Errorf("oversized APK: err %v, want a size error", err)
+	}
+	pad.Store(maxBodyBytes)
+	if err := f.crawl.CrawlNow(d0); err != nil {
+		t.Errorf("chart at the bound: %v", err)
+	}
+
+	// Of a body far over the bound the crawler reads at most one byte
+	// past it.
+	body := &countingBody{n: 16 * maxBodyBytes}
+	c := NewWithTransport("http://store.invalid", nil, roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: body, Request: r}, nil
+	}))
+	if _, err := c.DownloadAPK("app.growing"); err == nil || body.read > maxBodyBytes+1 {
+		t.Errorf("APK far over the bound: err %v after reading %d bytes, want an error after at most %d", err, body.read, maxBodyBytes+1)
+	}
+}
+
+// countingBody is a response body of n bytes that counts what is read
+// from it.
+type countingBody struct {
+	n, read int
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	if b.read >= b.n {
+		return 0, io.EOF
+	}
+	k := min(len(p), b.n-b.read)
+	b.read += k
+	return k, nil
+}
+
+func (b *countingBody) Close() error { return nil }
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestInProcessCrawlMatchesLoopback crawls the same store over loopback
+// TCP and in-process: the datasets must agree.
+func TestInProcessCrawlMatchesLoopback(t *testing.T) {
+	f := newFixture(t)
+	var tr httpmem.Transport
+	mem := NewWithTransport(tr.Serve(f.srv.Config.Handler), []string{"app.growing", "app.static"}, &tr)
+	for i := 0; i < 6; i++ {
+		day := dates.StudyStart.AddDays(i)
+		for j := 0; j < 40; j++ {
+			if err := f.store.RecordInstall("app.growing", playstore.Install{Day: day, Source: playstore.SourceReferral}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.store.StepDay(day)
+		for _, c := range []*Crawler{f.crawl, mem} {
+			if err := c.MaybeCrawl(day); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, want := mem.Dataset(), f.crawl.Dataset()
+	if len(want.days) == 0 || !reflect.DeepEqual(got.profiles, want.profiles) || !reflect.DeepEqual(got.bins, want.bins) ||
+		!reflect.DeepEqual(got.charts, want.charts) || !reflect.DeepEqual(got.days, want.days) {
+		t.Error("in-process crawl differs from the loopback one")
+	}
+	a, err := mem.DownloadAPK("app.growing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := f.crawl.DownloadAPK("app.growing")
+	if err != nil || !reflect.DeepEqual(a, b) {
+		t.Errorf("in-process APK differs: %v", err)
 	}
 }

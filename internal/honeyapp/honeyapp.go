@@ -9,6 +9,7 @@ package honeyapp
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -74,10 +75,20 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxUploadBytes bounds one telemetry upload. The largest real event, a
+// device listing its installed apps (at most 37), is 1,354 bytes on the
+// 6,000-device 121-day study; a larger body is refused with 413.
+const maxUploadBytes = 1 << 16
+
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var ev Event
-	if err := json.NewDecoder(r.Body).Decode(&ev); err != nil {
-		http.Error(w, "bad event", http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes)).Decode(&ev); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad event", code)
 		return
 	}
 	if ev.InstallID == "" || (ev.Kind != KindOpen && ev.Kind != KindRecordClick) {

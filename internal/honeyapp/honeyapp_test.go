@@ -147,3 +147,29 @@ func TestNoHardwareIdentifierFields(t *testing.T) {
 func jsonMarshal(ev Event) ([]byte, error) {
 	return json.Marshal(ev)
 }
+
+func TestOversizedUploadRefused(t *testing.T) {
+	s := NewServer()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	post := func(installID string) int {
+		t.Helper()
+		body := `{"install_id":"` + installID + `","kind":"open"}`
+		resp, err := http.Post(srv.URL+"/v1/telemetry", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	overhead := len(`{"install_id":"","kind":"open"}`)
+	if code := post(strings.Repeat("x", maxUploadBytes+1-overhead)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("upload one byte over the bound: status %d, want 413", code)
+	}
+	if n := s.NumEvents(); n != 0 {
+		t.Errorf("oversized upload stored %d events", n)
+	}
+	if code := post(strings.Repeat("x", maxUploadBytes-overhead)); code != http.StatusNoContent {
+		t.Errorf("upload at the bound: status %d, want 204", code)
+	}
+}

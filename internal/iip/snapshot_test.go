@@ -1,6 +1,7 @@
 package iip
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/dates"
@@ -95,4 +96,62 @@ func TestPlatformSnapshotRecreatesMissingState(t *testing.T) {
 	if err := p.RestoreSnapshot(snap[:len(snap)-1]); err == nil {
 		t.Error("truncated snapshot must be rejected")
 	}
+}
+
+// FuzzPlatformRestoreSnapshot feeds RestoreSnapshot mangled snapshots,
+// onto a platform that never saw the state and onto one that did. It must
+// never panic, and whatever is accepted must re-encode to bytes that
+// restore, on a fresh platform, to the same encoding.
+func FuzzPlatformRestoreSnapshot(f *testing.F) {
+	p := &Platform{Name: "fuzziip", FeeFraction: 0.3, AffiliateFraction: 0.3, PacePerHour: 100}
+	for _, dev := range []string{"dev", "vetted"} {
+		if err := p.RegisterDeveloper(dev, Documentation{TaxID: "T-" + dev, BankAccount: "B-" + dev}); err != nil {
+			f.Fatal(err)
+		}
+		if err := p.Deposit(dev, 1000); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for i, spec := range []CampaignSpec{
+		{Developer: "dev", AppPackage: "com.x", Description: "Install and Open", Type: offers.NoActivity, UserPayoutUSD: 0.06, Target: 3},
+		{Developer: "vetted", AppPackage: "com.y", Description: "Reach level 10", Type: offers.Usage, UserPayoutUSD: 0.5, Target: 40, Countries: []string{"USA", "India"}},
+	} {
+		spec.Window = dates.Range{Start: dates.Date(i), End: dates.Date(100 + i)}
+		c, err := p.LaunchCampaign(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for j := 0; j < 3; j++ {
+			if _, err := p.RecordCompletion(c.OfferID, dates.Date(10+j)); err != nil {
+				f.Fatal(err)
+			}
+		}
+		c.Stopped = i == 0
+	}
+	snap := p.EncodeSnapshot()
+	if fresh := (&Platform{Name: "fresh"}); fresh.RestoreSnapshot(snap) != nil || !bytes.Equal(fresh.EncodeSnapshot(), snap) {
+		f.Fatal("a real snapshot does not restore to itself")
+	}
+	f.Add(snap)
+	f.Add((&Platform{Name: "empty"}).EncodeSnapshot())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		built := &Platform{Name: "fuzziip"}
+		if err := built.RestoreSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		for _, target := range []*Platform{{Name: "fresh"}, built} {
+			if err := target.RestoreSnapshot(data); err != nil {
+				continue
+			}
+			enc := target.EncodeSnapshot()
+			again := &Platform{Name: "again"}
+			if err := again.RestoreSnapshot(enc); err != nil {
+				t.Fatalf("re-encoded snapshot does not restore: %v", err)
+			}
+			if !bytes.Equal(again.EncodeSnapshot(), enc) {
+				t.Fatal("re-encoding is not a fixed point")
+			}
+		}
+	})
 }

@@ -47,7 +47,7 @@ type Milker struct {
 
 	proxy *Proxy
 	// client routes through the proxy; one per milker, reused across
-	// milking runs for connection pooling.
+	// milking runs (over TCP, for connection pooling).
 	client *http.Client
 
 	mu      sync.Mutex
@@ -59,32 +59,49 @@ type Milker struct {
 	milkDays []dates.Date
 }
 
-// NewMilker assembles the infrastructure. Call Close when done.
+// NewMilker assembles the infrastructure over loopback TCP: the proxy
+// listens on a port, and both it and the phone's client keep pooled
+// connections. Call Close when done.
 func NewMilker(affiliates []*affiliate.App, endpoints map[string]string) (*Milker, error) {
+	proxy := NewProxy()
+	if _, err := proxy.Start(); err != nil {
+		return nil, err
+	}
+	return newMilker(affiliates, endpoints, proxy, proxy.Client()), nil
+}
+
+// NewMilkerWithTransport assembles the infrastructure without sockets:
+// the phone's client sends through the proxy in-process, and the proxy
+// forwards each wall request over upstream, which serves the endpoints.
+// The proxy records the same exchanges as NewMilker's.
+func NewMilkerWithTransport(affiliates []*affiliate.App, endpoints map[string]string, upstream http.RoundTripper) *Milker {
+	proxy := &Proxy{outbound: upstream}
+	return newMilker(affiliates, endpoints, proxy, &http.Client{Transport: proxy})
+}
+
+func newMilker(affiliates []*affiliate.App, endpoints map[string]string, proxy *Proxy, client *http.Client) *Milker {
 	m := &Milker{
 		Affiliates: affiliates,
 		Endpoints:  endpoints,
 		Countries:  append([]string(nil), textgen.MilkerCountries...),
-		proxy:      NewProxy(),
+		proxy:      proxy,
+		client:     client,
 		dataset:    map[string]*offers.Offer{},
 		rates:      map[string]float64{},
 	}
 	for _, a := range affiliates {
 		m.rates[a.Package] = a.PointsPerUSD
 	}
-	if _, err := m.proxy.Start(); err != nil {
-		return nil, err
-	}
-	m.client = m.proxy.Client()
-	return m, nil
+	return m
 }
 
-// Close tears down the proxy.
+// Close tears down the proxy's listener, if it has one.
 func (m *Milker) Close() error { return m.proxy.Stop() }
 
-// inFlight bounds the wall loads a milking pass keeps in flight. The
-// proxy's transports hold at most that many connections per host, all
-// kept idle between requests, so a pass dials each connection once.
+// inFlight bounds the wall loads a milking pass keeps in flight. Over
+// TCP, the proxy's transports hold at most that many connections per
+// host, all kept idle between requests, so a pass dials each connection
+// once.
 const inFlight = 8
 
 // load is one fuzzer stimulus: an affiliate tab opened from a vantage

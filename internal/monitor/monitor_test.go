@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/affiliate"
 	"repro/internal/dates"
+	"repro/internal/httpmem"
 	"repro/internal/iip"
 	"repro/internal/offers"
 )
@@ -21,6 +22,10 @@ type wallFixture struct {
 	fyber *iip.Platform
 	ayet  *iip.Platform
 	milk  *Milker
+	// insts are the milked affiliates; walls holds each IIP's wall
+	// handler.
+	insts []*affiliate.App
+	walls map[string]http.Handler
 	// conns counts the connections each wall server (Fyber, ayeT)
 	// accepted.
 	conns [2]atomic.Int64
@@ -78,12 +83,13 @@ func newWallFixtureWith(t testing.TB, opts wallOptions) *wallFixture {
 	for _, a := range apps {
 		rates[a.Package] = a.PointsPerUSD
 	}
-	f := &wallFixture{fyber: fyber, ayet: ayet}
+	f := &wallFixture{fyber: fyber, ayet: ayet, walls: map[string]http.Handler{}}
 	serve := func(p *iip.Platform, conns *atomic.Int64) *httptest.Server {
 		h := iip.NewServer(p, rates).Handler()
 		if opts.wrap != nil {
 			h = opts.wrap(h)
 		}
+		f.walls[p.Name] = h
 		srv := httptest.NewUnstartedServer(h)
 		srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
 			if state == http.StateNew {
@@ -113,6 +119,7 @@ func newWallFixtureWith(t testing.TB, opts wallOptions) *wallFixture {
 	if len(insts) == 0 {
 		t.Fatal("no affiliates usable in fixture")
 	}
+	f.insts = insts
 	milk, err := NewMilker(insts, map[string]string{
 		iip.Fyber:       fyberSrv.URL,
 		iip.AyetStudios: ayetSrv.URL,
@@ -123,6 +130,18 @@ func newWallFixtureWith(t testing.TB, opts wallOptions) *wallFixture {
 	t.Cleanup(func() { milk.Close() })
 	f.milk = milk
 	return f
+}
+
+// inProcess returns a second milker of the fixture's affiliates that
+// reaches the same wall handlers without sockets, through an in-process
+// proxy.
+func (f *wallFixture) inProcess() *Milker {
+	var tr httpmem.Transport
+	urls := map[string]string{}
+	for name, h := range f.walls {
+		urls[name] = tr.Serve(h)
+	}
+	return NewMilkerWithTransport(f.insts, urls, &tr)
 }
 
 func TestProxyRecordsTraffic(t *testing.T) {

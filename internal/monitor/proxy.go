@@ -9,6 +9,11 @@
 // simulated walls speak plain HTTP, so the proxy here records forwarded
 // requests directly — the architecture (stimulus generation decoupled from
 // traffic interception) is identical.
+//
+// The proxy runs on a loopback listener (NewMilker, cmd/milker) or
+// in-process, as the phone's http.RoundTripper (NewMilkerWithTransport,
+// used by a study that owns its walls). Either way it forwards every
+// absolute-URI request upstream and records the same exchange.
 package monitor
 
 import (
@@ -19,6 +24,8 @@ import (
 	"net/url"
 	"sync"
 	"time"
+
+	"repro/internal/httpmem"
 )
 
 // Record is one intercepted request/response pair.
@@ -36,13 +43,20 @@ type Proxy struct {
 
 	server   *http.Server
 	listener net.Listener
-	outbound *http.Transport
+	outbound http.RoundTripper
 }
 
-// NewProxy returns an unstarted proxy.
+// NewProxy returns an unstarted proxy that forwards over pooled TCP
+// connections.
 func NewProxy() *Proxy {
 	return &Proxy{outbound: &http.Transport{MaxIdleConnsPerHost: inFlight, MaxConnsPerHost: inFlight}}
 }
+
+// maxBodyBytes bounds an upstream response body the proxy reads. The
+// largest real one is a full ten-offer wall page: 2,452 bytes on the
+// 6,000-device 121-day study, 2,601 on the default world. Past the bound
+// the proxy answers 502.
+const maxBodyBytes = 1 << 16
 
 // Start binds the proxy to a loopback port. Call Stop when done.
 func (p *Proxy) Start() (addr string, err error) {
@@ -78,6 +92,14 @@ func (p *Proxy) Client() *http.Client {
 	}
 }
 
+// RoundTrip passes one request through the proxy without a socket: the
+// phone's network stack when the proxy runs in-process. The request and
+// the proxy's answer are exactly what a client of the listener would
+// send and receive.
+func (p *Proxy) RoundTrip(r *http.Request) (*http.Response, error) {
+	return httpmem.Do(http.HandlerFunc(p.serve), r), nil
+}
+
 // serve handles one proxied request: forward upstream, record, relay back.
 func (p *Proxy) serve(w http.ResponseWriter, r *http.Request) {
 	if !r.URL.IsAbs() {
@@ -96,7 +118,10 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	if err == nil && len(body) > maxBodyBytes {
+		err = fmt.Errorf("monitor: upstream body over %d bytes", maxBodyBytes)
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return

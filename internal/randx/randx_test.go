@@ -1,6 +1,7 @@
 package randx
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -222,4 +223,49 @@ func TestMarshalStateResumesSequence(t *testing.T) {
 	if _, err := bare.MarshalState(); err == nil {
 		t.Error("MarshalState on a source-less Rand must fail")
 	}
+}
+
+// FuzzRandUnmarshalState feeds UnmarshalState mangled stream states. A
+// rejected state must leave the stream where it was; an accepted one must
+// re-encode to bytes that restore another stream to the same encoding
+// and the same draws.
+func FuzzRandUnmarshalState(f *testing.F) {
+	r := Derive(7, "fuzz")
+	for i := 0; i < 5; i++ {
+		r.Uint64()
+	}
+	state, err := r.MarshalState()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if fresh := New(3); fresh.UnmarshalState(state) != nil || fresh.Uint64() != r.Uint64() {
+		f.Fatal("a real state does not resume its stream")
+	}
+	f.Add(state)
+	f.Add([]byte("pcg:"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := New(1)
+		before, _ := r.MarshalState()
+		if err := r.UnmarshalState(data); err != nil {
+			if after, _ := r.MarshalState(); !bytes.Equal(after, before) {
+				t.Fatalf("rejected state %x moved the stream", data)
+			}
+			return
+		}
+		enc, err := r.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := New(2)
+		if err := again.UnmarshalState(enc); err != nil {
+			t.Fatalf("re-encoded state does not restore: %v", err)
+		}
+		if got, _ := again.MarshalState(); !bytes.Equal(got, enc) {
+			t.Fatalf("re-encoding %x is not a fixed point: %x", enc, got)
+		}
+		if a, b := r.Uint64(), again.Uint64(); a != b {
+			t.Fatalf("restored streams diverge: %d vs %d", a, b)
+		}
+	})
 }
