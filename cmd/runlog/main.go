@@ -167,7 +167,6 @@ func stats(args []string) {
 	// buckets retracted at the population cap, pairs pruned) prints
 	// without a second pass.
 	det := lockstep.NewDetector(lockstep.DefaultConfig())
-	var curDay dates.Date
 	var installs int64
 
 	var ev stream.Event
@@ -186,18 +185,11 @@ func stats(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		switch ev.Kind {
-		case stream.KindDayStart:
-			curDay = ev.Day
-		case stream.KindInstall:
+		for in := range ev.Installs(r.Day()) {
 			installs++
-			det.Ingest(ev.Device, ev.Pkg, curDay)
-		case stream.KindInstallBatch:
-			for _, dev := range ev.Devices {
-				installs++
-				det.Ingest(dev, ev.Pkg, curDay)
-			}
-		case stream.KindDayEnd:
+			det.Ingest(in.Device, in.App, in.Day)
+		}
+		if ev.Kind == stream.KindDayEnd {
 			days++
 			last = ev
 			last.Entries, last.Devices = nil, nil

@@ -42,7 +42,6 @@ func main() {
 	det := lockstep.NewDetector(lockstep.DefaultConfig())
 	var (
 		ev       stream.Event
-		curDay   dates.Date
 		installs int
 		flagged  = map[string]bool{}
 	)
@@ -53,17 +52,9 @@ func main() {
 			if !ok {
 				return
 			}
-			switch ev.Kind {
-			case stream.KindDayStart:
-				curDay = ev.Day
-			case stream.KindInstall:
-				det.Ingest(ev.Device, ev.Pkg, curDay)
+			for in := range ev.Installs(tail.Day()) {
+				det.Ingest(in.Device, in.App, in.Day)
 				installs++
-			case stream.KindInstallBatch:
-				for _, dev := range ev.Devices {
-					det.Ingest(dev, ev.Pkg, curDay)
-					installs++
-				}
 			}
 		}
 	}

@@ -114,6 +114,18 @@ func (b *TxBuffer) Post(from, to string, amount float64, memo string) error {
 	return nil
 }
 
+// PostAll validates and buffers transfers in order; on a rejected one
+// nothing is buffered.
+func (b *TxBuffer) PostAll(txs []Tx) error {
+	for _, tx := range txs {
+		if err := validateTx(tx.From, tx.To, tx.Amount); err != nil {
+			return err
+		}
+	}
+	b.txs = append(b.txs, txs...)
+	return nil
+}
+
 // Len returns how many transfers are buffered.
 func (b *TxBuffer) Len() int { return len(b.txs) }
 
@@ -129,6 +141,41 @@ func (b *TxBuffer) FlushTo(l *Ledger) error {
 	}
 	b.txs = b.txs[:0]
 	return nil
+}
+
+// Settlement is the money of one settled delivery: N certified
+// completions of an offer, paid along Figure 1's flow between five ledger
+// accounts. A batch settlement posts under plural memos.
+type Settlement struct {
+	Developer, IIP, Affiliate, User, Mediator string
+
+	N                                       int64
+	Batch                                   bool
+	Gross, AffiliateCut, UserPayout, FeePer float64
+}
+
+var (
+	settleMemos      = [4]string{"offer completion", "affiliate share", "reward redemption", "attribution fee"}
+	batchSettleMemos = [4]string{"offer completions (batch)", "affiliate share (batch)", "reward redemptions (batch)", "attribution fees (batch)"}
+)
+
+// Legs returns the settlement's four ledger transfers in posting order:
+// the developer pays the IIP the gross, the IIP passes the affiliate its
+// cut plus the users' payout, the affiliate redeems the payout to the
+// user, and the developer pays the mediator FeePer per completion. The
+// live engine and replay both post these, so the amounts agree to the
+// bit.
+func (s Settlement) Legs() [4]Tx {
+	memo := &settleMemos
+	if s.Batch {
+		memo = &batchSettleMemos
+	}
+	return [4]Tx{
+		{From: s.Developer, To: s.IIP, Amount: s.Gross, Memo: memo[0]},
+		{From: s.IIP, To: s.Affiliate, Amount: s.AffiliateCut + s.UserPayout, Memo: memo[1]},
+		{From: s.Affiliate, To: s.User, Amount: s.UserPayout, Memo: memo[2]},
+		{From: s.Developer, To: s.Mediator, Amount: s.FeePer * float64(s.N), Memo: memo[3]},
+	}
 }
 
 // Balance returns an account's balance (0 for unknown accounts).

@@ -137,3 +137,58 @@ func FuzzLedgerRestoreSnapshot(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMediatorRestoreSnapshot feeds RestoreSnapshot mangled snapshots;
+// replay decodes this blob from a run log's base frame. It must never
+// panic, and whatever is accepted must re-encode to a fixed point of
+// restore and encode. The seed is a real snapshot (clicks on two offers,
+// a certified postback), which must restore to itself.
+func FuzzMediatorRestoreSnapshot(f *testing.F) {
+	m := New("fuzz")
+	m.RegisterOffer("offer-1", offers.NoActivity)
+	m.RegisterOffer("offer-2", offers.Usage)
+	for _, id := range []string{"offer-1", "offer-2"} {
+		s, err := m.Session(id)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			s.TrackClick("w", 10)
+		}
+		if id == "offer-1" {
+			if ok, err := s.Postback(s.TrackClick("w", 10), EventOpen); err != nil || !ok {
+				f.Fatalf("postback = (%v, %v)", ok, err)
+			}
+		}
+		s.SyncTo(m)
+	}
+	snap := m.EncodeSnapshot()
+	restored := New("fuzz")
+	if err := restored.RestoreSnapshot(snap); err != nil {
+		f.Fatal(err)
+	}
+	if !bytes.Equal(restored.EncodeSnapshot(), snap) {
+		f.Fatal("a real snapshot does not restore to itself")
+	}
+	f.Add(snap)
+	f.Add(New("fuzz").EncodeSnapshot())
+	f.Add([]byte{mediatorSnapshotVersion, 2, 2, 1, 'a', 4, 1, 'a', 6})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := New("fuzz")
+		if err := m.RestoreSnapshot(data); err != nil {
+			return
+		}
+		enc := m.EncodeSnapshot()
+		again := New("fuzz")
+		if err := again.RestoreSnapshot(enc); err != nil {
+			t.Fatalf("re-encoded snapshot does not restore: %v", err)
+		}
+		if !bytes.Equal(again.EncodeSnapshot(), enc) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+		if again.Certified() != m.Certified() {
+			t.Fatalf("certified %d, %d after re-encoding", m.Certified(), again.Certified())
+		}
+	})
+}

@@ -177,7 +177,7 @@ func (l *InstallLog) CheckpointView() stream.Installs {
 			if i == n {
 				return
 			}
-			if !yield(stream.Install{Device: rec.Device, App: rec.App, Day: rec.Day}, nil) {
+			if !yield(rec, nil) {
 				return
 			}
 			i++
@@ -339,17 +339,13 @@ func (l *InstallLog) iterSpill(yield func(InstallRecord) bool) bool {
 		return true
 	}
 	var ev stream.Event
-	var day dates.Date
 	for n := 0; n < l.spilled; {
 		if err := r.Next(&ev); err != nil {
 			l.err = fmt.Errorf("sim: reading install-log spill: %w", err)
 			return true
 		}
-		switch ev.Kind {
-		case stream.KindDayStart:
-			day = ev.Day
-		case stream.KindInstall:
-			if !yield(InstallRecord{Device: ev.Device, App: ev.Pkg, Day: day}) {
+		for rec := range ev.Installs(r.Day()) {
+			if !yield(rec) {
 				return false
 			}
 			n++

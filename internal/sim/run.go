@@ -393,17 +393,12 @@ func (w *World) deliverBatch(u *campUnit, day dates.Date, n int, sink *unitSink)
 	// sink at the day barrier.
 	sink.certified += int64(settled)
 	aff, affRef := u.pickAffiliateAccount(u.r)
-	fee := w.Mediator.FeePerUser * float64(settled)
-	if err := sink.txs.Post(u.devAcct, u.iipAcct, disb.Gross, "offer completions (batch)"); err != nil {
-		return 0, err
-	}
-	if err := sink.txs.Post(u.iipAcct, aff, disb.AffiliateCut+disb.UserPayout, "affiliate share (batch)"); err != nil {
-		return 0, err
-	}
-	if err := sink.txs.Post(aff, u.poolAcct, disb.UserPayout, "reward redemptions (batch)"); err != nil {
-		return 0, err
-	}
-	if err := sink.txs.Post(u.devAcct, w.medAcct, fee, "attribution fees (batch)"); err != nil {
+	legs := mediator.Settlement{
+		Developer: u.devAcct, IIP: u.iipAcct, Affiliate: aff, User: u.poolAcct, Mediator: w.medAcct,
+		N: int64(settled), Batch: true,
+		Gross: disb.Gross, AffiliateCut: disb.AffiliateCut, UserPayout: disb.UserPayout, FeePer: w.Mediator.FeePerUser,
+	}.Legs()
+	if err := sink.txs.PostAll(legs[:]); err != nil {
 		return 0, err
 	}
 	if sink.enc != nil {
@@ -557,16 +552,12 @@ func (w *World) deliverOne(u *campUnit, day dates.Date, sink *unitSink) (bool, e
 		return false, nil
 	}
 	aff, affRef := u.pickAffiliateAccount(u.r)
-	if err := sink.txs.Post(u.devAcct, u.iipAcct, disb.Gross, "offer completion"); err != nil {
-		return false, err
-	}
-	if err := sink.txs.Post(u.iipAcct, aff, disb.AffiliateCut+disb.UserPayout, "affiliate share"); err != nil {
-		return false, err
-	}
-	if err := sink.txs.Post(aff, u.poolAccts[wi], disb.UserPayout, "reward redemption"); err != nil {
-		return false, err
-	}
-	if err := sink.txs.Post(u.devAcct, w.medAcct, w.Mediator.FeePerUser, "attribution fee"); err != nil {
+	legs := mediator.Settlement{
+		Developer: u.devAcct, IIP: u.iipAcct, Affiliate: aff, User: u.poolAccts[wi], Mediator: w.medAcct,
+		N:     1,
+		Gross: disb.Gross, AffiliateCut: disb.AffiliateCut, UserPayout: disb.UserPayout, FeePer: w.Mediator.FeePerUser,
+	}.Legs()
+	if err := sink.txs.PostAll(legs[:]); err != nil {
 		return false, err
 	}
 	if sink.enc != nil {

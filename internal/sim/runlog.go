@@ -171,7 +171,7 @@ func (w *World) Restore(cp *stream.Checkpoint) error {
 		if err != nil {
 			return fmt.Errorf("sim: restoring install log: %w", err)
 		}
-		w.InstallLog.Append(InstallRecord{Device: in.Device, App: in.App, Day: in.Day})
+		w.InstallLog.Append(in)
 	}
 	w.restored = cp
 	return nil

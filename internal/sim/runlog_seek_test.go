@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"testing"
 
@@ -258,5 +259,65 @@ func TestCompactMatchesLiveSegmentation(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), live) {
 		t.Fatalf("compacted log (%d bytes) differs from live segmented log (%d bytes)", out.Len(), len(live))
+	}
+}
+
+// TestHistogramAccountsEveryByte checks stream.Histogram on a real
+// segmented tiny-world log: its payload, framing and CRC bytes add up to
+// the file past the magic, and its per-kind frame and record counts are
+// the events a Reader yields, plus the one header, the one base, the
+// segment index frames and the event batches the Reader steps through.
+func TestHistogramAccountsEveryByte(t *testing.T) {
+	cfg := TinyConfig()
+	cfg.Workers = 2
+	data, _, _ := loggedRunSeg(t, cfg, RunOptions{}, 64<<10)
+	rows, scanned, err := stream.Histogram(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scanned != int64(len(data)) {
+		t.Fatalf("histogram stopped at byte %d of %d", scanned, len(data))
+	}
+	units := map[stream.Kind]int64{}
+	var total int64
+	for _, s := range rows {
+		total += s.PayloadBytes + s.FramingBytes + s.CRCBytes
+		units[s.Kind] = s.Frames + s.Records
+		if s.Kind == stream.KindEventBatch && s.Records != 0 {
+			t.Errorf("%d records counted as event batches", s.Records)
+		}
+	}
+	if want := int64(len(data) - len(stream.Magic)); total != want {
+		t.Fatalf("rows account for %d bytes, file past the magic is %d", total, want)
+	}
+
+	r, err := stream.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := map[stream.Kind]int64{}
+	var ev stream.Event
+	for {
+		if err := r.Next(&ev); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		events[ev.Kind]++
+	}
+	idx, err := stream.ScanIndex(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.Segments) < 2 || units[stream.KindEventBatch] == 0 {
+		t.Fatalf("%d segments, %d event batches: the log does not exercise both", len(idx.Segments), units[stream.KindEventBatch])
+	}
+	events[stream.KindHeader], events[stream.KindBase] = 1, 1
+	events[stream.KindSegment] = int64(len(idx.Segments) - 1)
+	events[stream.KindEventBatch] = units[stream.KindEventBatch]
+	for k := stream.Kind(0); k <= stream.KindSegment; k++ {
+		if units[k] != events[k] {
+			t.Errorf("%s: histogram counts %d frames and records, the log holds %d", k, units[k], events[k])
+		}
 	}
 }

@@ -49,12 +49,9 @@ func (a *AdvertisedApp) OnUnvetted() bool {
 	return false
 }
 
-// InstallRecord is one device-resolved install observation.
-type InstallRecord struct {
-	Device string
-	App    string
-	Day    dates.Date
-}
+// InstallRecord is one device-resolved install observation, the record
+// the run log, its checkpoints and replay carry too.
+type InstallRecord = stream.Install
 
 // PlannedCampaign couples a launched IIP campaign with its delivery model.
 type PlannedCampaign struct {

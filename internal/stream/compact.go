@@ -32,6 +32,7 @@ func Compact(r io.Reader, out io.Writer, segmentBytes int64) (*CompactStats, err
 	if err != nil {
 		return nil, err
 	}
+	lr.c.checkDays = true
 	hdr := lr.Header()
 	hdr.Version = Version
 	base := lr.Base()
@@ -113,7 +114,7 @@ func Compact(r io.Reader, out io.Writer, segmentBytes int64) (*CompactStats, err
 				prevDay = ev.Day
 			}
 		}
-		if err := st.apply(&ev); err != nil {
+		if err := st.apply(&ev, lr.Day()); err != nil {
 			return nil, err
 		}
 	}

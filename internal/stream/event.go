@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"iter"
 
 	"repro/internal/binenc"
 	"repro/internal/dates"
@@ -221,6 +222,24 @@ type Event struct {
 	CumIncent    int64   // DayEnd: cumulative incentivized installs
 	CumCertified int64   // DayEnd: cumulative certified completions
 	CumRevenue   float64 // DayEnd: cumulative organic revenue (bit-exact)
+}
+
+// Installs ranges over the device-resolved installs ev carries, dated day
+// (a reader's Day): one for an install event, one per device of an
+// install batch, none for any other kind.
+func (ev *Event) Installs(day dates.Date) iter.Seq[Install] {
+	return func(yield func(Install) bool) {
+		switch ev.Kind {
+		case KindInstall:
+			yield(Install{Device: ev.Device, App: ev.Pkg, Day: day})
+		case KindInstallBatch:
+			for _, dev := range ev.Devices {
+				if !yield(Install{Device: dev, App: ev.Pkg, Day: day}) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Encoder appends complete frames to an in-memory buffer. Each engine work

@@ -7,12 +7,14 @@ import (
 	"io"
 
 	"repro/internal/binenc"
+	"repro/internal/dates"
 )
 
-// cursor is the frame walk Reader and Tail share: it parses the preamble
-// and then turns frames into events, unpacking event-batch frames one
-// sub-record per call. Incomplete input surfaces as io.EOF (nothing at the
-// next frame) or io.ErrUnexpectedEOF (a frame cut short).
+// cursor is the one walk over a run log's frames and batch records:
+// Reader, Tail, Replay, ScanValid and Histogram all read through it. It
+// parses the preamble, then steps through frames, unpacking event-batch
+// frames one sub-record per step. Incomplete input surfaces as io.EOF
+// (nothing at the next frame) or io.ErrUnexpectedEOF (a frame cut short).
 type cursor struct {
 	src    io.ReaderAt
 	frames binenc.FrameReader
@@ -26,6 +28,19 @@ type cursor struct {
 	// it is drained before the next frame read overwrites the buffer.
 	batch    []byte
 	batchOff int
+
+	// at and kind locate the frame or batch record last read or failed
+	// on: at is the start of its frame (a record's is its batch frame's),
+	// kind its kind byte (a record that does not parse reports the batch).
+	at   int64
+	kind Kind
+
+	// day is the day of the last day-start read, and inDay holds from a
+	// day-start to its day-end. With checkDays, next refuses an event
+	// that breaks that bracket (see dayBracketErr).
+	day       dates.Date
+	inDay     bool
+	checkDays bool
 }
 
 // frame reads and verifies the frame at off, returning the offset after it.
@@ -67,7 +82,8 @@ func (c *cursor) start() error {
 	if string(magic[:]) != Magic {
 		return ErrBadMagic
 	}
-	k, payload, next, err := c.frame(int64(len(Magic)))
+	c.off = int64(len(Magic))
+	k, payload, _, _, err := c.step()
 	if err != nil {
 		return fmt.Errorf("stream: reading header: %w", err)
 	}
@@ -78,7 +94,7 @@ func (c *cursor) start() error {
 	if err != nil {
 		return err
 	}
-	if k, payload, next, err = c.frame(next); err != nil {
+	if k, payload, _, _, err = c.step(); err != nil {
 		return fmt.Errorf("stream: reading base snapshot: %w", err)
 	}
 	if k != KindBase {
@@ -88,23 +104,55 @@ func (c *cursor) start() error {
 	if err != nil {
 		return err
 	}
-	c.hdr, c.base, c.off = hdr, base, next
+	c.hdr, c.base = hdr, base
 	return nil
 }
 
-// next decodes the next event into ev. Only frames go through here; the
-// records of a batch are a direct parse-and-decode loop.
+// openCursor starts a cursor over a log at rest, where a preamble the
+// input ends inside is malformed rather than not yet written.
+func openCursor(r io.ReaderAt) (*cursor, error) {
+	c := newCursor(r)
+	if err := c.start(); err != nil {
+		if incomplete(err) {
+			return nil, fmt.Errorf("%w: log preamble incomplete", ErrFrame)
+		}
+		return nil, err
+	}
+	return &c, nil
+}
+
+// step reads the next unit of the log without decoding it: the next
+// record of the event-batch frame being unpacked, else the next frame. A
+// batch frame is itself a unit, read before its records. size is the
+// unit's encoded length: header, payload and CRC for a frame; kind byte,
+// length prefix and payload for a record.
+func (c *cursor) step() (k Kind, payload []byte, size int64, record bool, err error) {
+	if c.batchOff < len(c.batch) {
+		k, payload, next, err := parseRecord(c.batch, c.batchOff)
+		if err != nil {
+			c.kind = KindEventBatch
+			return c.kind, nil, 0, true, err
+		}
+		size, c.batchOff, c.kind = int64(next-c.batchOff), next, k
+		return k, payload, size, true, nil
+	}
+	c.at = c.off
+	k, payload, next, err := c.frame(c.off)
+	if c.kind = k; err != nil {
+		return k, nil, 0, false, err
+	}
+	c.off = next
+	if k == KindEventBatch {
+		c.batch, c.batchOff = payload, 0
+	}
+	return k, payload, next - c.at, false, nil
+}
+
+// next decodes the next event into ev: it steps over segment index
+// frames and into event batches, and tracks the day bracket.
 func (c *cursor) next(ev *Event) error {
 	for {
-		if c.batchOff < len(c.batch) {
-			k, payload, next, err := parseRecord(c.batch, c.batchOff)
-			if err != nil {
-				return err
-			}
-			c.batchOff = next
-			return decodePayload(k, payload, ev, c.base.Devices, c.base.Strings)
-		}
-		k, payload, next, err := c.frame(c.off)
+		k, payload, _, _, err := c.step()
 		if err != nil {
 			return err
 		}
@@ -115,17 +163,48 @@ func (c *cursor) next(ev *Event) error {
 			if _, err := decodeSegment(payload); err != nil {
 				return err
 			}
+			continue
 		case KindEventBatch:
-			c.batch, c.batchOff = payload, 0
-		default:
-			if err := decodePayload(k, payload, ev, c.base.Devices, c.base.Strings); err != nil {
-				return err
-			}
-			c.off = next
-			return nil
+			continue // its records follow
 		}
-		c.off = next
+		if err := decodePayload(k, payload, ev, c.base.Devices, c.base.Strings); err != nil {
+			return err
+		}
+		day, inDay := c.day, c.inDay
+		switch k {
+		case KindDayStart:
+			c.day, c.inDay = ev.Day, true
+		case KindDayEnd:
+			c.inDay = false
+		}
+		if c.checkDays {
+			return dayBracketErr(ev, day, inDay)
+		}
+		return nil
 	}
+}
+
+// dayBracketErr reports how ev breaks the day structure the writer emits,
+// given the day the log was in before it: every event lies between a
+// day-start and the day-end of the same day, and days do not nest. Replay
+// and ScanValid hold a log to this one rule, so a prefix salvage keeps is
+// one replay accepts.
+func dayBracketErr(ev *Event, day dates.Date, inDay bool) error {
+	switch ev.Kind {
+	case KindDayStart:
+		if inDay {
+			return fmt.Errorf("%w: day %s started before %s ended", ErrFrame, ev.Day, day)
+		}
+	case KindDayEnd:
+		if !inDay || ev.Day != day {
+			return fmt.Errorf("%w: day-end for %s outside day", ErrFrame, ev.Day)
+		}
+	default:
+		if !inDay {
+			return fmt.Errorf("%w: %s event outside a day", ErrFrame, ev.Kind)
+		}
+	}
+	return nil
 }
 
 // Reader iterates a complete run log from an io.Reader, verifying every
@@ -193,3 +272,7 @@ func (r *Reader) Base() Base { return r.c.base }
 // Next decodes the next event into ev. It returns io.EOF at a clean end of
 // log and io.ErrUnexpectedEOF when the log stops mid-frame (a killed run).
 func (r *Reader) Next(ev *Event) error { return r.c.next(ev) }
+
+// Day returns the day of the last day-start read: for an event inside a
+// day, the day it belongs to.
+func (r *Reader) Day() dates.Date { return r.c.day }

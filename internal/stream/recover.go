@@ -55,140 +55,50 @@ func (ri RecoverInfo) Dropped() int64 { return ri.Size - ri.ValidEnd }
 // ScanIndex — which probes only frame headers and fails outright on a
 // torn tail — ScanValid is built for damaged input: it never trusts
 // bytes past the first corrupt or incomplete frame, so a salvage can
-// never resurrect data written after a fault. The error is non-nil only
-// when the preamble (magic, header, base snapshot) is unreadable, i.e.
-// nothing is salvageable.
+// never resurrect data written after a fault. Every payload must decode
+// against the log's own tables and every event must keep the day bracket
+// Replay requires: a frame whose CRC happens to check but whose content
+// could not have been written by a sane run is corruption, not salvage
+// material. The error is non-nil only when the preamble (magic, header,
+// base snapshot) is unreadable, i.e. nothing is salvageable.
 func ScanValid(r io.ReaderAt, size int64) (RecoverInfo, error) {
 	info := RecoverInfo{Size: size}
-	t := NewTail(r)
-	if err := t.start(); err != nil {
-		if c := asCorruption(int64(len(Magic)), 0, err); c != nil {
-			info.Corruption = c
+	c := newCursor(io.NewSectionReader(r, 0, size))
+	if err := c.start(); err != nil {
+		if incomplete(err) {
+			return info, fmt.Errorf("%w: log preamble incomplete", ErrFrame)
 		}
+		info.Corruption = asCorruption(int64(len(Magic)), 0, err)
 		return info, fmt.Errorf("stream: unsalvageable log (bad preamble): %w", err)
 	}
-	if !t.started {
-		return info, fmt.Errorf("%w: log preamble incomplete", ErrFrame)
-	}
-	// An intact preamble with no days yet salvages to the preamble end: a
-	// fresh run restarts from day one on a truncated-but-valid file.
-	info.ValidEnd, info.ScannedEnd = t.c.off, t.c.off
-	off := t.c.off
-	st := validScanState{info: &info, devices: t.c.base.Devices, strings: t.c.base.Strings}
-	for off < size {
-		k, payload, next, err := t.c.frame(off)
-		info.ScannedEnd = off
+	c.checkDays = true
+	// closed marks the cursor standing at a day boundary: the preamble
+	// end (a fresh run restarts from day one on it) or the end of a frame
+	// that closed a day. Whatever the next read skips before it delivers
+	// or fails — segment index frames, which a resumed writer with
+	// checkpointed segmentation state continues after, or an empty event
+	// batch — is whole and outside any day, so the prefix extends over it.
+	// A day counts once the frame that closes it ends at a boundary.
+	var ev Event
+	days, last := 0, dates.Date(0)
+	for closed := true; ; {
+		err := c.next(&ev)
+		if closed {
+			info.ValidEnd = c.at
+		}
 		if err != nil {
 			// A torn tail (the frame runs past the input) is no corruption.
-			info.Corruption = asCorruption(off, k, err)
+			info.ScannedEnd = c.at
+			info.Corruption = asCorruption(c.at, c.kind, err)
 			return info, nil
 		}
-		if c := st.frame(off, next, k, payload); c != nil {
-			info.Corruption = c
-			return info, nil
+		if ev.Kind == KindDayEnd {
+			days, last = days+1, ev.Day
 		}
-		off = next
-	}
-	info.ScannedEnd = off
-	return info, nil
-}
-
-// validScanState applies ScanValid's per-frame checks: every payload must
-// decode against the log's own tables, and the day structure must hold
-// (events only inside a day-start..day-end bracket, exactly as the
-// engine emits and Replay requires) — a frame whose CRC happens to check
-// but whose content could not have been written by a sane run is
-// corruption, not salvage material.
-type validScanState struct {
-	info    *RecoverInfo
-	devices []string
-	strings []string
-	ev      Event
-	day     dates.Date
-	inDay   bool
-	// sawDayEnd marks that the frame being checked closed a day; the
-	// valid prefix then extends to that frame's end.
-	sawDayEnd bool
-}
-
-func (st *validScanState) frame(off, next int64, k Kind, payload []byte) *FrameCorruption {
-	bad := func(err error) *FrameCorruption {
-		if c := asCorruption(off, k, err); c != nil {
-			return c
-		}
-		return &FrameCorruption{Offset: off, Kind: k, Err: err}
-	}
-	st.sawDayEnd = false
-	switch k {
-	case KindHeader, KindBase:
-		return bad(fmt.Errorf("%w: duplicate %s frame", ErrFrame, k))
-	case KindSegment:
-		if _, err := decodeSegment(payload); err != nil {
-			return bad(err)
-		}
-		// A segment index frame is written at the day barrier, right
-		// after the day-end frame: when it directly extends the valid
-		// prefix, keep it (a resumed writer with checkpointed
-		// segmentation state continues right after it).
-		if !st.inDay && off == st.info.ValidEnd {
-			st.info.ValidEnd = next
-		}
-		return nil
-	case KindEventBatch:
-		// The batch CRC was verified whole; decode every sub-record so a
-		// CRC-updated-but-garbage batch cannot be salvaged.
-		for ro := 0; ro < len(payload); {
-			rk, rp, rnext, err := parseRecord(payload, ro)
-			if err != nil {
-				return bad(err)
-			}
-			if c := st.record(off, rk, rp); c != nil {
-				return c
-			}
-			ro = rnext
-		}
-	default:
-		if c := st.record(off, k, payload); c != nil {
-			return c
+		if closed = ev.Kind == KindDayEnd && c.batchOff == len(c.batch); closed {
+			info.Days, info.LastDay = days, last
 		}
 	}
-	if st.sawDayEnd && !st.inDay {
-		st.info.ValidEnd = next
-	}
-	return nil
-}
-
-// record checks one event frame or batch sub-record.
-func (st *validScanState) record(off int64, k Kind, payload []byte) *FrameCorruption {
-	bad := func(err error) *FrameCorruption {
-		if c := asCorruption(off, k, err); c != nil {
-			return c
-		}
-		return &FrameCorruption{Offset: off, Kind: k, Err: err}
-	}
-	if err := decodePayload(k, payload, &st.ev, st.devices, st.strings); err != nil {
-		return bad(err)
-	}
-	switch k {
-	case KindDayStart:
-		if st.inDay {
-			return bad(fmt.Errorf("%w: day %s started before %s ended", ErrFrame, st.ev.Day, st.day))
-		}
-		st.day, st.inDay = st.ev.Day, true
-	case KindDayEnd:
-		if !st.inDay || st.ev.Day != st.day {
-			return bad(fmt.Errorf("%w: day-end for %s outside day", ErrFrame, st.ev.Day))
-		}
-		st.inDay = false
-		st.sawDayEnd = true
-		st.info.Days++
-		st.info.LastDay = st.ev.Day
-	default:
-		if !st.inDay {
-			return bad(fmt.Errorf("%w: %s event outside a day", ErrFrame, k))
-		}
-	}
-	return nil
 }
 
 // asCorruption wraps a scan error as a located corruption; pure

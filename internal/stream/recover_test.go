@@ -7,7 +7,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/dates"
+	"repro/internal/mediator"
+	"repro/internal/playstore"
 )
 
 // recoverLog is a synthetic multi-day log plus the offsets ScanValid
@@ -361,4 +364,234 @@ func FuzzRecover(f *testing.F) {
 				again.ValidEnd, again.Days, info.ValidEnd, info.Days)
 		}
 	})
+}
+
+// replayableLog writes a log Replay can rebuild — real store, ledger and
+// mediator snapshots in its base — holding one intact day, then calls
+// more to append frames after it. It returns the bytes and the length of
+// the intact prefix.
+func replayableLog(t *testing.T, more func(w *Writer)) ([]byte, int64) {
+	t.Helper()
+	day := dates.Date(100)
+	store := playstore.New(day)
+	store.AddDeveloper(playstore.Developer{ID: "d"})
+	if err := store.Publish(playstore.Listing{Package: "com.x", Title: "x", Genre: "Casual", Developer: "d", Released: day.AddDays(-30)}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf,
+		Header{Version: Version, Seed: 1, WindowStart: day, WindowEnd: day + 9, MediatorName: "med", FeePerUser: 0.03},
+		Base{Store: store.EncodeSnapshot(), Ledger: mediator.NewLedger().EncodeSnapshot(), Mediator: mediator.New("med").EncodeSnapshot(),
+			Devices: []string{"w1"}, Strings: []string{"com.x", "offer-1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.DayStart(day); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.DayEnd(day, 0, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	intact := w.Offset()
+	more(w)
+	return buf.Bytes(), intact
+}
+
+// TestReplayAndScanValidAgreeOnStructure: Replay and ScanValid hold a log
+// to the same day bracket, so every frame salvage would refuse as
+// structurally impossible, replay refuses too — including clicks and
+// settlements outside a day, which carry no store state.
+func TestReplayAndScanValidAgreeOnStructure(t *testing.T) {
+	event := func(ev Event) func(w *Writer) {
+		return func(w *Writer) {
+			if err := w.Event(&ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	frames := func(f ...func(w *Writer) error) func(w *Writer) {
+		return func(w *Writer) {
+			for _, step := range f {
+				if err := step(w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	cases := []struct {
+		name string
+		more func(w *Writer)
+	}{
+		{"event outside day", event(Event{Kind: KindEnforce, Pkg: "com.x", N: 1})},
+		{"nested day start", frames(
+			func(w *Writer) error { return w.DayStart(101) },
+			func(w *Writer) error { return w.DayStart(102) })},
+		{"mismatched day end", frames(
+			func(w *Writer) error { return w.DayStart(101) },
+			func(w *Writer) error { return w.DayEnd(109, 0, 0, 0, 0) })},
+		{"day end without start", frames(
+			func(w *Writer) error { return w.DayEnd(101, 0, 0, 0, 0) })},
+		{"click outside day", event(Event{Kind: KindClick, Offer: "offer-1", Worker: "w1"})},
+		{"settle outside day", event(Event{Kind: KindSettle, Offer: "offer-1", N: 1, Gross: 0.12, AffCut: 0.025, UserPayout: 0.06,
+			DevAcct: "dev:d", IIPAcct: "iip:x", AffAcct: "affiliate:z", UserAcct: "user:w1"})},
+		{"batched click outside day", func(w *Writer) {
+			var e Encoder
+			e.SetRecordMode(true)
+			encode(t, &e, Event{Kind: KindClick, Offer: "offer-1", Worker: "w1"})
+			if err := w.EventBatch(e.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+
+	data, intact := replayableLog(t, func(*Writer) {})
+	if res, err := Replay(bytes.NewReader(data)); err != nil || res.Stats.Days != 1 {
+		t.Fatalf("intact log: replay err %v", err)
+	}
+	if info, err := ScanValid(bytes.NewReader(data), int64(len(data))); err != nil || info.Corruption != nil || info.ValidEnd != intact {
+		t.Fatalf("intact log: scan %+v, %v", info, err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data, intact := replayableLog(t, tc.more)
+			if _, err := Replay(bytes.NewReader(data)); !errors.Is(err, ErrFrame) {
+				t.Fatalf("replay err %v, want ErrFrame", err)
+			}
+			info, err := ScanValid(bytes.NewReader(data), int64(len(data)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Corruption == nil || !errors.Is(info.Corruption, ErrFrame) {
+				t.Fatalf("corruption %v, want a structural ErrFrame", info.Corruption)
+			}
+			if info.Days != 1 || info.ValidEnd != intact {
+				t.Fatalf("Days=%d ValidEnd=%d, want 1/%d", info.Days, info.ValidEnd, intact)
+			}
+		})
+	}
+}
+
+// TestScanValidKeepsEmptyBatchAtDayBoundary pins the salvage rule for
+// frames that carry no event: whatever whole frames follow a day
+// boundary before the next event — segment index frames, and an empty
+// event batch, which the writer never emits — join the salvaged prefix,
+// and that prefix replays and re-scans clean.
+func TestScanValidKeepsEmptyBatchAtDayBoundary(t *testing.T) {
+	var boundary int64
+	data, _ := replayableLog(t, func(w *Writer) {
+		if err := w.AppendFrames(binenc.AppendFrame(nil, uint8(KindEventBatch), nil)); err != nil {
+			t.Fatal(err)
+		}
+		boundary = w.Offset()
+		if err := w.DayStart(101); err != nil {
+			t.Fatal(err)
+		}
+	})
+	torn := data[:len(data)-2]
+	info, err := ScanValid(bytes.NewReader(torn), int64(len(torn)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole, err := ScanValid(bytes.NewReader(data), int64(len(torn))); err != nil || whole != info {
+		t.Fatalf("scan bounded by size %+v, %v; want the torn copy's %+v", whole, err, info)
+	}
+	if info.Corruption != nil || info.ValidEnd != boundary || info.ScannedEnd != boundary || info.Days != 1 {
+		t.Fatalf("scan %+v, want a torn tail salvaged to %d with 1 day", info, boundary)
+	}
+	prefix := torn[:info.ValidEnd]
+	if res, err := Replay(bytes.NewReader(prefix)); err != nil || res.Stats.Days != 1 {
+		t.Fatalf("salvaged prefix: replay err %v", err)
+	}
+	again, err := ScanValid(bytes.NewReader(prefix), int64(len(prefix)))
+	if err != nil || again.Corruption != nil || again.ValidEnd != boundary {
+		t.Fatalf("salvaged prefix re-scan %+v, %v", again, err)
+	}
+}
+
+// TestScanValidDayEndInsideBatch: a day boundary is the end of a frame.
+// A batch that closes one day and opens the next (which the writer never
+// writes) salvages to before the batch with the closed day not counted,
+// unless the batch also closes the day it opened.
+func TestScanValidDayEndInsideBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		closes   bool
+		wantDays int
+	}{{"batch ends inside day 2", false, 0}, {"batch closes day 2", true, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf, testHeader(), testBase())
+			if err != nil {
+				t.Fatal(err)
+			}
+			preamble := w.Offset()
+			if err := w.DayStart(1); err != nil {
+				t.Fatal(err)
+			}
+			var e Encoder
+			e.SetRecordMode(true)
+			e.DayEnd(1, 0, 0, 0, 0)
+			e.DayStart(2)
+			encode(t, &e, Event{Kind: KindClick, Offer: "offer-1", Worker: "d2"})
+			if tc.closes {
+				e.DayEnd(2, 0, 0, 0, 0)
+			}
+			if err := w.EventBatch(e.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			data := buf.Bytes()
+			info, err := ScanValid(bytes.NewReader(data), int64(len(data)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantEnd := preamble
+			if tc.closes {
+				wantEnd = int64(len(data))
+			}
+			if info.Corruption != nil || info.ValidEnd != wantEnd || info.Days != tc.wantDays {
+				t.Fatalf("scan %+v, want ValidEnd=%d Days=%d", info, wantEnd, tc.wantDays)
+			}
+		})
+	}
+}
+
+// TestScanValidLocatesBadBatchRecord: inside a CRC-valid batch, a record
+// that does not parse is reported as the batch frame's corruption, and
+// one that parses but does not decode under its own kind.
+func TestScanValidLocatesBadBatchRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		record []byte
+		want   Kind
+	}{
+		{"length overruns the batch", []byte{byte(KindClick), 9}, KindEventBatch},
+		{"payload does not decode", []byte{byte(KindClick), 1, 0xff}, KindClick},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf, testHeader(), testBase())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.DayStart(1); err != nil {
+				t.Fatal(err)
+			}
+			var e Encoder
+			e.SetRecordMode(true)
+			encode(t, &e, Event{Kind: KindClick, Offer: "offer-1", Worker: "d2"})
+			batchAt := w.Offset()
+			if err := w.EventBatch(e.Bytes(), tc.record); err != nil {
+				t.Fatal(err)
+			}
+			data := buf.Bytes()
+			info, err := ScanValid(bytes.NewReader(data), int64(len(data)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := info.Corruption
+			if c == nil || c.Offset != batchAt || c.Kind != tc.want || info.ScannedEnd != batchAt {
+				t.Fatalf("corruption %+v scanned to %d, want %s at %d", c, info.ScannedEnd, tc.want, batchAt)
+			}
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/dates"
 	"repro/internal/mediator"
@@ -129,6 +130,7 @@ func segmentReplayState(hdr Header, cpBytes []byte) (*replayState, error) {
 // until the day-end frame of until has been applied and verified.
 func replayLoop(lr *Reader, st *replayState, until dates.Date, haveUntil bool) (*ReplayResult, error) {
 	res := st.res
+	lr.c.checkDays = true
 	var ev Event
 	for {
 		if err := lr.Next(&ev); err != nil {
@@ -143,7 +145,7 @@ func replayLoop(lr *Reader, st *replayState, until dates.Date, haveUntil bool) (
 			}
 			return nil, err
 		}
-		if err := st.apply(&ev); err != nil {
+		if err := st.apply(&ev, lr.Day()); err != nil {
 			return nil, err
 		}
 		if haveUntil && ev.Kind == KindDayEnd && ev.Day == until {
@@ -185,38 +187,29 @@ func replayDayIndexed(r io.ReaderAt, idx *LogIndex, day dates.Date) (*ReplayResu
 	return replayLoop(lr, st, day, true)
 }
 
-// replayState tracks the in-flight day while frames are applied.
+// replayState carries what replay needs across a day's events; the
+// reader tracks the day itself and holds the log to the day bracket.
 type replayState struct {
 	hdr       Header
 	res       *ReplayResult
 	certified int64  // absolute mediator count, matching the day-end lines
 	medAcct   string // interned mediator ledger account for fee legs
 
-	day       dates.Date // current day; valid once inDay
-	inDay     bool
-	stepped   bool // Store.StepDay(day) already ran for this day
+	stepped   bool // Store.StepDay already ran for the current day
 	enforced  []playstore.EnforceAction
 	enforceAt int
-	txs       [4]mediator.Tx
 }
 
-func (st *replayState) apply(ev *Event) error {
+// apply applies one event of day, which the reader has already checked
+// against the day bracket.
+func (st *replayState) apply(ev *Event, day dates.Date) error {
 	res := st.res
-	day := st.day
 	switch ev.Kind {
 	case KindDayStart:
-		if st.inDay {
-			return fmt.Errorf("%w: day %s started before %s ended", ErrFrame, ev.Day, day)
-		}
-		st.day = ev.Day
-		st.inDay = true
 		st.stepped = false
 		st.enforceAt = 0
 
 	case KindOrganic:
-		if err := st.requireInDay(ev); err != nil {
-			return err
-		}
 		if ev.N > 0 {
 			if err := res.Store.RecordInstallBatch(ev.Pkg, day, ev.N, playstore.SourceOrganic, ev.Fraud); err != nil {
 				return replayErr(ev, err)
@@ -239,9 +232,6 @@ func (st *replayState) apply(ev *Event) error {
 		// Clicks carry no store/ledger state; online consumers read them.
 
 	case KindInstall:
-		if err := st.requireInDay(ev); err != nil {
-			return err
-		}
 		if err := res.Store.RecordInstall(ev.Pkg, playstore.Install{
 			Day: day, Source: playstore.SourceReferral, FraudScore: ev.Fraud,
 		}); err != nil {
@@ -250,15 +240,10 @@ func (st *replayState) apply(ev *Event) error {
 		res.Installs = append(res.Installs, Install{Device: ev.Device, App: ev.Pkg, Day: day})
 
 	case KindInstallBatch:
-		if err := st.requireInDay(ev); err != nil {
-			return err
-		}
 		if err := res.Store.RecordInstallBatch(ev.Pkg, day, ev.N, playstore.SourceReferral, ev.Fraud); err != nil {
 			return replayErr(ev, err)
 		}
-		for _, dev := range ev.Devices {
-			res.Installs = append(res.Installs, Install{Device: dev, App: ev.Pkg, Day: day})
-		}
+		res.Installs = slices.AppendSeq(res.Installs, ev.Installs(day))
 
 	case KindPostback:
 		if ev.Certified {
@@ -269,43 +254,29 @@ func (st *replayState) apply(ev *Event) error {
 		st.certified += ev.N
 
 	case KindSession:
-		if err := st.requireInDay(ev); err != nil {
-			return err
-		}
 		if err := res.Store.RecordSessionBatch(ev.Pkg, day, ev.N, ev.Seconds); err != nil {
 			return replayErr(ev, err)
 		}
 
 	case KindPurchase:
-		if err := st.requireInDay(ev); err != nil {
-			return err
-		}
 		if err := res.Store.RecordPurchase(ev.Pkg, playstore.Purchase{Day: day, USD: ev.USD}); err != nil {
 			return replayErr(ev, err)
 		}
 
 	case KindSettle:
-		// Reconstruct the four ledger legs exactly as the live path posted
-		// them (amount expressions included, so the float bits match).
-		memo := [4]string{"offer completion", "affiliate share", "reward redemption", "attribution fee"}
-		fee := st.hdr.FeePerUser
-		if ev.Batch {
-			memo = [4]string{"offer completions (batch)", "affiliate share (batch)", "reward redemptions (batch)", "attribution fees (batch)"}
-			fee = st.hdr.FeePerUser * float64(ev.N)
-		}
-		st.txs[0] = mediator.Tx{From: ev.DevAcct, To: ev.IIPAcct, Amount: ev.Gross, Memo: memo[0]}
-		st.txs[1] = mediator.Tx{From: ev.IIPAcct, To: ev.AffAcct, Amount: ev.AffCut + ev.UserPayout, Memo: memo[1]}
-		st.txs[2] = mediator.Tx{From: ev.AffAcct, To: ev.UserAcct, Amount: ev.UserPayout, Memo: memo[2]}
-		st.txs[3] = mediator.Tx{From: ev.DevAcct, To: st.medAcct, Amount: fee, Memo: memo[3]}
-		if err := res.Ledger.PostAll(st.txs[:]); err != nil {
+		// The live path's own legs, so the float bits match.
+		legs := mediator.Settlement{
+			Developer: ev.DevAcct, IIP: ev.IIPAcct, Affiliate: ev.AffAcct, User: ev.UserAcct, Mediator: st.medAcct,
+			N: ev.N, Batch: ev.Batch,
+			Gross: ev.Gross, AffiliateCut: ev.AffCut, UserPayout: ev.UserPayout, FeePer: st.hdr.FeePerUser,
+		}.Legs()
+		if err := res.Ledger.PostAll(legs[:]); err != nil {
 			return replayErr(ev, err)
 		}
 		res.Stats.IncentivizedInstalls += ev.N
 
 	case KindEnforce:
-		if err := st.step(ev); err != nil {
-			return err
-		}
+		st.step(day)
 		if st.enforceAt >= len(st.enforced) {
 			return fmt.Errorf("%w: logged enforcement on %s not reproduced (day %s)", ErrReplayDiverged, ev.Pkg, day)
 		}
@@ -317,9 +288,7 @@ func (st *replayState) apply(ev *Event) error {
 		}
 
 	case KindChart:
-		if err := st.step(ev); err != nil {
-			return err
-		}
+		st.step(day)
 		got := res.Store.Chart(ev.Chart)
 		if len(got) != len(ev.Entries) {
 			return fmt.Errorf("%w: chart %s has %d entries, log says %d (day %s)",
@@ -333,18 +302,13 @@ func (st *replayState) apply(ev *Event) error {
 		}
 
 	case KindDayEnd:
-		if err := st.step(ev); err != nil {
-			return err
-		}
+		st.step(day)
 		if st.enforceAt != len(st.enforced) {
 			return fmt.Errorf("%w: %d enforcement actions recomputed, %d logged (day %s)",
 				ErrReplayDiverged, len(st.enforced), st.enforceAt, day)
 		}
 		res.Stats.Days++
 		res.Stats.CertifiedCompletions = st.certified
-		if ev.Day != day {
-			return fmt.Errorf("%w: day-end for %s inside day %s", ErrFrame, ev.Day, day)
-		}
 		if ev.CumOrganic != res.Stats.OrganicInstalls ||
 			ev.CumIncent != res.Stats.IncentivizedInstalls ||
 			ev.CumCertified != res.Stats.CertifiedCompletions ||
@@ -354,35 +318,19 @@ func (st *replayState) apply(ev *Event) error {
 				res.Stats.OrganicInstalls, res.Stats.IncentivizedInstalls, res.Stats.CertifiedCompletions, math.Float64bits(res.Stats.RevenueUSD),
 				ev.CumOrganic, ev.CumIncent, ev.CumCertified, math.Float64bits(ev.CumRevenue))
 		}
-		st.inDay = false
-
-	default:
-		return fmt.Errorf("%w: unexpected %s frame in event stream", ErrFrame, ev.Kind)
-	}
-	return nil
-}
-
-// requireInDay rejects activity events outside a day.
-func (st *replayState) requireInDay(ev *Event) error {
-	if !st.inDay {
-		return fmt.Errorf("%w: %s event outside a day", ErrFrame, ev.Kind)
 	}
 	return nil
 }
 
 // step runs the store's day step (charts + enforcement) exactly once per
 // day, triggered by the first barrier-side event.
-func (st *replayState) step(ev *Event) error {
-	if err := st.requireInDay(ev); err != nil {
-		return err
-	}
+func (st *replayState) step(day dates.Date) {
 	if st.stepped {
-		return nil
+		return
 	}
-	st.res.Store.StepDay(st.day)
+	st.res.Store.StepDay(day)
 	st.enforced = st.res.Store.LastEnforcementActions()
 	st.stepped = true
-	return nil
 }
 
 func replayErr(ev *Event, err error) error {

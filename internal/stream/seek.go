@@ -1,9 +1,9 @@
 package stream
 
 import (
-	"fmt"
 	"io"
 
+	"repro/internal/binenc"
 	"repro/internal/dates"
 )
 
@@ -76,14 +76,10 @@ func (x *LogIndex) LastDay() (dates.Date, bool) {
 // (both tiny) are read in full, CRC-verified. The scan stops cleanly at
 // a torn trailing frame (killed run), marking the index Torn.
 func ScanIndex(r io.ReaderAt) (*LogIndex, error) {
-	t := NewTail(r)
-	if err := t.start(); err != nil {
+	c, err := openCursor(r)
+	if err != nil {
 		return nil, err
 	}
-	if !t.started {
-		return nil, fmt.Errorf("%w: log preamble incomplete", ErrFrame)
-	}
-	c := &t.c
 	idx := &LogIndex{
 		Header:   c.hdr,
 		Base:     c.base,
@@ -146,6 +142,7 @@ func (t *Tail) SeekToDay(day dates.Date) (bool, error) {
 	}
 	t.c.off = d.Offset
 	t.c.batch, t.c.batchOff = nil, 0
+	t.c.inDay = false
 	return true, nil
 }
 
@@ -163,77 +160,53 @@ type KindStats struct {
 }
 
 // Histogram scans a complete log and returns per-kind byte/count rows in
-// kind order, plus the total byte size scanned. Event-batch frames
-// attribute their sub-records' payload and length-prefix bytes to the
-// sub-record kinds; the batch frame's own header and CRC stay on the
-// event-batch row.
+// kind order, plus the byte offset where the scan stopped (the end of the
+// last complete frame). Event-batch frames attribute their sub-records'
+// payload and length-prefix bytes to the sub-record kinds; the batch
+// frame's own header and CRC stay on the event-batch row. A frame or
+// record that does not parse ends the scan with an error, after the rows
+// counted so far.
 func Histogram(r io.ReaderAt) ([]KindStats, int64, error) {
-	t := NewTail(r)
-	if err := t.start(); err != nil {
+	c, err := openCursor(r)
+	if err != nil {
 		return nil, 0, err
 	}
-	if !t.started {
-		return nil, 0, fmt.Errorf("%w: log preamble incomplete", ErrFrame)
-	}
-	byKind := map[Kind]*KindStats{}
-	row := func(k Kind) *KindStats {
-		s := byKind[k]
-		if s == nil {
-			s = &KindStats{Kind: k}
-			byKind[k] = s
-		}
-		return s
-	}
-	// The preamble frames (header, base) sit before the cursor; re-walk them.
-	off := int64(len(Magic))
-	for off < t.c.off {
-		k, payload, next, err := t.c.frame(off)
-		if err != nil {
-			return nil, 0, err
-		}
-		s := row(k)
-		s.Frames++
-		s.PayloadBytes += int64(len(payload))
-		s.FramingBytes += 5
-		s.CRCBytes += 4
-		off = next
-	}
+	c.off = int64(len(Magic)) // walk again from the header frame, so the preamble counts too
+	var rows [KindSegment + 1]KindStats
 	for {
-		k, payload, next, err := t.c.frame(off)
-		if incomplete(err) {
-			return sortedRows(byKind), off, nil
-		}
+		k, payload, size, record, err := c.step()
 		if err != nil {
-			return sortedRows(byKind), off, err
-		}
-		s := row(k)
-		s.Frames++
-		s.FramingBytes += 5
-		s.CRCBytes += 4
-		if k == KindEventBatch {
-			for ro := 0; ro < len(payload); {
-				rk, rp, rnext, err := parseRecord(payload, ro)
-				if err != nil {
-					return nil, 0, err
-				}
-				rs := row(rk)
-				rs.Records++
-				rs.PayloadBytes += int64(len(rp))
-				rs.FramingBytes += int64(rnext-ro) - int64(len(rp))
-				ro = rnext
+			if incomplete(err) {
+				err = nil
 			}
-		} else {
+			return presentRows(rows[:]), c.at, err
+		}
+		if k >= Kind(len(rows)) {
+			continue
+		}
+		s := &rows[k]
+		if record {
+			s.Records++
+			s.PayloadBytes += int64(len(payload))
+			s.FramingBytes += size - int64(len(payload))
+			continue
+		}
+		s.Frames++
+		s.FramingBytes += binenc.FrameHeaderLen
+		s.CRCBytes += binenc.FrameTrailerLen
+		if k != KindEventBatch {
 			s.PayloadBytes += int64(len(payload))
 		}
-		off = next
 	}
 }
 
-func sortedRows(byKind map[Kind]*KindStats) []KindStats {
-	out := make([]KindStats, 0, len(byKind))
-	for k := Kind(0); k <= KindSegment; k++ {
-		if s := byKind[k]; s != nil {
-			out = append(out, *s)
+// presentRows returns the rows of the kinds the log holds, labelled.
+func presentRows(rows []KindStats) []KindStats {
+	var out []KindStats
+	for k, s := range rows {
+		if s.Frames+s.Records > 0 {
+			s.Kind = Kind(k)
+			out = append(out, s)
 		}
 	}
 	return out

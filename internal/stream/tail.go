@@ -1,6 +1,10 @@
 package stream
 
-import "io"
+import (
+	"io"
+
+	"repro/internal/dates"
+)
 
 // Tail is an online run-log consumer: it reads complete frames from an
 // io.ReaderAt (typically the log file of a run still executing) and
@@ -25,6 +29,10 @@ func NewTail(r io.ReaderAt) *Tail {
 // batch was verified whole); at day barriers — where online consumers
 // read it — the batch is fully drained and the offset is exact.
 func (t *Tail) Offset() int64 { return t.c.off }
+
+// Day returns the day of the last day-start read: for an event inside a
+// day, the day it belongs to.
+func (t *Tail) Day() dates.Date { return t.c.day }
 
 // Header returns the run parameters once the preamble is readable.
 func (t *Tail) Header() (Header, bool, error) {

@@ -201,11 +201,10 @@ func (cr *CellRunner) dayHook(tap *detectorTap) func(dates.Date) error {
 // stream.Tail: drained at each day barrier, it observes installs exactly
 // as an out-of-process analytics job tailing the file would.
 type detectorTap struct {
-	det    *lockstep.Detector
-	tail   *stream.Tail
-	mem    *memLog // src, when it is an in-memory log
-	ev     stream.Event
-	curDay dates.Date
+	det  *lockstep.Detector
+	tail *stream.Tail
+	mem  *memLog // src, when it is an in-memory log
+	ev   stream.Event
 }
 
 func newDetectorTap(sp scenario.Spec, src io.ReaderAt, m *lockstep.Metrics) *detectorTap {
@@ -234,15 +233,8 @@ func (tp *detectorTap) drain() error {
 			}
 			return nil
 		}
-		switch tp.ev.Kind {
-		case stream.KindDayStart:
-			tp.curDay = tp.ev.Day
-		case stream.KindInstall:
-			tp.det.Ingest(tp.ev.Device, tp.ev.Pkg, tp.curDay)
-		case stream.KindInstallBatch:
-			for _, dev := range tp.ev.Devices {
-				tp.det.Ingest(dev, tp.ev.Pkg, tp.curDay)
-			}
+		for in := range tp.ev.Installs(tp.tail.Day()) {
+			tp.det.Ingest(in.Device, in.App, in.Day)
 		}
 	}
 }
