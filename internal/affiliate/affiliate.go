@@ -7,6 +7,7 @@ package affiliate
 import (
 	"encoding/json"
 	"fmt"
+	"iter"
 	"net/http"
 	"net/url"
 
@@ -127,37 +128,56 @@ type FetchOptions struct {
 // Load opens the tab and scrolls through the wall, fetching pages until no
 // more offers arrive — exactly the stimulus the paper's Appium fuzzer
 // generates ("it scrolls through the offer wall to make sure that all the
-// offers are loaded"). It returns the offers in wall order.
+// offers are loaded"). It returns the offers in wall order; on an error,
+// the offers of the pages loaded before it.
 func (t Tab) Load(opts FetchOptions) ([]iip.WireOffer, error) {
-	client := opts.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
 	var all []iip.WireOffer
-	for page := 0; ; page++ {
-		if opts.MaxPages > 0 && page >= opts.MaxPages {
-			break
-		}
-		resp, err := client.Get(t.PageURL(opts, page))
+	for wall, err := range t.Pages(opts) {
 		if err != nil {
-			return all, fmt.Errorf("affiliate: wall fetch %s/%s: %w", t.app.Package, t.IIP, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return all, fmt.Errorf("affiliate: wall fetch %s/%s: status %d", t.app.Package, t.IIP, resp.StatusCode)
-		}
-		var wall iip.WallResponse
-		err = json.NewDecoder(resp.Body).Decode(&wall)
-		resp.Body.Close()
-		if err != nil {
-			return all, fmt.Errorf("affiliate: wall decode %s/%s: %w", t.app.Package, t.IIP, err)
+			return all, err
 		}
 		all = append(all, wall.Offers...)
-		if len(wall.Offers) < wallPageSize {
-			break
-		}
 	}
 	return all, nil
+}
+
+// Pages scrolls the wall as Load does and yields each decoded page, page
+// 0 first; page i is the response to PageURL(opts, i). A failed fetch or
+// decode is yielded as the last element, with a nil page.
+func (t Tab) Pages(opts FetchOptions) iter.Seq2[*iip.WallResponse, error] {
+	return func(yield func(*iip.WallResponse, error) bool) {
+		client := opts.Client
+		if client == nil {
+			client = http.DefaultClient
+		}
+		for page := 0; opts.MaxPages <= 0 || page < opts.MaxPages; page++ {
+			wall, err := t.fetchPage(client, t.PageURL(opts, page))
+			if err != nil {
+				yield(nil, err)
+				return
+			}
+			if !yield(wall, nil) || len(wall.Offers) < wallPageSize {
+				return
+			}
+		}
+	}
+}
+
+// fetchPage fetches and decodes one wall page.
+func (t Tab) fetchPage(client *http.Client, pageURL string) (*iip.WallResponse, error) {
+	resp, err := client.Get(pageURL)
+	if err != nil {
+		return nil, fmt.Errorf("affiliate: wall fetch %s/%s: %w", t.app.Package, t.IIP, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("affiliate: wall fetch %s/%s: status %d", t.app.Package, t.IIP, resp.StatusCode)
+	}
+	var wall iip.WallResponse
+	if err := json.NewDecoder(resp.Body).Decode(&wall); err != nil {
+		return nil, fmt.Errorf("affiliate: wall decode %s/%s: %w", t.app.Package, t.IIP, err)
+	}
+	return &wall, nil
 }
 
 // PageURL is the wall request Load issues for the given scroll position

@@ -18,17 +18,15 @@ type LockstepResult struct {
 	Eval           lockstep.Evaluation
 }
 
-// buildLockstep mixes the incentivized install log with organic decoy
-// traffic (World.DetectionEvents, the shared ground-truth path the
-// scenario sweep also scores against) and runs the lockstep detector. An
-// install log whose spill failed or was closed yields a partial stream,
-// so it fails instead of scoring one.
+// buildLockstep runs the lockstep detector over the incentivized install
+// log followed by organic decoy traffic and scores its groups against the
+// devices that log names.
 func (s *Study) buildLockstep() (LockstepResult, error) {
-	events, truth := s.World.DetectionEvents()
-	if err := s.World.InstallLog.Err(); err != nil {
-		return LockstepResult{}, fmt.Errorf("core: reading the install log: %w", err)
+	det, truth, err := s.detectLockstep()
+	if err != nil {
+		return LockstepResult{}, err
 	}
-	groups := lockstep.Detect(events, lockstep.DefaultConfig())
+	groups := det.Groups()
 	flagged := 0
 	for _, g := range groups {
 		flagged += len(g.Devices)
@@ -38,6 +36,32 @@ func (s *Study) buildLockstep() (LockstepResult, error) {
 		FlaggedDevices: flagged,
 		Eval:           lockstep.Evaluate(groups, truth),
 	}, nil
+}
+
+// detectLockstep feeds a detector the install log and then the decoys,
+// and returns it with the truth set. One walk of the log both ingests
+// each install and collects its device, in the order
+// World.DetectionEvents lists the same events, so the detector ends in
+// the state lockstep.Detect reaches over that slice without the log
+// being copied into it. An install log whose spill failed or was closed
+// yields a partial stream, so it fails instead of returning one.
+func (s *Study) detectLockstep() (*lockstep.Detector, map[string]bool, error) {
+	w := s.World
+	decoys := w.DecoyEvents()
+	det := lockstep.NewDetector(lockstep.DefaultConfig())
+	det.Grow(w.InstallLog.Len() + len(decoys))
+	truth := make(map[string]bool, 1024)
+	for rec := range w.InstallLog.All() {
+		det.Ingest(rec.Device, rec.App, rec.Day)
+		truth[rec.Device] = true
+	}
+	if err := w.InstallLog.Err(); err != nil {
+		return nil, nil, fmt.Errorf("core: reading the install log: %w", err)
+	}
+	for _, ev := range decoys {
+		det.IngestEvent(ev)
+	}
+	return det, truth, nil
 }
 
 // DisclosureRow is one entry of the Section 5.1 responsible-disclosure

@@ -8,7 +8,8 @@ package iip
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/dates"
@@ -62,7 +63,13 @@ type Platform struct {
 	mu        sync.Mutex
 	devs      map[string]*developerAccount
 	campaigns map[string]*Campaign
-	nextID    int
+	// wall lists every campaign in OfferID order, the order a wall
+	// serves offers in. Launch and restore append to it; an append that
+	// breaks the order (an ID past 9999 sorts before earlier ones) marks it
+	// unsorted, and the next wall read sorts it.
+	wall         []*Campaign
+	wallUnsorted bool
+	nextID       int
 }
 
 type developerAccount struct {
@@ -178,7 +185,27 @@ func (p *Platform) LaunchCampaign(spec CampaignSpec) (*Campaign, error) {
 		p.campaigns = map[string]*Campaign{}
 	}
 	p.campaigns[c.OfferID] = c
+	p.appendWallLocked(c)
 	return c, nil
+}
+
+// appendWallLocked adds a new campaign to the wall index. Callers hold
+// p.mu.
+func (p *Platform) appendWallLocked(c *Campaign) {
+	if n := len(p.wall); n > 0 && c.OfferID < p.wall[n-1].OfferID {
+		p.wallUnsorted = true
+	}
+	p.wall = append(p.wall, c)
+}
+
+// sortedWallLocked returns the wall index in OfferID order. Callers hold
+// p.mu.
+func (p *Platform) sortedWallLocked() []*Campaign {
+	if p.wallUnsorted {
+		slices.SortFunc(p.wall, func(a, b *Campaign) int { return strings.Compare(a.OfferID, b.OfferID) })
+		p.wallUnsorted = false
+	}
+	return p.wall
 }
 
 // WallOffer is the offer-wall view of a campaign: what the affiliate app's
@@ -196,16 +223,31 @@ type WallOffer struct {
 	TruthArbitrage bool        `json:"-"`
 }
 
-// ActiveOffers lists offers live on the wall for a day and country.
+// ActiveOffers lists offers live on the wall for a day and country, in
+// OfferID order.
 func (p *Platform) ActiveOffers(day dates.Date, country string) []WallOffer {
+	return p.wallPage(day, country, 0, 0)
+}
+
+// wallPage lists the offers of ActiveOffers(day, country) from index
+// offset on, at most limit of them (0 means no limit). It walks the wall
+// index and builds only the offers it returns.
+func (p *Platform) wallPage(day dates.Date, country string, offset, limit int) []WallOffer {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []WallOffer
-	for _, c := range p.campaigns {
+	for _, c := range p.sortedWallLocked() {
+		if limit > 0 && len(out) == limit {
+			break
+		}
 		if !p.liveLocked(c, day) {
 			continue
 		}
 		if len(c.Spec.Countries) > 0 && !containsString(c.Spec.Countries, country) {
+			continue
+		}
+		if offset > 0 {
+			offset--
 			continue
 		}
 		out = append(out, WallOffer{
@@ -219,7 +261,6 @@ func (p *Platform) ActiveOffers(day dates.Date, country string) []WallOffer {
 			TruthArbitrage: c.Spec.Arbitrage,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].OfferID < out[j].OfferID })
 	return out
 }
 

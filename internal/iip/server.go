@@ -80,7 +80,6 @@ func (s *Server) handleWall(w http.ResponseWriter, r *http.Request) {
 		}
 		day = dates.Date(n)
 	}
-	active := s.platform.ActiveOffers(day, country)
 	// Walls paginate; the affiliate app UI loads more offers as the user
 	// (or the fuzzer) scrolls. offset/limit expose that paging.
 	offset, limit := 0, 0
@@ -100,13 +99,7 @@ func (s *Server) handleWall(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	if offset > len(active) {
-		offset = len(active)
-	}
-	active = active[offset:]
-	if limit > 0 && len(active) > limit {
-		active = active[:limit]
-	}
+	active := s.platform.wallPage(day, country, offset, limit)
 	resp := WallResponse{
 		Network:   s.platform.Name,
 		Affiliate: affiliate,

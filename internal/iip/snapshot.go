@@ -40,15 +40,10 @@ func (p *Platform) EncodeSnapshot() []byte {
 		enc.F64(d.balance)
 	}
 
-	ids := make([]string, 0, len(p.campaigns))
-	for id := range p.campaigns {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	enc.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		c := p.campaigns[id]
-		enc.Str(id)
+	wall := p.sortedWallLocked()
+	enc.Uvarint(uint64(len(wall)))
+	for _, c := range wall {
+		enc.Str(c.OfferID)
 		enc.Str(c.Spec.Developer)
 		enc.Str(c.Spec.AppPackage)
 		enc.Str(c.Spec.Description)
@@ -157,6 +152,7 @@ func (p *Platform) RestoreSnapshot(data []byte) error {
 			existing.Stopped = c.Stopped
 		} else {
 			p.campaigns[c.OfferID] = c
+			p.appendWallLocked(c)
 		}
 	}
 	p.nextID = nextID

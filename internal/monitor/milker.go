@@ -19,17 +19,26 @@ import (
 // ParseWall attempts to interpret an intercepted record as an offer-wall
 // JSON response; ok is false for unrelated traffic.
 func ParseWall(rec Record) (iip.WallResponse, bool) {
-	if rec.Status != http.StatusOK || !strings.Contains(rec.ContentType, "application/json") {
+	if !wallRecord(&rec) {
 		return iip.WallResponse{}, false
 	}
 	var wall iip.WallResponse
-	if err := json.Unmarshal(rec.Body, &wall); err != nil {
-		return iip.WallResponse{}, false
-	}
-	if wall.Network == "" || wall.Affiliate == "" {
+	if err := json.Unmarshal(rec.Body, &wall); err != nil || !namedWall(&wall) {
 		return iip.WallResponse{}, false
 	}
 	return wall, true
+}
+
+// wallRecord reports whether a record's status and content type are an
+// offer wall's: 200 with a JSON body.
+func wallRecord(rec *Record) bool {
+	return rec.Status == http.StatusOK && strings.Contains(rec.ContentType, "application/json")
+}
+
+// namedWall reports whether a decoded wall names its network and
+// affiliate.
+func namedWall(wall *iip.WallResponse) bool {
+	return wall.Network != "" && wall.Affiliate != ""
 }
 
 // Milker runs the full monitoring pipeline: it fuzzes the instrumented
@@ -119,9 +128,11 @@ type load struct {
 //
 // Loads run concurrently, but the fold walks them in canonical order
 // (affiliate, tab, country, page), finding each page's record by its URL,
-// so the dataset does not depend on which response arrived first. A pass
-// is all-or-nothing: if any load fails, its records are discarded and the
-// error of the canonically first failed load is returned.
+// so the dataset does not depend on which response arrived first. Each
+// page is decoded once, by the fuzzer; the fold takes that decoded page
+// when its record passes ParseWall's checks. A pass is all-or-nothing:
+// if any load fails, its records are discarded and the error of the
+// canonically first failed load is returned.
 func (m *Milker) MilkDay(day dates.Date) error {
 	var loads []load
 	for _, app := range m.Affiliates {
@@ -141,10 +152,18 @@ func (m *Milker) MilkDay(day dates.Date) error {
 		}
 	}
 	// The fuzzer only generates stimuli; responses flow back through the
-	// proxy where they are recorded.
+	// proxy where they are recorded. pages[i][p] is load i's decoded
+	// response to its PageURL(opts, p).
 	errs := make([]error, len(loads))
+	pages := make([][]*iip.WallResponse, len(loads))
 	conc.ForN(inFlight, len(loads), func(i int) {
-		_, errs[i] = loads[i].tab.Load(loads[i].opts)
+		for wall, err := range loads[i].tab.Pages(loads[i].opts) {
+			if err != nil {
+				errs[i] = err
+				break
+			}
+			pages[i] = append(pages[i], wall)
+		}
 	})
 	records := m.proxy.DrainRecords()
 	for i, err := range errs {
@@ -153,28 +172,16 @@ func (m *Milker) MilkDay(day dates.Date) error {
 			return fmt.Errorf("monitor: fuzzing %s/%s (%s): %w", l.app.Package, l.tab.IIP, l.opts.Country, err)
 		}
 	}
-	walls := make([]*iip.WallResponse, len(records))
-	conc.ForN(inFlight, len(records), func(i int) {
-		if wall, ok := ParseWall(records[i]); ok {
-			walls[i] = &wall
-		}
-	})
-	byURL := make(map[string]*iip.WallResponse, len(records))
-	for i, rec := range records {
-		byURL[rec.URL] = walls[i]
+	byURL := make(map[string]*Record, len(records))
+	for i := range records {
+		byURL[records[i].URL] = &records[i]
 	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, l := range loads {
-		// Load stops at the first short page, so the pages recorded for
-		// a load are exactly 0..k.
-		for page := 0; ; page++ {
-			wall, ok := byURL[l.tab.PageURL(l.opts, page)]
-			if !ok {
-				break
-			}
-			if wall != nil {
+	for i, l := range loads {
+		for p, wall := range pages[i] {
+			if rec, ok := byURL[l.tab.PageURL(l.opts, p)]; ok && wallRecord(rec) && namedWall(wall) {
 				m.fold(day, wall)
 			}
 		}

@@ -2,8 +2,11 @@ package monitor
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -214,5 +217,99 @@ func BenchmarkMilkDay(b *testing.B) {
 		if err := f.milk.MilkDay(dates.StudyStart.AddDays(i % 100)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestMilkDayFoldsWhatParseWallAccepts: MilkDay folds the pages its
+// fuzzer decoded, gated by their proxy records, instead of decoding every
+// record again. Its dataset must equal one folded from ParseWall of every
+// record a sequential capture of the same walls yields, in canonical
+// order. The walls span several pages and mislabel some of them: every
+// India page is served as text/plain, every ayeT page from Russia names
+// no network and every second Fyber page from Germany no affiliate, so
+// those pages are never folded. A wall answering 203 with a valid wall
+// body fails the pass and folds nothing.
+func TestMilkDayFoldsWhatParseWallAccepts(t *testing.T) {
+	var nonOK atomic.Bool
+	launch := func(t testing.TB, fyber, _ *iip.Platform) {
+		for i := 0; i < 23; i++ {
+			start := dates.StudyStart.AddDays(i % 6)
+			if _, err := fyber.LaunchCampaign(iip.CampaignSpec{
+				Developer: "dev", AppPackage: fmt.Sprintf("com.adv.page%02d", i), Description: "Install and Open",
+				Type: offers.NoActivity, UserPayoutUSD: 0.01 * float64(1+i), Target: 100,
+				Window: dates.Range{Start: start, End: start.AddDays(9)},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mislabel := func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			next.ServeHTTP(rec, r)
+			var wall iip.WallResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &wall); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			q := r.URL.Query()
+			status, contentType := http.StatusOK, "application/json"
+			switch country := q.Get("country"); {
+			case country == "India":
+				contentType = "text/plain; charset=utf-8"
+			case country == "Russia" && wall.Network == iip.AyetStudios:
+				wall.Network = ""
+			case country == "Germany" && wall.Network == iip.Fyber && q.Get("offset") == "10":
+				wall.Affiliate = ""
+			case country == "Spain" && nonOK.Load():
+				status = http.StatusNonAuthoritativeInfo
+			}
+			w.Header().Set("Content-Type", contentType)
+			w.WriteHeader(status)
+			json.NewEncoder(w).Encode(wall)
+		})
+	}
+	f := newWallFixtureWith(t, wallOptions{launch: launch, wrap: mislabel})
+	ref := f.inProcess()
+	rejected := 0
+	for _, day := range []dates.Date{dates.StudyStart, dates.StudyStart.AddDays(3), dates.StudyStart.AddDays(7)} {
+		if err := f.milk.MilkDay(day); err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range capture(t, ref, day) {
+			wall, ok := ParseWall(rec)
+			if !ok {
+				rejected++
+				continue
+			}
+			ref.mu.Lock()
+			ref.fold(day, &wall)
+			ref.mu.Unlock()
+		}
+		if got, want := f.milk.Offers(), ref.Offers(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("day %v: MilkDay's dataset differs from the ParseWall fold:\n got %+v\nwant %+v", day, got, want)
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("ParseWall rejected no captured record: nothing was mislabeled")
+	}
+	got := f.milk.Offers()
+	pageTwo := false
+	for _, o := range got {
+		if containsStr(o.Countries, "India") || (o.IIP == iip.AyetStudios && containsStr(o.Countries, "Russia")) {
+			t.Errorf("%s folded from a mislabeled page: countries %v", o.ID, o.Countries)
+		}
+		pageTwo = pageTwo || (o.IIP == iip.Fyber && !containsStr(o.Countries, "Germany"))
+	}
+	if !pageTwo {
+		t.Error("every Fyber offer was folded from Germany: the unnamed second pages were folded")
+	}
+
+	nonOK.Store(true)
+	if err := f.milk.MilkDay(dates.StudyStart.AddDays(8)); err == nil {
+		t.Fatal("a pass with a wall answering 203 should fail")
+	}
+	if after := f.milk.Offers(); !reflect.DeepEqual(after, got) {
+		t.Errorf("a failed pass changed the dataset:\n got %+v\nwant %+v", after, got)
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/dates"
+	"repro/internal/randx"
 )
 
 // FuzzSpecJSONRoundTrip asserts the canonical-encoding property sweeps
@@ -63,4 +66,64 @@ func TestBuiltinSpecsCanonical(t *testing.T) {
 			t.Fatalf("%s: not JSON round-trippable: %+v vs %+v", s.Name, s, s2)
 		}
 	}
+}
+
+// stateSpecs are the adversaries FuzzStrategyUnmarshalState restores
+// state into: the stateful ones (jitter's pending-delivery ring at two
+// ring sizes, burst's latent demand, mimic's retained cohort) and a
+// stateless one, which accepts only an empty state.
+var stateSpecs = []AdversarySpec{
+	{Kind: KindJitter},
+	{Kind: KindJitter, JitterMaxDays: 1},
+	{Kind: KindBurst},
+	{Kind: KindOrganicMimic},
+	{Kind: KindBaseline},
+}
+
+// FuzzStrategyUnmarshalState feeds the strategies' UnmarshalState
+// mangled checkpoint states. It must never panic, and a state it accepts
+// must re-marshal to bytes that restore a fresh strategy of the same
+// spec to the same encoding.
+func FuzzStrategyUnmarshalState(f *testing.F) {
+	newStrategy := func(tb testing.TB, spec AdversarySpec) Strategy {
+		s, err := NewStrategy(spec, 1, "fuzz-unit")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return s
+	}
+	for k, spec := range stateSpecs {
+		s := newStrategy(f, spec)
+		r := randx.Derive(3, "fuzz-state")
+		for day := dates.Date(0); day < 12; day++ {
+			if n := s.Quota(r, day, 4, testPace); n > 0 {
+				s.Retention(r, day, n)
+			}
+		}
+		state := s.MarshalState()
+		if spec.Kind != KindBaseline && len(state) == 0 {
+			f.Fatalf("%s: no state after 12 days", spec.Kind)
+		}
+		if again := newStrategy(f, spec); again.UnmarshalState(state) != nil || !bytes.Equal(again.MarshalState(), state) {
+			f.Fatalf("%s: a real state does not restore", spec.Kind)
+		}
+		f.Add(uint8(k), state)
+	}
+	f.Add(uint8(0), []byte{})
+
+	f.Fuzz(func(t *testing.T, k uint8, data []byte) {
+		spec := stateSpecs[int(k)%len(stateSpecs)]
+		s := newStrategy(t, spec)
+		if err := s.UnmarshalState(data); err != nil {
+			return
+		}
+		enc := s.MarshalState()
+		again := newStrategy(t, spec)
+		if err := again.UnmarshalState(enc); err != nil {
+			t.Fatalf("%s: re-marshalled state %x does not restore: %v", spec.Kind, enc, err)
+		}
+		if got := again.MarshalState(); !bytes.Equal(got, enc) {
+			t.Fatalf("%s: re-marshalling %x is not a fixed point: %x", spec.Kind, enc, got)
+		}
+	})
 }

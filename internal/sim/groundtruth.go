@@ -59,7 +59,9 @@ func (w *World) DecoyEvents() []lockstep.Event {
 // DetectionEvents returns the labeled event stream for post-hoc detector
 // evaluation: the incentivized install log followed by the organic
 // decoys, plus the ground-truth labels (true only for devices that
-// appear in the incentivized stream).
+// appear in the incentivized stream). The study's evaluation ingests the
+// same events in the same order straight from the log; this slice is the
+// reference it is tested against and what a re-timed detection reads.
 func (w *World) DetectionEvents() ([]lockstep.Event, map[string]bool) {
 	events := make([]lockstep.Event, 0, w.InstallLog.Len())
 	for rec := range w.InstallLog.All() {
