@@ -176,7 +176,7 @@ func coordinate(ctx context.Context, opts sweep.Options, addr, addrFile, journal
 	mux := http.NewServeMux()
 	obs.Mount(mux, reg, nil, pprofOn)
 	mux.Handle("/", co.Handler())
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	srv := newServer(mux)
 	go srv.Serve(ln)
 	res, err := co.Run(ctx)
 	// In-flight worker requests (final heartbeats, completions racing the
@@ -193,6 +193,17 @@ func coordinate(ctx context.Context, opts sweep.Options, addr, addrFile, journal
 		"expiries", p.Expiries, "duplicates", p.Duplicates, "salvaged", p.Salvaged,
 		"adopted", p.Adopted, "fenced", p.Fenced)
 	return res, nil
+}
+
+// readHeaderTimeout bounds how long a connection may take to send a
+// request header: a client that stalls mid-header is disconnected
+// instead of holding a connection open for good.
+const readHeaderTimeout = 5 * time.Second
+
+// newServer serves the coordinator's endpoints under its connection
+// limits.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // emit writes the human table, the degradation line, and the optional

@@ -44,6 +44,7 @@ func main() {
 		ev       stream.Event
 		installs int
 		flagged  = map[string]bool{}
+		active   = map[string]bool{} // every device seen installing
 	)
 	drain := func() {
 		for {
@@ -54,6 +55,7 @@ func main() {
 			}
 			for in := range ev.Installs(tail.Day()) {
 				det.Ingest(in.Device, in.App, in.Day)
+				active[in.Device] = true
 				installs++
 			}
 		}
@@ -89,11 +91,8 @@ func main() {
 
 	// Score the online detections against the simulator's ground truth,
 	// exactly as the post-hoc Section 5.2 analysis does (only workers that
-	// actually appear in the install stream can be recalled).
-	active := make(map[string]bool, w.InstallLog.Len())
-	for rec := range w.InstallLog.All() {
-		active[rec.Device] = true
-	}
+	// actually appear in the install stream can be recalled). The stream
+	// the tail read is the world's whole incentivized install stream.
 	truth := map[string]bool{}
 	for _, pool := range w.Pools {
 		for _, worker := range pool {

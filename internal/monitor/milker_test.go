@@ -209,6 +209,38 @@ func TestMilkerReusesConnections(t *testing.T) {
 	}
 }
 
+// launchPaged adds 23 short Fyber campaigns with staggered windows, so
+// Fyber's walls span up to three 10-offer pages and change from day to
+// day.
+func launchPaged(t testing.TB, fyber, _ *iip.Platform) {
+	for i := 0; i < 23; i++ {
+		start := dates.StudyStart.AddDays(i % 6)
+		if _, err := fyber.LaunchCampaign(iip.CampaignSpec{
+			Developer: "dev", AppPackage: fmt.Sprintf("com.adv.page%02d", i), Description: "Install and Open",
+			Type: offers.NoActivity, UserPayoutUSD: 0.01 * float64(1+i), Target: 100,
+			Window: dates.Range{Start: start, End: start.AddDays(9)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMilkDayPaged is the milking pass the study runs: in process,
+// through NewMilkerWithTransport, over walls of several pages, so it
+// measures the paging, decoding and fold rather than sockets.
+func BenchmarkMilkDayPaged(b *testing.B) {
+	milk := newWallFixtureWith(b, wallOptions{launch: launchPaged}).inProcess()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := milk.MilkDay(dates.StudyStart.AddDays(i % 12)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMilkDay milks the fixture's one-page walls over loopback TCP,
+// through NewMilker's sockets.
 func BenchmarkMilkDay(b *testing.B) {
 	f := newWallFixture(b)
 	b.ReportAllocs()
@@ -231,18 +263,6 @@ func BenchmarkMilkDay(b *testing.B) {
 // body fails the pass and folds nothing.
 func TestMilkDayFoldsWhatParseWallAccepts(t *testing.T) {
 	var nonOK atomic.Bool
-	launch := func(t testing.TB, fyber, _ *iip.Platform) {
-		for i := 0; i < 23; i++ {
-			start := dates.StudyStart.AddDays(i % 6)
-			if _, err := fyber.LaunchCampaign(iip.CampaignSpec{
-				Developer: "dev", AppPackage: fmt.Sprintf("com.adv.page%02d", i), Description: "Install and Open",
-				Type: offers.NoActivity, UserPayoutUSD: 0.01 * float64(1+i), Target: 100,
-				Window: dates.Range{Start: start, End: start.AddDays(9)},
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	mislabel := func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			rec := httptest.NewRecorder()
@@ -269,7 +289,7 @@ func TestMilkDayFoldsWhatParseWallAccepts(t *testing.T) {
 			json.NewEncoder(w).Encode(wall)
 		})
 	}
-	f := newWallFixtureWith(t, wallOptions{launch: launch, wrap: mislabel})
+	f := newWallFixtureWith(t, wallOptions{launch: launchPaged, wrap: mislabel})
 	ref := f.inProcess()
 	rejected := 0
 	for _, day := range []dates.Date{dates.StudyStart, dates.StudyStart.AddDays(3), dates.StudyStart.AddDays(7)} {

@@ -12,12 +12,18 @@ import (
 // device-resolved stream of incentivized deliveries, and nothing else
 // writes to it — so the device identities appearing there (including
 // rotated identities under the device-churn adversary) are the labels a
-// Section 5.2 lockstep detector should recover.
+// Section 5.2 lockstep detector should recover. The run log carries the
+// same installs, so a reader that tails it (a sweep cell) collects the
+// same labels from the installs it ingests, and its world's install log
+// may keep only a count (InstallLog.CountOnly); TruthLabels and
+// DetectionEvents then fail through InstallLog.Err.
 
 // TruthLabels returns every device identity that fulfilled an
 // incentivized install during the run, keyed by the identity the store
 // observed (device-churn adversaries present rotated identities; each
 // rotation is its own label, since that is all the defender can see).
+// Check InstallLog.Err after the call: a failed or closed spill, or a
+// count-only log, leaves the set partial or empty.
 func (w *World) TruthLabels() map[string]bool {
 	truth := make(map[string]bool, 1024)
 	for rec := range w.InstallLog.All() {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"iter"
@@ -21,7 +22,8 @@ import (
 // same frames the event log uses) and its chunks are reused, so peak
 // memory is O(window) while the logical stream — Len, All, the checkpoint
 // contents, the golden hashes — is byte-for-byte what the unbounded log
-// would hold.
+// would hold. A log made CountOnly keeps no records at all, only their
+// count, for a run whose readers take the installs from elsewhere.
 //
 // The type is not safe for concurrent use; the engine appends only at day
 // barriers, on one goroutine, and readers run between days or post-run.
@@ -35,8 +37,9 @@ type InstallLog struct {
 	spilled int // records already flushed to the spill file
 	resets  int // Reset count: invalidates checkpoint views
 
-	window int    // spill threshold; 0 = unbounded in-RAM log
-	dir    string // spill directory ("" = os.TempDir())
+	window    int    // spill threshold; 0 = unbounded in-RAM log
+	dir       string // spill directory ("" = os.TempDir())
+	countOnly bool   // appends are counted in n, never kept
 
 	w       *stream.Writer
 	bw      *bufio.Writer
@@ -52,6 +55,10 @@ type InstallLog struct {
 // 160 KB); a spill window smaller than this sizes its chunks to the
 // window instead.
 const installChunk = 1 << 12
+
+// ErrInstallsNotKept is the Err of a CountOnly log that was read: it
+// counted its records but kept none, so there was nothing to read.
+var ErrInstallsNotKept = errors.New("sim: install log keeps no records (count-only)")
 
 // Len returns the total number of records appended (spilled + resident).
 func (l *InstallLog) Len() int { return l.spilled + l.n }
@@ -74,7 +81,26 @@ func (l *InstallLog) EnableSpill(dir string, window int) error {
 	if l.w != nil {
 		return fmt.Errorf("sim: install log is already spilling")
 	}
+	if l.countOnly {
+		return fmt.Errorf("sim: a count-only install log cannot spill")
+	}
 	l.window, l.dir = window, dir
+	return nil
+}
+
+// CountOnly makes the log count the records appended to it without
+// keeping them: Len stays exact, but All yields nothing and sets Err to
+// ErrInstallsNotKept, so TruthLabels, DetectionEvents and a checkpoint
+// view fail instead of reading an empty history. Call it on an empty
+// log that does not spill.
+func (l *InstallLog) CountOnly() error {
+	if l.Len() > 0 {
+		return fmt.Errorf("sim: install log already holds %d records", l.Len())
+	}
+	if l.window > 0 {
+		return fmt.Errorf("sim: a spilling install log cannot be count-only")
+	}
+	l.countOnly = true
 	return nil
 }
 
@@ -86,6 +112,10 @@ func (l *InstallLog) Spilling() bool { return l.window > 0 }
 // burst larger than the window never holds more than window records in
 // RAM.
 func (l *InstallLog) Append(recs ...InstallRecord) {
+	if l.countOnly {
+		l.n += len(recs)
+		return
+	}
 	for len(recs) > 0 {
 		c := l.tail()
 		k := min(cap(*c)-len(*c), len(recs))
@@ -146,9 +176,16 @@ func (l *InstallLog) dropResident() {
 
 // All ranges over every record in append order: the spilled prefix
 // streamed back from disk, then the resident tail. Check Err after a full
-// iteration when spilling — a read failure ends the sequence early.
+// iteration when spilling — a read failure ends the sequence early — and
+// on a CountOnly log, where the sequence is empty.
 func (l *InstallLog) All() iter.Seq[InstallRecord] {
 	return func(yield func(InstallRecord) bool) {
+		if l.countOnly {
+			if l.err == nil {
+				l.err = ErrInstallsNotKept
+			}
+			return
+		}
 		if l.spilled > 0 && !l.iterSpill(yield) {
 			return
 		}
@@ -192,7 +229,8 @@ func (l *InstallLog) CheckpointView() stream.Installs {
 
 // Reset discards every record (spilled state included) and allocates
 // chunks for n records up front, at most the window's worth when
-// spilling. Restore uses it to rebuild the log from a checkpoint.
+// spilling, none when CountOnly. Restore uses it to rebuild the log from
+// a checkpoint.
 func (l *InstallLog) Reset(n int) {
 	l.resets++
 	l.dropResident()
@@ -211,6 +249,9 @@ func (l *InstallLog) Reset(n int) {
 		}
 		l.bw.Reset(l.f)
 		l.w = nil // recreated (with a fresh preamble) at the next flush
+	}
+	if l.countOnly {
+		return
 	}
 	if l.window > 0 && n > l.window {
 		n = l.window

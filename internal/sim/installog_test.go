@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -335,4 +337,168 @@ func TestInstallLogChunksMatchSlice(t *testing.T) {
 			check("after Reset and appends")
 		})
 	}
+}
+
+// TestInstallLogCountOnly: a count-only world runs to the same stats and
+// Len as one that keeps its records, and holds no chunk. Each reader of
+// the history it did not keep (All, TruthLabels, DetectionEvents, a
+// checkpoint view) reads nothing and fails through Err. CountOnly
+// refuses a log that holds records or spills, and a count-only log
+// refuses to spill.
+func TestInstallLogCountOnly(t *testing.T) {
+	run := func(countOnly bool) (RunStats, *World) {
+		cfg := TinyConfig()
+		cfg.Window.End = cfg.Window.Start.AddDays(14)
+		w, err := NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if countOnly {
+			if err := w.InstallLog.CountOnly(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stats, err := w.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats, w
+	}
+	statsKept, kept := run(false)
+	statsCounted, counted := run(true)
+	if statsKept != statsCounted {
+		t.Errorf("run stats diverge: kept %+v, count-only %+v", statsKept, statsCounted)
+	}
+	n := counted.InstallLog.Len()
+	if n == 0 || n != kept.InstallLog.Len() {
+		t.Fatalf("count-only Len = %d, want %d", n, kept.InstallLog.Len())
+	}
+	if c := len(counted.InstallLog.chunks); c != 0 {
+		t.Errorf("count-only log allocated %d chunks", c)
+	}
+	counted.InstallLog.Reset(n)
+	if c := len(counted.InstallLog.chunks); c != 0 {
+		t.Errorf("count-only log allocated %d chunks at Reset", c)
+	}
+
+	readers := map[string]func(w *World) int{
+		"All": func(w *World) int {
+			k := 0
+			for range w.InstallLog.All() {
+				k++
+			}
+			return k
+		},
+		"TruthLabels": func(w *World) int { return len(w.TruthLabels()) },
+		"DetectionEvents": func(w *World) int {
+			events, truth := w.DetectionEvents()
+			return len(events) + len(truth)
+		},
+		"CheckpointView": func(w *World) int {
+			k := 0
+			for _, err := range w.InstallLog.CheckpointView().All() {
+				if err != nil {
+					if !errors.Is(err, ErrInstallsNotKept) {
+						t.Errorf("CheckpointView failed with %v, want ErrInstallsNotKept", err)
+					}
+					return k
+				}
+				k++
+			}
+			t.Error("CheckpointView of a count-only log did not fail")
+			return k
+		},
+	}
+	for name, read := range readers {
+		var w World
+		if err := w.InstallLog.CountOnly(); err != nil {
+			t.Fatal(err)
+		}
+		w.InstallLog.Append(InstallRecord{Device: "dev-1", App: "app", Day: 100}, InstallRecord{Device: "dev-2", App: "app", Day: 101})
+		if err := w.InstallLog.Err(); err != nil {
+			t.Fatalf("%s: Err before any read: %v", name, err)
+		}
+		if got := read(&w); got != 0 {
+			t.Errorf("%s read %d items from a count-only log", name, got)
+		}
+		if err := w.InstallLog.Err(); !errors.Is(err, ErrInstallsNotKept) {
+			t.Errorf("%s: Err = %v, want ErrInstallsNotKept", name, err)
+		}
+		if w.InstallLog.Len() != 2 {
+			t.Errorf("%s: Len = %d after a read, want 2", name, w.InstallLog.Len())
+		}
+	}
+
+	var holds, spilling InstallLog
+	holds.Append(InstallRecord{Device: "dev", App: "app", Day: 1})
+	if err := holds.CountOnly(); err == nil {
+		t.Error("CountOnly accepted a log that holds a record")
+	}
+	if err := spilling.EnableSpill(t.TempDir(), 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := spilling.CountOnly(); err == nil {
+		t.Error("CountOnly accepted a spilling log")
+	}
+	var counting InstallLog
+	if err := counting.CountOnly(); err != nil {
+		t.Fatal(err)
+	}
+	if err := counting.EnableSpill(t.TempDir(), 4); err == nil {
+		t.Error("EnableSpill accepted a count-only log")
+	}
+}
+
+// FuzzInstallLogSpillRoundTrip appends fuzz-chosen records under a small
+// spill window and checks that All equals a plain slice with no error.
+// Each input byte triple is one record: the first picks the device (a
+// small set, so devices repeat, with the empty string among them) and
+// the batch it ends, the second the app (empty included), the third the
+// day step (signed: days may stay, advance or go back). The window and
+// the batch boundaries are fuzzed too, so flushes land anywhere in a
+// batch.
+func FuzzInstallLogSpillRoundTrip(f *testing.F) {
+	f.Add(uint8(1), []byte{})
+	f.Add(uint8(3), []byte{0, 0, 0, 1, 1, 1, 2, 2, 0, 3, 0, 255, 4, 5, 1})
+	f.Add(uint8(16), bytes.Repeat([]byte{7, 3, 0, 0x88, 0, 1}, 40))
+	f.Fuzz(func(t *testing.T, window uint8, data []byte) {
+		var l InstallLog
+		// The spill file is unlinked as soon as it is created, so the
+		// system temp directory collects nothing.
+		if err := l.EnableSpill("", 1+int(window%32)); err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		var ref, batch []InstallRecord
+		day := dates.Date(1000)
+		for ; len(data) >= 3; data = data[3:] {
+			day += dates.Date(int8(data[2]))
+			rec := InstallRecord{Day: day}
+			if d := data[0] & 0x0f; d > 0 {
+				rec.Device = fmt.Sprintf("dev-%d", d)
+			}
+			if a := data[1] % 5; a > 0 {
+				rec.App = fmt.Sprintf("app.%d", a)
+			}
+			ref, batch = append(ref, rec), append(batch, rec)
+			if data[0]&0x80 != 0 {
+				l.Append(batch...)
+				batch = batch[:0]
+			}
+		}
+		l.Append(batch...)
+		if l.Len() != len(ref) {
+			t.Fatalf("Len = %d, want %d", l.Len(), len(ref))
+		}
+		i := 0
+		for rec := range l.All() {
+			if i >= len(ref) || rec != ref[i] {
+				t.Fatalf("record %d = %+v, want %+v of %d", i, rec, ref[min(i, len(ref)-1)], len(ref))
+			}
+			i++
+		}
+		if err := l.Err(); err != nil || i != len(ref) {
+			t.Fatalf("All yielded %d of %d records, Err %v", i, len(ref), err)
+		}
+	})
 }

@@ -64,19 +64,25 @@ type CellRunner struct {
 // with the spool checkpointed (errors.Is(err, ctx.Err())); a successor
 // resumes the cell, it does not restart it.
 //
-// The run log is the detector's input either way: a Tail follows it at
-// each day barrier, as an out-of-process analytics job tailing the file
-// would. In memory it drains into a buffer. Spooled, it and periodic
-// checkpoints live under SpoolDir, so a successor of a killed run
-// salvages the log's torn tail (stream.Recover), restores the last
-// checkpoint, re-ingests the detector from the salvaged prefix and
-// continues the simulation, writing the bytes the uninterrupted run
-// would have.
+// The run log is the detector's input either way, and the source of the
+// ground truth it is scored against: a Tail follows it at each day
+// barrier, as an out-of-process analytics job tailing the file would. In
+// memory it drains into a buffer. Spooled, it and periodic checkpoints
+// live under SpoolDir, so a successor of a killed run salvages the log's
+// torn tail (stream.Recover), restores the last checkpoint, re-ingests
+// the detector and the truth set from the salvaged prefix and continues
+// the simulation, writing the bytes the uninterrupted run would have.
 func (cr *CellRunner) Run(ctx context.Context, sp scenario.Spec, seed uint64) (Cell, CellRunInfo, error) {
+	cell, info, _, err := cr.run(ctx, sp, seed)
+	return cell, info, err
+}
+
+// run is Run, also returning the detector tap the cell was scored from.
+func (cr *CellRunner) run(ctx context.Context, sp scenario.Spec, seed uint64) (Cell, CellRunInfo, *detectorTap, error) {
 	var info CellRunInfo
 	cfg, err := sim.ConfigForSpec(sp)
 	if err != nil {
-		return Cell{}, info, err
+		return Cell{}, info, nil, err
 	}
 	if seed != 0 {
 		cfg.Seed = seed
@@ -86,8 +92,8 @@ func (cr *CellRunner) Run(ctx context.Context, sp scenario.Spec, seed uint64) (C
 	// and so every simulated value, are the same without it.
 	cfg.LedgerBalancesOnly = true
 	cell := Cell{Scenario: sp.Name, Seed: cfg.Seed}
-	fail := func(what string, err error) (Cell, CellRunInfo, error) {
-		return cell, info, fmt.Errorf("sweep: %s %s/seed=%d: %w", what, sp.Name, cfg.Seed, err)
+	fail := func(what string, err error) (Cell, CellRunInfo, *detectorTap, error) {
+		return cell, info, nil, fmt.Errorf("sweep: %s %s/seed=%d: %w", what, sp.Name, cfg.Seed, err)
 	}
 	w, err := sim.NewWorld(cfg)
 	if err != nil {
@@ -99,6 +105,12 @@ func (cr *CellRunner) Run(ctx context.Context, sp scenario.Spec, seed uint64) (C
 	var spool *sim.RunLogFile
 	var logPath, ckptPath string
 	if cr.SpoolDir == "" {
+		// The tap takes truth from the run log, so nothing reads the
+		// world's install records: keep only their count. A spooled cell
+		// keeps them, since its checkpoints embed the install history.
+		if err := w.InstallLog.CountOnly(); err != nil {
+			return fail("logging", err)
+		}
 		buf := &memLog{}
 		if opts.Log, err = w.NewRunLog(buf); err != nil {
 			return fail("logging", err)
@@ -140,16 +152,14 @@ func (cr *CellRunner) Run(ctx context.Context, sp scenario.Spec, seed uint64) (C
 	}
 	info.DaysExecuted = stats.Days - info.ResumedAfterDays
 	cell.Stats = stats
-	if err := scoreCell(&cell, w, tap.det); err != nil {
-		return fail("scoring", err)
-	}
+	scoreCell(&cell, w.DecoyEvents(), tap)
 	if spool != nil {
 		// The cell is done and its result content-verifiable; the spool is
 		// scratch space, not an artifact.
 		os.Remove(logPath)
 		os.Remove(ckptPath)
 	}
-	return cell, info, nil
+	return cell, info, tap, nil
 }
 
 func (cr *CellRunner) spoolPaths(name string, seed uint64) (logPath, ckptPath string) {
@@ -199,12 +209,15 @@ func (cr *CellRunner) dayHook(tap *detectorTap) func(dates.Date) error {
 
 // detectorTap feeds the incremental lockstep detector from a run log via
 // stream.Tail: drained at each day barrier, it observes installs exactly
-// as an out-of-process analytics job tailing the file would.
+// as an out-of-process analytics job tailing the file would. The run log
+// carries every incentivized install the world's install log receives,
+// so the devices the tap ingests are the cell's ground truth.
 type detectorTap struct {
-	det  *lockstep.Detector
-	tail *stream.Tail
-	mem  *memLog // src, when it is an in-memory log
-	ev   stream.Event
+	det   *lockstep.Detector
+	truth map[string]bool // every device the tap ingested an install from
+	tail  *stream.Tail
+	mem   *memLog // src, when it is an in-memory log
+	ev    stream.Event
 }
 
 func newDetectorTap(sp scenario.Spec, src io.ReaderAt, m *lockstep.Metrics) *detectorTap {
@@ -212,9 +225,10 @@ func newDetectorTap(sp scenario.Spec, src io.ReaderAt, m *lockstep.Metrics) *det
 	det.SetMetrics(m)
 	mem, _ := src.(*memLog)
 	return &detectorTap{
-		det:  det,
-		tail: stream.NewTail(src),
-		mem:  mem,
+		det:   det,
+		truth: make(map[string]bool, 1024),
+		tail:  stream.NewTail(src),
+		mem:   mem,
 	}
 }
 
@@ -235,31 +249,27 @@ func (tp *detectorTap) drain() error {
 		}
 		for in := range tp.ev.Installs(tp.tail.Day()) {
 			tp.det.Ingest(in.Device, in.App, in.Day)
+			tp.truth[in.Device] = true
 		}
 	}
 }
 
-// scoreCell finishes a completed run: organic decoy background, then
-// groups scored against the world's recorded ground truth. Truth read
-// from a failed or closed spill would be partial, so it fails instead.
-func scoreCell(cell *Cell, w *sim.World, det *lockstep.Detector) error {
-	for _, dev := range w.DecoyEvents() {
+// scoreCell finishes a completed run: the organic decoy background, then
+// the tap's groups scored against the truth set it collected.
+func scoreCell(cell *Cell, decoys []lockstep.Event, tap *detectorTap) {
+	det := tap.det
+	for _, dev := range decoys {
 		det.Ingest(dev.Device, dev.App, dev.Day)
 	}
-	truth := w.TruthLabels()
-	if err := w.InstallLog.Err(); err != nil {
-		return fmt.Errorf("reading ground truth: %w", err)
-	}
 	groups := det.Groups()
-	cell.Truth = len(truth)
+	cell.Truth = len(tap.truth)
 	cell.Groups = len(groups)
 	cell.Flagged = 0
 	for _, g := range groups {
 		cell.Flagged += len(g.Devices)
 	}
-	cell.Eval = lockstep.Evaluate(groups, truth)
+	cell.Eval = lockstep.Evaluate(groups, tap.truth)
 	cell.Detector = det.Stats()
-	return nil
 }
 
 // IsInjected reports whether err stems from an injected fault — the

@@ -3,12 +3,12 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"maps"
 	"os"
 	"testing"
 
 	"repro/internal/dates"
 	"repro/internal/fault"
-	"repro/internal/lockstep"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -117,40 +117,71 @@ func TestSpooledForeignLogRestartsCell(t *testing.T) {
 	}
 }
 
-// TestScoreCellFailsOnClosedSpill: a cell on a spilling world whose
-// install log is closed before scoring fails. All ends early on a closed
-// spill, so scoring on would count a partial ground truth.
-func TestScoreCellFailsOnClosedSpill(t *testing.T) {
-	sp, ok := scenario.Lookup(microName(t, "paper-baseline"))
-	if !ok {
-		t.Fatal("micro scenario missing")
-	}
-	cfg, err := sim.ConfigForSpec(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.InstallLogWindow = 256
-	cfg.InstallLogDir = t.TempDir()
-	w, err := sim.NewWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if _, err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n := w.InstallLog.Len(); n <= cfg.InstallLogWindow {
-		t.Fatalf("world too small to spill: %d records", n)
-	}
-	var open Cell
-	if err := scoreCell(&open, w, lockstep.NewDetector(sp.Detector.Config())); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.InstallLog.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var closed Cell
-	if err := scoreCell(&closed, w, lockstep.NewDetector(sp.Detector.Config())); err == nil {
-		t.Fatalf("scored a closed spill: %d truth devices, %d with the log open", closed.Truth, open.Truth)
+// TestTapTruthMatchesTruthLabels: for every built-in scenario, the truth
+// set a cell's tap collects from its run log equals World.TruthLabels of
+// a same-seed run that keeps its install records, both for an in-memory
+// cell, whose install log keeps only a count, and for a spooled cell
+// killed at a day barrier and resumed, whose tap re-ingests the salvaged
+// prefix.
+func TestTapTruthMatchesTruthLabels(t *testing.T) {
+	const seed = 20190301
+	for i, b := range scenario.Builtins() {
+		sp, ok := scenario.Lookup(microName(t, b.Name))
+		if !ok {
+			t.Fatalf("micro %s missing", b.Name)
+		}
+		killAt := 3 + (i*7)%15
+		t.Run(b.Name, func(t *testing.T) {
+			cfg, err := sim.ConfigForSpec(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Seed, cfg.Workers = seed, 1
+			w, err := sim.NewWorld(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if _, err := w.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want := w.TruthLabels()
+			if err := w.InstallLog.Err(); err != nil || len(want) == 0 {
+				t.Fatalf("reference truth: %d devices, err %v", len(want), err)
+			}
+			check := func(what string, cell Cell, tap *detectorTap) {
+				t.Helper()
+				if !maps.Equal(tap.truth, want) || cell.Truth != len(want) {
+					t.Errorf("%s: the tap's truth set (%d devices, cell reports %d) differs from TruthLabels (%d)",
+						what, len(tap.truth), cell.Truth, len(want))
+				}
+			}
+
+			cell, _, tap, err := (&CellRunner{}).run(context.Background(), sp, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("in-memory", cell, tap)
+
+			spool := t.TempDir()
+			days := 0
+			first := CellRunner{SpoolDir: spool, CheckpointEvery: 1, PerDay: func(dates.Date) error {
+				if days++; days == killAt {
+					return fmt.Errorf("killed at day barrier %d: %w", days, fault.ErrInjected)
+				}
+				return nil
+			}}
+			if _, _, err := first.Run(context.Background(), sp, seed); !IsInjected(err) {
+				t.Fatalf("killed run returned %v, want an injected fault", err)
+			}
+			cell, info, tap, err := (&CellRunner{SpoolDir: spool, CheckpointEvery: 1}).run(context.Background(), sp, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !info.Resumed || info.ResumedAfterDays != killAt-1 {
+				t.Fatalf("successor info = %+v, want a resume after day %d", info, killAt-1)
+			}
+			check("spooled, killed and resumed", cell, tap)
+		})
 	}
 }
