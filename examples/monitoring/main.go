@@ -61,7 +61,9 @@ func main() {
 		}
 	}
 
-	fmt.Printf("monitoring %s (%d-day window) via %s\n\n", "tiny world", cfg.Window.Days(), path)
+	// The base name only: the temporary directory differs per run, and
+	// the output should not.
+	fmt.Printf("monitoring %s (%d-day window) via %s\n\n", "tiny world", cfg.Window.Days(), filepath.Base(path))
 	fmt.Printf("%-12s %10s %8s %8s %9s\n", "day", "installs", "groups", "flagged", "new")
 	_, err = w.RunOpts(sim.RunOptions{
 		Log: runLog,

@@ -2,54 +2,54 @@ package core
 
 import "strings"
 
-// analyze derives every table and figure from the collected measurements.
+// analyze derives every table and figure from the collected measurements,
+// through the same Analysis the benchmark harness times artifact by
+// artifact.
 func (s *Study) analyze() error {
-	raw := s.Milker.Offers()
-	cos := classifyOffers(raw)
-	views := buildAppViews(cos)
-	vetted, unvetted := groupViews(views)
+	a := s.NewAnalysis()
+	r := &s.Results
 
 	descs := map[string]bool{}
-	for _, o := range cos {
+	for _, o := range a.cos {
 		descs[strings.ToLower(o.Description)] = true
 	}
-	s.Results.Dataset = DatasetSummary{
-		Offers:             len(cos),
-		UniqueApps:         len(views),
+	r.Dataset = DatasetSummary{
+		Offers:             len(a.cos),
+		UniqueApps:         len(a.views),
 		UniqueDescriptions: len(descs),
 		MilkDays:           len(s.Milker.MilkDays()),
 		CrawlDays:          len(s.Crawler.Dataset().Days()),
 	}
 
-	s.Results.Table1 = s.probeTable1()
-	s.Results.Table2 = s.buildTable2()
-	s.Results.Table3 = buildTable3(cos)
-	s.Results.Table4 = s.buildTable4(cos)
+	r.Table1 = a.Table1()
+	r.Table2 = a.Table2()
+	r.Table3 = a.Table3()
+	r.Table4 = a.Table4()
 
 	var err error
-	if s.Results.Table5, err = s.buildTable5(vetted, unvetted); err != nil {
+	if r.Table5, err = a.Table5(); err != nil {
 		return err
 	}
-	if s.Results.Table6, err = s.buildTable6(vetted, unvetted); err != nil {
+	if r.Table6, err = a.Table6(); err != nil {
 		return err
 	}
-	if s.Results.Table7, err = s.buildTable7(vetted, unvetted); err != nil {
+	if r.Table7, err = a.Table7(); err != nil {
 		return err
 	}
-	s.Results.Table8 = s.buildTable8(vetted)
+	r.Table8 = a.Table8()
 
-	s.Results.Figure2 = s.buildFigure2()
-	s.Results.Figure4 = s.buildFigure4()
-	s.Results.Figure5 = s.buildFigure5(views)
-	if s.Results.Figure6, err = s.buildFigure6(views); err != nil {
+	r.Figure2 = a.Figure2()
+	r.Figure4 = a.Figure4()
+	r.Figure5 = a.Figure5()
+	if r.Figure6, err = a.Figure6(); err != nil {
 		return err
 	}
 
-	s.Results.Enforcement = s.buildEnforcement(vetted, unvetted)
-	s.Results.Arbitrage = buildArbitrage(views, vetted, unvetted)
-	if s.Results.Lockstep, err = s.buildLockstep(); err != nil {
+	r.Enforcement = a.Enforcement()
+	r.Arbitrage = a.Arbitrage()
+	if r.Lockstep, err = a.Lockstep(); err != nil {
 		return err
 	}
-	s.Results.Disclosure = s.buildDisclosure(views)
+	r.Disclosure = a.Disclosure()
 	return nil
 }

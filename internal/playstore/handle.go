@@ -58,12 +58,9 @@ func (h AppHandle) RecordInstallBatchLocked(day dates.Date, n int64, source Inst
 	h.a.recordInstallBatch(day, n, source, meanFraud)
 }
 
-// RecordSessionLocked is RecordSession minus lookup and locking; the caller
-// holds Lock.
-func (h AppHandle) RecordSessionLocked(sess Session) { h.a.recordSession(sess) }
-
 // RecordSessionBatchLocked is RecordSessionBatch minus lookup and locking;
-// the caller holds Lock.
+// the caller holds Lock. A batch of one is one RecordSession, integer for
+// integer.
 func (h AppHandle) RecordSessionBatchLocked(day dates.Date, n, secondsPer int64) {
 	h.a.recordSessionBatch(day, n, secondsPer)
 }

@@ -75,7 +75,7 @@ func TestAppHandleMatchesStorePath(t *testing.T) {
 	h.Lock()
 	h.RecordInstallLocked(Install{Day: day, Source: SourceReferral, FraudScore: 0.4})
 	h.RecordInstallBatchLocked(day, 10, SourceOrganic, 0.05)
-	h.RecordSessionLocked(Session{Day: day, Seconds: 120})
+	h.RecordSessionBatchLocked(day, 1, 120) // the store path's one RecordSession
 	h.RecordSessionBatchLocked(day, 5, 60)
 	h.RecordPurchaseLocked(Purchase{Day: day, USD: 1.99})
 	// Zero-count batches are no-ops on both paths.
@@ -154,7 +154,7 @@ func TestAppHandleRecordPathZeroAlloc(t *testing.T) {
 		h.Lock()
 		h.RecordInstallLocked(Install{Day: day, Source: SourceReferral, FraudScore: 0.3})
 		h.RecordInstallBatchLocked(day, 3, SourceOrganic, 0.05)
-		h.RecordSessionLocked(Session{Day: day, Seconds: 90})
+		h.RecordSessionBatchLocked(day, 1, 90)
 		h.RecordSessionBatchLocked(day, 2, 60)
 		h.RecordPurchaseLocked(Purchase{Day: day, USD: 0.99})
 		h.Unlock()

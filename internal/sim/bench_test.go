@@ -10,8 +10,6 @@ import (
 	"repro/internal/mediator"
 	"repro/internal/offers"
 	"repro/internal/playstore"
-	"repro/internal/randx"
-	"repro/internal/scenario"
 	"repro/internal/stream"
 )
 
@@ -29,10 +27,6 @@ func benchDeliveryFixture(b *testing.B, typ offers.Type) (*World, *campUnit, dat
 	if err := store.Publish(playstore.Listing{
 		Package: pkg, Title: "B", Genre: "Puzzle", Developer: "bench-dev", Released: day,
 	}); err != nil {
-		b.Fatal(err)
-	}
-	appHandle, err := store.AppHandle(pkg)
-	if err != nil {
 		b.Fatal(err)
 	}
 
@@ -56,25 +50,15 @@ func benchDeliveryFixture(b *testing.B, typ offers.Type) (*World, *campUnit, dat
 	if err != nil {
 		b.Fatal(err)
 	}
-	offerHandle, err := platform.CampaignHandle(c.OfferID)
-	if err != nil {
-		b.Fatal(err)
-	}
 
 	med := mediator.New("bench")
 	med.RegisterOffer(c.OfferID, typ)
-	session, err := med.Session(c.OfferID)
-	if err != nil {
-		b.Fatal(err)
-	}
 
 	pool := make([]*device.Worker, 64)
-	poolAccts := make([]string, len(pool))
 	for i := range pool {
 		pool[i] = &device.Worker{
 			ID: "bench-worker", OpenProb: 1, EngageProb: 0.5, ReturnProb: 0.1,
 		}
-		poolAccts[i] = mediator.UserAccount(pool[i].ID)
 	}
 
 	w := &World{
@@ -87,27 +71,13 @@ func benchDeliveryFixture(b *testing.B, typ offers.Type) (*World, *campUnit, dat
 	}
 	w.medAcct = mediator.MediatorAccount(med.Name)
 
-	strat, err := scenario.NewStrategy(w.Cfg.Adversary, w.Cfg.Seed, c.OfferID)
+	e := &engine{w: w}
+	u, err := e.resolveUnit(&PlannedCampaign{
+		IIP: platform.Name, OfferID: c.OfferID, App: pkg, Spec: spec,
+		DailyUptake: 5,
+	}, map[string]iipNames{})
 	if err != nil {
 		b.Fatal(err)
-	}
-	u := &campUnit{
-		strat: strat,
-		c: &PlannedCampaign{
-			IIP: platform.Name, OfferID: c.OfferID, App: pkg, Spec: spec,
-			DailyUptake: 5,
-		},
-		r:         randx.Derive(1, "bench/deliver"),
-		app:       appHandle,
-		offer:     offerHandle,
-		session:   session,
-		pool:      pool,
-		poolAccts: poolAccts,
-		noAffAcct: mediator.AffiliateAccount("uninstrumented." + platform.Name),
-		paceCap:   1 << 30,
-		devAcct:   mediator.DeveloperAccount(spec.Developer),
-		iipAcct:   mediator.IIPAccount(platform.Name),
-		poolAcct:  mediator.UserAccount("pool-" + platform.Name),
 	}
 	return w, u, day
 }

@@ -91,31 +91,53 @@ type engine struct {
 // organicUnit is one phase-1 work unit: an app with its random stream,
 // store handle, and organic activity rates resolved at construction.
 type organicUnit struct {
-	pkg     string
+	pkg     stream.Ref // the app's package, interned at enableLog
 	r       *randx.Rand
 	app     playstore.AppHandle
 	install float64 // expected organic installs per day
 	dau     float64 // expected daily active users
 	revenue float64 // expected purchase revenue per day (0 = none)
-	pkgRef  uint32  // run-log interned package reference (0 when log off)
+	// enc buffers the unit's run-log record (nil when event logging is
+	// disabled).
+	enc *stream.Encoder
+}
+
+// record writes one day of the app's organic activity to the store, under
+// one shard-lock acquisition, and logs it as one organic record when it
+// did anything.
+func (u *organicUnit) record(day dates.Date, n, dau, secPer int64, usd float64) {
+	u.app.Lock()
+	u.app.RecordInstallBatchLocked(day, n, playstore.SourceOrganic, organicMeanFraud)
+	if dau > 0 {
+		u.app.RecordSessionBatchLocked(day, dau, secPer)
+	}
+	if u.revenue > 0 {
+		u.app.RecordPurchaseLocked(playstore.Purchase{Day: day, USD: usd})
+	}
+	u.app.Unlock()
+	if u.enc != nil && (n > 0 || dau > 0 || usd > 0) {
+		u.enc.Organic(u.pkg, n, organicMeanFraud, dau, secPer, usd)
+	}
 }
 
 // campUnit is one campaign with every per-event lookup hoisted to
 // construction time: the campaign's random stream, the store handle of the
 // advertised app, the platform settlement handle, the mediator click
-// session, the worker pool with pre-interned user account names, the
-// interned affiliate account names, and the platform's daily pace cap.
+// session, the worker pool with its IIP's interned names, and the
+// platform's daily pace cap.
+//
+// Every name the delivery flow writes or logs is one stream.Ref, built in
+// resolveUnit and given its run-log reference at enableLog (the ID stays 0
+// when event logging is disabled).
 type campUnit struct {
-	c         *PlannedCampaign
-	r         *randx.Rand
-	app       playstore.AppHandle
-	offer     *iip.CampaignHandle
-	session   *mediator.OfferSession
-	pool      []*device.Worker
-	poolAccts []string // "user:<worker.ID>", parallel to pool
-	affAccts  []string // "affiliate:<pkg>" per instrumented affiliate
-	noAffAcct string   // fallback when the IIP has no instrumented affiliates
-	paceCap   int
+	c        *PlannedCampaign
+	r        *randx.Rand
+	app      playstore.AppHandle
+	offer    *iip.CampaignHandle
+	session  *mediator.OfferSession
+	pool     []*device.Worker
+	iipNames // the pool's device IDs and payout accounts, the affiliates
+	paceCap  int
 
 	// strat is the unit's adversary strategy (scenario layer): it decides
 	// the day's quota within paceCap, which pool workers fulfil it, the
@@ -124,69 +146,39 @@ type campUnit struct {
 	// pre-scenario engine did.
 	strat scenario.Strategy
 
-	// Ledger account names interned once per campaign; the delivery hot
-	// path posts four transfers per completion and never rebuilds them.
-	devAcct  string // "dev:<developer>"
-	iipAcct  string // "iip:<platform>"
-	poolAcct string // "user:pool-<platform>", the batch payout account
+	// The advertised package and the offer ID, and the ledger accounts
+	// interned once per campaign; the delivery hot path posts four
+	// transfers per completion and never rebuilds them.
+	pkg      stream.Ref
+	offerID  stream.Ref
+	devAcct  stream.Ref // "dev:<developer>"
+	iipAcct  stream.Ref // "iip:<platform>"
+	poolAcct stream.Ref // "user:pool-<platform>", the batch payout account
+}
 
-	// devRefs are the run log's pre-resolved device references, parallel
-	// to pool (nil when event logging is disabled). Resolving once at
-	// enableLog keeps the delivery hot path free of per-event map lookups.
-	devRefs []uint32
-
-	// Run-log interned string references, resolved once at enableLog (all
-	// zero when event logging is disabled): the advertised package, the
-	// offer ID, the four settlement accounts, and the per-worker payout
-	// accounts / per-affiliate accounts parallel to poolAccts / affAccts.
-	pkgRef      uint32
-	offerRef    uint32
-	devAcctRef  uint32
-	iipAcctRef  uint32
-	poolAcctRef uint32
-	noAffRef    uint32
-	affRefs     []uint32
-	userRefs    []uint32
+// pickWorker draws the pool worker fulfilling one completion and the
+// device identity it presents to the mediator and the store: the
+// strategy's (device-churn rotates it, and a rotated ID is written
+// inline), while payment still reaches the stable worker's account.
+func (u *campUnit) pickWorker(day dates.Date) (int, stream.Ref) {
+	wi := u.strat.PickWorker(u.r, day, len(u.pool))
+	dev := u.devs[wi]
+	if id := u.strat.DeviceID(dev.S, day); id != dev.S {
+		dev = stream.Ref{S: id}
+	}
+	return wi, dev
 }
 
 // pickAffiliateAccount selects the interned ledger account of the
-// affiliate app credited with a completion, plus its run-log string
-// reference. IIPs without instrumented affiliates settle through their
-// (unobserved) own-network account and consume no randomness, exactly
-// like the string-building path it replaces.
-func (u *campUnit) pickAffiliateAccount(r *randx.Rand) (string, uint32) {
+// affiliate app credited with a completion. IIPs without instrumented
+// affiliates settle through their (unobserved) own-network account and
+// consume no randomness, exactly like the string-building path it
+// replaces.
+func (u *campUnit) pickAffiliateAccount() stream.Ref {
 	if len(u.affAccts) == 0 {
-		return u.noAffAcct, u.noAffRef
+		return u.noAffAcct
 	}
-	i := r.IntN(len(u.affAccts))
-	var ref uint32
-	if u.affRefs != nil {
-		ref = u.affRefs[i]
-	}
-	return u.affAccts[i], ref
-}
-
-// userRef returns the run-log string reference of the i-th pool worker's
-// payout account (0 when event logging is disabled).
-func (u *campUnit) userRef(i int) uint32 {
-	if u.userRefs == nil {
-		return 0
-	}
-	return u.userRefs[i]
-}
-
-// unitSink collects one campaign unit's side effects for deterministic
-// merging at the day barrier.
-type unitSink struct {
-	txs       mediator.TxBuffer
-	log       []InstallRecord
-	delivered int64
-	certified int64
-	// enc buffers the group's run-log events (nil when event logging is
-	// disabled — the delivery hot path then skips all encoding); refs is
-	// the batch path's device-reference scratch, reused per batch.
-	enc  *stream.Encoder
-	refs []uint32
+	return u.affAccts[u.r.IntN(len(u.affAccts))]
 }
 
 // organicDelta is one organic unit's stat contribution for a day.
@@ -226,7 +218,7 @@ func newEngine(w *World) (*engine, error) {
 			return nil, fmt.Errorf("sim: resolving organic app %s: %w", pkg, err)
 		}
 		e.organic[i] = organicUnit{
-			pkg:     pkg,
+			pkg:     stream.Ref{S: pkg},
 			r:       randx.Derive(w.Cfg.Seed, "engine/"+pkg),
 			app:     h,
 			install: w.organicInstall[pkg],
@@ -235,17 +227,7 @@ func newEngine(w *World) (*engine, error) {
 		}
 	}
 
-	// User ledger accounts are interned once per pool (pools are shared
-	// by every campaign on the same IIP).
-	poolAccts := make(map[string][]string, len(w.Pools))
-	for name, pool := range w.Pools {
-		accts := make([]string, len(pool))
-		for i, wk := range pool {
-			accts[i] = mediator.UserAccount(wk.ID)
-		}
-		poolAccts[name] = accts
-	}
-
+	names := map[string]iipNames{}
 	groupOf := map[string]int{}
 	for _, c := range w.Campaigns {
 		g, ok := groupOf[c.Spec.Developer]
@@ -254,7 +236,7 @@ func newEngine(w *World) (*engine, error) {
 			groupOf[c.Spec.Developer] = g
 			e.groups = append(e.groups, nil)
 		}
-		u, err := e.resolveUnit(c, poolAccts)
+		u, err := e.resolveUnit(c, names)
 		if err != nil {
 			return nil, err
 		}
@@ -266,16 +248,19 @@ func newEngine(w *World) (*engine, error) {
 }
 
 // enableLog attaches the event-sourced run log, allocating the per-unit
-// encoders the parallel phases buffer into. With no log attached the hot
+// encoders the parallel phases buffer into and giving every unit's
+// interned names their run-log references. With no log attached the hot
 // paths skip event encoding entirely.
 func (e *engine) enableLog(w *stream.Writer) {
 	e.log = w
 	e.orgEnc = make([]stream.Encoder, len(e.organic))
 	for i := range e.organic {
-		e.orgEnc[i].SetStringTable(w.StringTable())
-		e.orgEnc[i].SetRecordMode(true)
-		e.orgEnc[i].Grow(48) // one organic record per day
-		e.organic[i].pkgRef = e.orgEnc[i].StringRef(e.organic[i].pkg)
+		u := &e.organic[i]
+		u.enc = &e.orgEnc[i]
+		u.enc.SetStringTable(w.StringTable())
+		u.enc.SetRecordMode(true)
+		u.enc.Grow(48) // one organic record per day
+		u.pkg = u.enc.Intern(u.pkg.S)
 	}
 	e.sinkEnc = make([]stream.Encoder, len(e.sinks))
 	for g := range e.sinks {
@@ -286,45 +271,83 @@ func (e *engine) enableLog(w *stream.Writer) {
 		e.sinks[g].enc = &e.sinkEnc[g]
 	}
 	e.batchBufs = make([][]byte, 0, len(e.orgEnc)+len(e.sinkEnc))
-	// Pre-resolve every pool member's device reference and payout-account
-	// string reference once per pool (pools are shared per IIP, so cache
-	// by IIP via the first campaign that carries them), plus each unit's
-	// package, offer, and settlement-account references — the delivery hot
-	// path then performs no map lookups at all.
+	// Each IIP's shared slices are resolved once, through the first
+	// campaign that carries them; the delivery hot path then performs no
+	// map lookups at all.
 	enc := &e.sinkEnc[0]
-	devsByIIP := map[string][]uint32{}
-	usersByIIP := map[string][]uint32{}
+	shared := map[string]bool{}
 	for _, g := range e.groups {
 		for _, u := range g {
-			devs, ok := devsByIIP[u.c.IIP]
-			if !ok {
-				devs = make([]uint32, len(u.pool))
-				users := make([]uint32, len(u.pool))
-				for i, wk := range u.pool {
-					devs[i] = enc.DeviceRef(wk.ID)
-					users[i] = enc.StringRef(u.poolAccts[i])
-				}
-				devsByIIP[u.c.IIP] = devs
-				usersByIIP[u.c.IIP] = users
+			if !shared[u.c.IIP] {
+				shared[u.c.IIP] = true
+				u.iipNames.intern(enc)
 			}
-			u.devRefs = devs
-			u.userRefs = usersByIIP[u.c.IIP]
-			u.pkgRef = enc.StringRef(u.c.App)
-			u.offerRef = enc.StringRef(u.c.OfferID)
-			u.devAcctRef = enc.StringRef(u.devAcct)
-			u.iipAcctRef = enc.StringRef(u.iipAcct)
-			u.poolAcctRef = enc.StringRef(u.poolAcct)
-			u.noAffRef = enc.StringRef(u.noAffAcct)
-			u.affRefs = make([]uint32, len(u.affAccts))
-			for i, acct := range u.affAccts {
-				u.affRefs[i] = enc.StringRef(acct)
-			}
+			u.noAffAcct = enc.Intern(u.noAffAcct.S)
+			u.pkg = enc.Intern(u.pkg.S)
+			u.offerID = enc.Intern(u.offerID.S)
+			u.devAcct = enc.Intern(u.devAcct.S)
+			u.iipAcct = enc.Intern(u.iipAcct.S)
+			u.poolAcct = enc.Intern(u.poolAcct.S)
 		}
 	}
 }
 
-// resolveUnit turns one planned campaign into a fully resolved work unit.
-func (e *engine) resolveUnit(c *PlannedCampaign, poolAccts map[string][]string) (*campUnit, error) {
+// iipNames are the names every campaign on one IIP shares. Its slices
+// are one backing array, shared by all the IIP's units; each unit keeps
+// its own copy of noAffAcct.
+type iipNames struct {
+	devs      []stream.Ref // each pool worker's device ID, parallel to the pool
+	poolAccts []stream.Ref // "user:<worker.ID>", parallel to the pool
+	affAccts  []stream.Ref // "affiliate:<pkg>" per instrumented affiliate
+	noAffAcct stream.Ref   // fallback when the IIP has no instrumented affiliates
+}
+
+// intern gives the shared slices' names their run-log references.
+func (n *iipNames) intern(enc *stream.Encoder) {
+	for i := range n.devs {
+		n.devs[i] = enc.InternDevice(n.devs[i].S)
+	}
+	for i := range n.poolAccts {
+		n.poolAccts[i] = enc.Intern(n.poolAccts[i].S)
+	}
+	for i := range n.affAccts {
+		n.affAccts[i] = enc.Intern(n.affAccts[i].S)
+	}
+}
+
+// newIIPNames builds the shared names of the IIP called name.
+func (w *World) newIIPNames(name string) iipNames {
+	pool := w.Pools[name]
+	// Affiliate accounts come from the world's per-IIP cache when present
+	// (the standard platforms); any other platform name is resolved here,
+	// so hand-assembled worlds never post to empty account names.
+	affAccts, ok := w.affAcctByIIP[name]
+	if !ok {
+		for _, a := range w.AffiliatesForIIP(name) {
+			affAccts = append(affAccts, mediator.AffiliateAccount(a.Package))
+		}
+	}
+	np := len(pool)
+	refs := make([]stream.Ref, 2*np+len(affAccts))
+	n := iipNames{devs: refs[:np:np], poolAccts: refs[np : 2*np : 2*np], affAccts: refs[2*np:]}
+	for i, wk := range pool {
+		n.devs[i] = stream.Ref{S: wk.ID}
+		n.poolAccts[i] = stream.Ref{S: mediator.UserAccount(wk.ID)}
+	}
+	for i, acct := range affAccts {
+		n.affAccts[i] = stream.Ref{S: acct}
+	}
+	n.noAffAcct.S = w.noAffAcctByIIP[name]
+	if n.noAffAcct.S == "" {
+		n.noAffAcct.S = mediator.AffiliateAccount("uninstrumented." + name)
+	}
+	return n
+}
+
+// resolveUnit turns one planned campaign into a fully resolved work unit,
+// taking its IIP's shared names from names (and adding them on the IIP's
+// first campaign).
+func (e *engine) resolveUnit(c *PlannedCampaign, names map[string]iipNames) (*campUnit, error) {
 	w := e.w
 	platform := w.Platforms[c.IIP]
 	if platform == nil {
@@ -342,38 +365,30 @@ func (e *engine) resolveUnit(c *PlannedCampaign, poolAccts map[string][]string) 
 	if err != nil {
 		return nil, fmt.Errorf("sim: resolving campaign %s: %w", c.OfferID, err)
 	}
-	// Affiliate accounts come from the world's per-IIP cache when present
-	// (the standard platforms); any other platform name is resolved here,
-	// so hand-assembled worlds never post to empty account names.
-	affAccts, ok := w.affAcctByIIP[c.IIP]
+	shared, ok := names[c.IIP]
 	if !ok {
-		for _, a := range w.AffiliatesForIIP(c.IIP) {
-			affAccts = append(affAccts, mediator.AffiliateAccount(a.Package))
-		}
-	}
-	noAffAcct := w.noAffAcctByIIP[c.IIP]
-	if noAffAcct == "" {
-		noAffAcct = mediator.AffiliateAccount("uninstrumented." + c.IIP)
+		shared = w.newIIPNames(c.IIP)
+		names[c.IIP] = shared
 	}
 	strat, err := scenario.NewStrategy(w.Cfg.Adversary, w.Cfg.Seed, c.OfferID)
 	if err != nil {
 		return nil, fmt.Errorf("sim: campaign %s: %w", c.OfferID, err)
 	}
 	return &campUnit{
-		c:         c,
-		r:         randx.Derive(w.Cfg.Seed, "engine/campaign/"+c.OfferID),
-		app:       app,
-		offer:     offer,
-		session:   session,
-		pool:      w.Pools[c.IIP],
-		poolAccts: poolAccts[c.IIP],
-		affAccts:  affAccts,
-		noAffAcct: noAffAcct,
-		paceCap:   platform.DailyPace(),
-		strat:     strat,
-		devAcct:   mediator.DeveloperAccount(c.Spec.Developer),
-		iipAcct:   mediator.IIPAccount(c.IIP),
-		poolAcct:  mediator.UserAccount("pool-" + c.IIP),
+		c:        c,
+		r:        randx.Derive(w.Cfg.Seed, "engine/campaign/"+c.OfferID),
+		app:      app,
+		offer:    offer,
+		session:  session,
+		pool:     w.Pools[c.IIP],
+		iipNames: shared,
+		paceCap:  platform.DailyPace(),
+		strat:    strat,
+		pkg:      stream.Ref{S: c.App},
+		offerID:  stream.Ref{S: c.OfferID},
+		devAcct:  stream.Ref{S: mediator.DeveloperAccount(c.Spec.Developer)},
+		iipAcct:  stream.Ref{S: mediator.IIPAccount(c.IIP)},
+		poolAcct: stream.Ref{S: mediator.UserAccount("pool-" + c.IIP)},
 	}, nil
 }
 
@@ -418,7 +433,7 @@ func (e *engine) checkpoint(day dates.Date, stats RunStats, logOffset int64) (*s
 		return nil
 	}
 	for i := range e.organic {
-		if err := add("engine/"+e.organic[i].pkg, e.organic[i].r); err != nil {
+		if err := add("engine/"+e.organic[i].pkg.S, e.organic[i].r); err != nil {
 			return nil, err
 		}
 	}
@@ -466,7 +481,7 @@ func (e *engine) restoreStreams(cp *stream.Checkpoint) error {
 		return nil
 	}
 	for i := range e.organic {
-		if err := restore("engine/"+e.organic[i].pkg, e.organic[i].r); err != nil {
+		if err := restore("engine/"+e.organic[i].pkg.S, e.organic[i].r); err != nil {
 			return err
 		}
 	}
@@ -566,18 +581,7 @@ func (e *engine) stepDay(day dates.Date, stats *RunStats) error {
 			usd = u.revenue * r.LogNormal(0, 0.3)
 		}
 
-		u.app.Lock()
-		u.app.RecordInstallBatchLocked(day, n, playstore.SourceOrganic, organicMeanFraud)
-		if dau > 0 {
-			u.app.RecordSessionBatchLocked(day, dau, secPer)
-		}
-		if u.revenue > 0 {
-			u.app.RecordPurchaseLocked(playstore.Purchase{Day: day, USD: usd})
-		}
-		u.app.Unlock()
-		if e.log != nil && (n > 0 || dau > 0 || usd > 0) {
-			e.orgEnc[i].OrganicRef(u.pkgRef, u.pkg, n, organicMeanFraud, dau, secPer, usd)
-		}
+		u.record(day, n, dau, secPer, usd)
 		deltas[i] = organicDelta{installs: n, revenue: usd}
 		return nil
 	})

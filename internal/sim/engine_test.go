@@ -187,10 +187,11 @@ func TestEngineGroupsPartitionCampaigns(t *testing.T) {
 				t.Fatalf("unit %s wired to wrong handles (%s / %s)",
 					c.OfferID, u.session.OfferID(), u.offer.OfferID())
 			}
-			if len(u.poolAccts) != len(u.pool) {
-				t.Fatalf("unit %s: %d pool accounts for %d workers", c.OfferID, len(u.poolAccts), len(u.pool))
+			if len(u.poolAccts) != len(u.pool) || len(u.devs) != len(u.pool) {
+				t.Fatalf("unit %s: %d pool accounts and %d devices for %d workers",
+					c.OfferID, len(u.poolAccts), len(u.devs), len(u.pool))
 			}
-			if u.devAcct == "" || u.iipAcct == "" || u.poolAcct == "" || u.noAffAcct == "" {
+			if u.devAcct.S == "" || u.iipAcct.S == "" || u.poolAcct.S == "" || u.noAffAcct.S == "" {
 				t.Fatalf("unit %s missing interned ledger accounts", c.OfferID)
 			}
 		}

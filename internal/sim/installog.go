@@ -346,7 +346,7 @@ func (l *InstallLog) flush() {
 			l.w.DayStart(rec.Day)
 			l.lastDay, l.haveDay = rec.Day, true
 		}
-		l.enc.InstallRef(l.enc.StringRef(rec.App), rec.App, l.enc.DeviceRef(rec.Device), rec.Device, 0)
+		l.enc.Install(stream.Ref{S: rec.App}, stream.Ref{S: rec.Device}, 0)
 	}
 	if l.enc.Len() > 0 {
 		l.w.EventBatch(l.enc.Bytes())

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/dates"
+	"repro/internal/iip"
 	"repro/internal/mediator"
 	"repro/internal/offers"
 	"repro/internal/playstore"
@@ -326,10 +327,7 @@ func (w *World) campaignDay(u *campUnit, day dates.Date, sink *unitSink) error {
 	// deliveries. The baseline strategy reports none and draws nothing.
 	if delivered > 0 {
 		if rs, rsec := u.strat.Retention(u.r, day, delivered); rs > 0 {
-			u.app.RecordSessionBatchLocked(day, rs, rsec)
-			if sink.enc != nil {
-				sink.enc.SessionRef(u.pkgRef, c.App, rs, rsec)
-			}
+			sink.sessions(u, day, rs, rsec)
 		}
 	}
 	return nil
@@ -352,63 +350,20 @@ func (w *World) deliverBatch(u *campUnit, day dates.Date, n int, sink *unitSink)
 		meanFraud += u.pool[u.strat.PickWorker(u.r, day, len(u.pool))].FraudScore()
 	}
 	meanFraud = meanFraud/16 + c.Botness
-	u.app.RecordInstallBatchLocked(day, int64(settled), playstore.SourceReferral, meanFraud)
-	logBase := len(sink.log)
-	if sink.enc != nil {
-		sink.refs = sink.refs[:0]
-	}
-	for i := 0; i < settled; i++ {
-		wi := u.strat.PickWorker(u.r, day, len(u.pool))
-		devID := u.strat.DeviceID(u.pool[wi].ID, day)
-		sink.log = append(sink.log, InstallRecord{Device: devID, App: c.App, Day: day})
-		if sink.enc != nil {
-			ref := uint32(0)
-			if devID == u.pool[wi].ID {
-				ref = u.devRefs[wi]
-			}
-			sink.refs = append(sink.refs, ref)
-		}
-	}
-	if sink.enc != nil {
-		sink.enc.InstallBatchRef(u.pkgRef, c.App, meanFraud, settled, func(i int) (uint32, string) {
-			return sink.refs[i], sink.log[logBase+i].Device
-		})
-	}
+	sink.installBatch(u, day, settled, meanFraud)
 	seconds, purchase := engagementFor(u.r, c.Spec.Type)
 	if seconds > 0 {
-		u.app.RecordSessionBatchLocked(day, int64(settled), seconds)
-		if sink.enc != nil {
-			sink.enc.SessionRef(u.pkgRef, c.App, int64(settled), seconds)
-		}
+		sink.sessions(u, day, int64(settled), seconds)
 	}
 	if purchase > 0 {
-		usd := purchase * float64(settled)
-		u.app.RecordPurchaseLocked(playstore.Purchase{Day: day, USD: usd})
-		if sink.enc != nil {
-			sink.enc.PurchaseRef(u.pkgRef, c.App, usd)
-		}
+		sink.purchase(u, day, purchase*float64(settled))
 	}
 	// The offer's completion requirement was validated when the unit's
 	// click session was resolved; the certified count merges through the
 	// sink at the day barrier.
 	sink.certified += int64(settled)
-	aff, affRef := u.pickAffiliateAccount(u.r)
-	legs := mediator.Settlement{
-		Developer: u.devAcct, IIP: u.iipAcct, Affiliate: aff, User: u.poolAcct, Mediator: w.medAcct,
-		N: int64(settled), Batch: true,
-		Gross: disb.Gross, AffiliateCut: disb.AffiliateCut, UserPayout: disb.UserPayout, FeePer: w.Mediator.FeePerUser,
-	}.Legs()
-	if err := sink.txs.PostAll(legs[:]); err != nil {
+	if err := sink.settle(w, u, u.poolAcct, settled, true, disb); err != nil {
 		return 0, err
-	}
-	if sink.enc != nil {
-		sink.enc.CertifyBatchRef(u.offerRef, c.OfferID, int64(settled))
-		sink.enc.SettleRef(stream.SettleRefs{
-			Offer: u.offerRef, Dev: u.devAcctRef, IIP: u.iipAcctRef,
-			Aff: affRef, User: u.poolAcctRef,
-		}, c.OfferID, int64(settled), true,
-			disb.Gross, disb.AffiliateCut, disb.UserPayout,
-			u.devAcct, u.iipAcct, aff, u.poolAcct)
 	}
 	return settled, nil
 }
@@ -436,112 +391,48 @@ func engagementFor(r *randx.Rand, t offers.Type) (seconds int64, purchaseUSD flo
 // owned by this unit's goroutine, so no per-event lock is taken anywhere.
 func (w *World) deliverOne(u *campUnit, day dates.Date, sink *unitSink) (bool, error) {
 	c := u.c
-	wi := u.strat.PickWorker(u.r, day, len(u.pool))
+	wi, dev := u.pickWorker(day)
 	worker := u.pool[wi]
-	// The device identity presented to the mediator and the store is the
-	// strategy's (device-churn rotates it); payment still reaches the
-	// stable worker's account.
-	devID := u.strat.DeviceID(worker.ID, day)
-	devRef := uint32(0)
-	if sink.enc != nil && devID == worker.ID {
-		devRef = u.devRefs[wi]
-	}
-	click := u.session.TrackClick(devID, day)
-	if sink.enc != nil {
-		sink.enc.ClickRef(u.offerRef, c.OfferID, devRef, devID)
-	}
+	click := sink.click(u, day, dev)
 
 	// The install lands on the store regardless of engagement quality;
 	// bot-farm fulfillment raises the device-reputation penalty.
-	fraud := worker.FraudScore() + c.Botness
-	u.app.RecordInstallLocked(playstore.Install{
-		Day:        day,
-		Source:     playstore.SourceReferral,
-		FraudScore: fraud,
-	})
-	sink.log = append(sink.log, InstallRecord{Device: devID, App: c.App, Day: day})
-	if sink.enc != nil {
-		sink.enc.InstallRef(u.pkgRef, c.App, devRef, devID, fraud)
-	}
+	sink.install(u, day, dev, worker.FraudScore()+c.Botness)
 
 	// In-app behaviour. For no-activity offers on sloppy platforms the
 	// completion may be claimed without a real open (RankApp's missing
 	// telemetry), but activity offers force the worker through the task.
 	opened := worker.OpenProb >= 1 || u.r.Bool(worker.OpenProb) || c.Spec.Type.IsActivity()
 	if opened {
-		ok, err := u.session.Postback(click, mediator.EventOpen)
-		if err != nil {
+		if err := sink.postback(u, click, mediator.EventOpen); err != nil {
 			return false, err
 		}
-		if ok {
-			sink.certified++
-		}
-		if sink.enc != nil {
-			sink.enc.PostbackRef(u.offerRef, c.OfferID, uint8(mediator.EventOpen), ok)
-		}
 		seconds := int64(30 + u.r.IntN(60))
+		var err error
 		switch c.Spec.Type {
 		case offers.Usage:
 			seconds = int64(300 + u.r.IntN(1200))
-			ok, err := u.session.Postback(click, mediator.EventUsage)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				sink.certified++
-			}
-			if sink.enc != nil {
-				sink.enc.PostbackRef(u.offerRef, c.OfferID, uint8(mediator.EventUsage), ok)
-			}
+			err = sink.postback(u, click, mediator.EventUsage)
 		case offers.Registration:
 			seconds = int64(120 + u.r.IntN(240))
-			ok, err := u.session.Postback(click, mediator.EventRegister)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				sink.certified++
-			}
-			if sink.enc != nil {
-				sink.enc.PostbackRef(u.offerRef, c.OfferID, uint8(mediator.EventRegister), ok)
-			}
+			err = sink.postback(u, click, mediator.EventRegister)
 		case offers.Purchase:
 			seconds = int64(180 + u.r.IntN(600))
-			amount := purchaseAmounts[u.r.IntN(len(purchaseAmounts))]
-			u.app.RecordPurchaseLocked(playstore.Purchase{Day: day, USD: amount})
-			if sink.enc != nil {
-				sink.enc.PurchaseRef(u.pkgRef, c.App, amount)
-			}
-			ok, err := u.session.Postback(click, mediator.EventPurchase)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				sink.certified++
-			}
-			if sink.enc != nil {
-				sink.enc.PostbackRef(u.offerRef, c.OfferID, uint8(mediator.EventPurchase), ok)
-			}
+			sink.purchase(u, day, purchaseAmounts[u.r.IntN(len(purchaseAmounts))])
+			err = sink.postback(u, click, mediator.EventPurchase)
 		}
-		u.app.RecordSessionLocked(playstore.Session{Day: day, Seconds: seconds})
-		if sink.enc != nil {
-			sink.enc.SessionRef(u.pkgRef, c.App, 1, seconds)
+		if err != nil {
+			return false, err
 		}
+		sink.sessions(u, day, 1, seconds)
 	}
 
 	// Certification: activity offers certify via their task postback
 	// above; no-activity offers certify on open — or, on lax platforms,
 	// through a spoofed postback even without an open.
 	if c.Spec.Type == offers.NoActivity && !opened {
-		ok, err := u.session.Postback(click, mediator.EventOpen)
-		if err != nil {
+		if err := sink.postback(u, click, mediator.EventOpen); err != nil {
 			return false, err
-		}
-		if ok {
-			sink.certified++
-		}
-		if sink.enc != nil {
-			sink.enc.PostbackRef(u.offerRef, c.OfferID, uint8(mediator.EventOpen), ok)
 		}
 	}
 
@@ -551,22 +442,122 @@ func (w *World) deliverOne(u *campUnit, day dates.Date, sink *unitSink) (bool, e
 		// Target reached or balance exhausted: stop delivering.
 		return false, nil
 	}
-	aff, affRef := u.pickAffiliateAccount(u.r)
-	legs := mediator.Settlement{
-		Developer: u.devAcct, IIP: u.iipAcct, Affiliate: aff, User: u.poolAccts[wi], Mediator: w.medAcct,
-		N:     1,
-		Gross: disb.Gross, AffiliateCut: disb.AffiliateCut, UserPayout: disb.UserPayout, FeePer: w.Mediator.FeePerUser,
-	}.Legs()
-	if err := sink.txs.PostAll(legs[:]); err != nil {
+	if err := sink.settle(w, u, u.poolAccts[wi], 1, false, disb); err != nil {
 		return false, err
 	}
-	if sink.enc != nil {
-		sink.enc.SettleRef(stream.SettleRefs{
-			Offer: u.offerRef, Dev: u.devAcctRef, IIP: u.iipAcctRef,
-			Aff: affRef, User: u.userRef(wi),
-		}, c.OfferID, 1, false,
-			disb.Gross, disb.AffiliateCut, disb.UserPayout,
-			u.devAcct, u.iipAcct, aff, u.poolAccts[wi])
-	}
 	return true, nil
+}
+
+// unitSink collects one campaign group's side effects for deterministic
+// merging at the day barrier, and is the one place the delivery flow
+// names each action: every method below does the store, mediator or
+// ledger write and appends the matching run-log record, so the flow above
+// reads as Figure 1 and each record is written beside the write it
+// describes.
+type unitSink struct {
+	txs       mediator.TxBuffer
+	log       []InstallRecord
+	delivered int64
+	certified int64
+	// enc buffers the group's run-log events; it is nil when event
+	// logging is disabled, and each method then skips its encoding.
+	enc *stream.Encoder
+}
+
+// click tracks a worker's offer-wall click.
+func (s *unitSink) click(u *campUnit, day dates.Date, dev stream.Ref) mediator.ClickRef {
+	click := u.session.TrackClick(dev.S, day)
+	if s.enc != nil {
+		s.enc.Click(u.offerID, dev)
+	}
+	return click
+}
+
+// install records one full-fidelity incentivized install on the store
+// and in the install log.
+func (s *unitSink) install(u *campUnit, day dates.Date, dev stream.Ref, fraud float64) {
+	u.app.RecordInstallLocked(playstore.Install{
+		Day:        day,
+		Source:     playstore.SourceReferral,
+		FraudScore: fraud,
+	})
+	s.log = append(s.log, InstallRecord{Device: dev.S, App: u.pkg.S, Day: day})
+	if s.enc != nil {
+		s.enc.Install(u.pkg, dev, fraud)
+	}
+}
+
+// installBatch records n batch-path installs: one aggregate store write,
+// then one device drawn per install (u.pickWorker) into the install log
+// and the logged batch. With the log on, the encoder draws each device
+// as it writes it, so no per-device scratch is kept.
+func (s *unitSink) installBatch(u *campUnit, day dates.Date, n int, meanFraud float64) {
+	u.app.RecordInstallBatchLocked(day, int64(n), playstore.SourceReferral, meanFraud)
+	next := func(int) stream.Ref {
+		_, dev := u.pickWorker(day)
+		s.log = append(s.log, InstallRecord{Device: dev.S, App: u.pkg.S, Day: day})
+		return dev
+	}
+	if s.enc != nil {
+		s.enc.InstallBatch(u.pkg, meanFraud, n, next)
+		return
+	}
+	for i := 0; i < n; i++ {
+		next(i)
+	}
+}
+
+// postback reports an SDK event to the click's session, counting a
+// certification the barrier merges into the mediator.
+func (s *unitSink) postback(u *campUnit, click mediator.ClickRef, event mediator.EventType) error {
+	ok, err := u.session.Postback(click, event)
+	if err != nil {
+		return err
+	}
+	if ok {
+		s.certified++
+	}
+	if s.enc != nil {
+		s.enc.Postback(u.offerID, uint8(event), ok)
+	}
+	return nil
+}
+
+// sessions records n app-usage sessions of secPer seconds each.
+func (s *unitSink) sessions(u *campUnit, day dates.Date, n, secPer int64) {
+	u.app.RecordSessionBatchLocked(day, n, secPer)
+	if s.enc != nil {
+		s.enc.Session(u.pkg, n, secPer)
+	}
+}
+
+// purchase records in-app purchase revenue.
+func (s *unitSink) purchase(u *campUnit, day dates.Date, usd float64) {
+	u.app.RecordPurchaseLocked(playstore.Purchase{Day: day, USD: usd})
+	if s.enc != nil {
+		s.enc.Purchase(u.pkg, usd)
+	}
+}
+
+// settle buffers the four ledger legs of n completions paid out to user,
+// crediting an affiliate drawn from u.r. A batch settlement is logged
+// after its bulk certification.
+func (s *unitSink) settle(w *World, u *campUnit, user stream.Ref, n int, batch bool, disb iip.Disbursement) error {
+	aff := u.pickAffiliateAccount()
+	legs := mediator.Settlement{
+		Developer: u.devAcct.S, IIP: u.iipAcct.S, Affiliate: aff.S, User: user.S, Mediator: w.medAcct,
+		N: int64(n), Batch: batch,
+		Gross: disb.Gross, AffiliateCut: disb.AffiliateCut, UserPayout: disb.UserPayout, FeePer: w.Mediator.FeePerUser,
+	}.Legs()
+	if err := s.txs.PostAll(legs[:]); err != nil {
+		return err
+	}
+	if s.enc != nil {
+		if batch {
+			s.enc.CertifyBatch(u.offerID, int64(n))
+		}
+		s.enc.Settle(u.offerID, int64(n), batch, disb.Gross, disb.AffiliateCut, disb.UserPayout,
+			u.devAcct, u.iipAcct, aff, user)
+	}
+	return nil
 }

@@ -248,6 +248,11 @@ func (ev *Event) Installs(day dates.Date) iter.Seq[Install] {
 // (devices and strings are then always written inline; SetDeviceTable /
 // SetStringTable enable the interned references).
 //
+// There is one method per event kind. The engine-emitted kinds take each
+// interned name as a Ref resolved once up front (Intern, InternDevice);
+// Event dispatches a decoded event to the same methods, resolving its
+// names per call.
+//
 // In record mode (SetRecordMode) the encoder emits batch sub-records —
 // [kind, uvarint length, payload] with no per-record CRC — instead of
 // full frames; the buffers then go through Writer.EventBatch, which
@@ -272,31 +277,38 @@ func (e *Encoder) SetDeviceTable(tab map[string]uint32) { e.tab = tab }
 // The table must match the Strings list in the log's base frame.
 func (e *Encoder) SetStringTable(tab map[string]uint32) { e.stab = tab }
 
-// StringRef resolves a string to its wire reference: table index + 1, or
-// 0 when it is not interned and is written inline. The per-kind encoders
-// take refs, so hot callers resolve each string once at construction
-// instead of paying a map lookup per event.
-func (e *Encoder) StringRef(s string) uint32 {
+// Ref is an interned name as the event encoders take it: ID is the
+// name's wire reference (its string- or device-table index + 1), or 0
+// when S is written inline. S always holds the name itself, so a hot
+// caller keeps one Ref per name, resolves its ID once at construction
+// (Intern / InternDevice), and pays no map lookup per event; with no
+// table the ID stays 0 and every name is written inline.
+type Ref struct {
+	ID uint32
+	S  string
+}
+
+// Intern resolves s against the string table.
+func (e *Encoder) Intern(s string) Ref {
 	if id, ok := e.stab[s]; ok {
-		return id + 1
+		return Ref{ID: id + 1, S: s}
 	}
-	return 0
+	return Ref{S: s}
 }
 
-// DeviceRef resolves a device to its wire reference, as StringRef does
-// against the device table.
-func (e *Encoder) DeviceRef(device string) uint32 {
+// InternDevice resolves a device ID against the device table.
+func (e *Encoder) InternDevice(device string) Ref {
 	if id, ok := e.tab[device]; ok {
-		return id + 1
+		return Ref{ID: id + 1, S: device}
 	}
-	return 0
+	return Ref{S: device}
 }
 
-// ref writes a wire reference; ref 0 is followed by the inline string.
-func (e *Encoder) ref(ref uint32, s string) {
-	e.enc.Uvarint(uint64(ref))
-	if ref == 0 {
-		e.enc.Str(s)
+// ref writes a wire reference; ID 0 is followed by the inline string.
+func (e *Encoder) ref(r Ref) {
+	e.enc.Uvarint(uint64(r.ID))
+	if r.ID == 0 {
+		e.enc.Str(r.S)
 	}
 }
 
@@ -393,12 +405,12 @@ func (e *Encoder) DayStart(day dates.Date) {
 	e.end(s)
 }
 
-// OrganicRef appends one app's organic activity for the current day:
+// Organic appends one app's organic activity for the current day:
 // installs (at meanFraud), dau sessions of secPer seconds, and usd of
 // purchase revenue (0 = none recorded).
-func (e *Encoder) OrganicRef(pkgRef uint32, pkg string, installs int64, meanFraud float64, dau, secPer int64, usd float64) {
+func (e *Encoder) Organic(pkg Ref, installs int64, meanFraud float64, dau, secPer int64, usd float64) {
 	s := e.begin(KindOrganic)
-	e.ref(pkgRef, pkg)
+	e.ref(pkg)
 	e.enc.Uvarint(uint64(installs))
 	e.enc.F64(meanFraud)
 	e.enc.Uvarint(uint64(dau))
@@ -407,102 +419,95 @@ func (e *Encoder) OrganicRef(pkgRef uint32, pkg string, installs int64, meanFrau
 	e.end(s)
 }
 
-// ClickRef appends a tracked offer-wall click.
-func (e *Encoder) ClickRef(offerRef uint32, offer string, devRef uint32, worker string) {
+// Click appends a tracked offer-wall click.
+func (e *Encoder) Click(offer, worker Ref) {
 	s := e.begin(KindClick)
-	e.ref(offerRef, offer)
-	e.ref(devRef, worker)
+	e.ref(offer)
+	e.ref(worker)
 	e.end(s)
 }
 
-// InstallRef appends one full-fidelity incentivized install.
-func (e *Encoder) InstallRef(pkgRef uint32, pkg string, devRef uint32, device string, fraud float64) {
+// Install appends one full-fidelity incentivized install.
+func (e *Encoder) Install(pkg, device Ref, fraud float64) {
 	s := e.begin(KindInstall)
-	e.ref(pkgRef, pkg)
-	e.ref(devRef, device)
+	e.ref(pkg)
+	e.ref(device)
 	e.enc.F64(fraud)
 	e.end(s)
 }
 
-// InstallBatchRef appends a bulk install event; device(i) returns the
-// i-th fulfilling device's ref plus the fallback string for ref 0 (a
-// callback so callers with the devices already in a larger structure need
-// not build a throwaway slice).
-func (e *Encoder) InstallBatchRef(pkgRef uint32, pkg string, meanFraud float64, n int, device func(i int) (uint32, string)) {
+// InstallBatch appends a bulk install event of n devices. device(i)
+// returns the i-th fulfilling device; it is called exactly once per
+// device, in order, so a caller may produce the devices as they are
+// written instead of collecting them first.
+func (e *Encoder) InstallBatch(pkg Ref, meanFraud float64, n int, device func(i int) Ref) {
 	s := e.begin(KindInstallBatch)
-	e.ref(pkgRef, pkg)
+	e.ref(pkg)
 	e.enc.F64(meanFraud)
 	e.enc.Uvarint(uint64(n))
 	for i := 0; i < n; i++ {
-		ref, name := device(i)
-		e.ref(ref, name)
+		e.ref(device(i))
 	}
 	e.end(s)
 }
 
-// PostbackRef appends an SDK event postback.
-func (e *Encoder) PostbackRef(offerRef uint32, offer string, event uint8, certified bool) {
+// Postback appends an SDK event postback.
+func (e *Encoder) Postback(offer Ref, event uint8, certified bool) {
 	s := e.begin(KindPostback)
-	e.ref(offerRef, offer)
+	e.ref(offer)
 	e.enc.U8(event)
 	e.enc.Bool(certified)
 	e.end(s)
 }
 
-// CertifyBatchRef appends a bulk certification.
-func (e *Encoder) CertifyBatchRef(offerRef uint32, offer string, n int64) {
+// CertifyBatch appends a bulk certification.
+func (e *Encoder) CertifyBatch(offer Ref, n int64) {
 	s := e.begin(KindCertifyBatch)
-	e.ref(offerRef, offer)
+	e.ref(offer)
 	e.enc.Uvarint(uint64(n))
 	e.end(s)
 }
 
-// SessionRef appends n recorded sessions of secPer seconds each.
-func (e *Encoder) SessionRef(pkgRef uint32, pkg string, n, secPer int64) {
+// Session appends n recorded sessions of secPer seconds each.
+func (e *Encoder) Session(pkg Ref, n, secPer int64) {
 	s := e.begin(KindSession)
-	e.ref(pkgRef, pkg)
+	e.ref(pkg)
 	e.enc.Uvarint(uint64(n))
 	e.enc.Uvarint(uint64(secPer))
 	e.end(s)
 }
 
-// PurchaseRef appends in-app purchase revenue.
-func (e *Encoder) PurchaseRef(pkgRef uint32, pkg string, usd float64) {
+// Purchase appends in-app purchase revenue.
+func (e *Encoder) Purchase(pkg Ref, usd float64) {
 	s := e.begin(KindPurchase)
-	e.ref(pkgRef, pkg)
+	e.ref(pkg)
 	e.enc.F64(usd)
 	e.end(s)
 }
 
-// SettleRefs carries the pre-resolved string references of a settlement's
-// offer and four ledger accounts.
-type SettleRefs struct {
-	Offer, Dev, IIP, Aff, User uint32
-}
-
-// SettleRef appends one settlement: n completions of an offer, the money
+// Settle appends one settlement: n completions of an offer, the money
 // split, and the four ledger accounts the split moves through. Replay
 // reconstructs the exact transfer sequence from these fields plus the
 // header's mediator identity.
-func (e *Encoder) SettleRef(refs SettleRefs, offer string, n int64, batch bool, gross, affCut, userPayout float64, devAcct, iipAcct, affAcct, userAcct string) {
+func (e *Encoder) Settle(offer Ref, n int64, batch bool, gross, affCut, userPayout float64, devAcct, iipAcct, affAcct, userAcct Ref) {
 	s := e.begin(KindSettle)
-	e.ref(refs.Offer, offer)
+	e.ref(offer)
 	e.enc.Uvarint(uint64(n))
 	e.enc.Bool(batch)
 	e.enc.F64(gross)
 	e.enc.F64(affCut)
 	e.enc.F64(userPayout)
-	e.ref(refs.Dev, devAcct)
-	e.ref(refs.IIP, iipAcct)
-	e.ref(refs.Aff, affAcct)
-	e.ref(refs.User, userAcct)
+	e.ref(devAcct)
+	e.ref(iipAcct)
+	e.ref(affAcct)
+	e.ref(userAcct)
 	e.end(s)
 }
 
 // Enforce appends a store enforcement action.
 func (e *Encoder) Enforce(pkg string, removed int64) {
 	s := e.begin(KindEnforce)
-	e.ref(e.StringRef(pkg), pkg)
+	e.ref(e.Intern(pkg))
 	e.enc.Uvarint(uint64(removed))
 	e.end(s)
 }
@@ -516,7 +521,7 @@ func (e *Encoder) Chart(name string, entries []playstore.ChartEntry) {
 	e.enc.Uvarint(uint64(len(entries)))
 	for _, en := range entries {
 		e.enc.Varint(int64(en.Rank))
-		e.ref(e.StringRef(en.Package), en.Package)
+		e.ref(e.Intern(en.Package))
 		e.enc.F64(en.Score)
 	}
 	e.end(s)
@@ -541,29 +546,26 @@ func (e *Encoder) Event(ev *Event) error {
 	case KindDayStart:
 		e.DayStart(ev.Day)
 	case KindOrganic:
-		e.OrganicRef(e.StringRef(ev.Pkg), ev.Pkg, ev.N, ev.Fraud, ev.DAU, ev.Seconds, ev.USD)
+		e.Organic(e.Intern(ev.Pkg), ev.N, ev.Fraud, ev.DAU, ev.Seconds, ev.USD)
 	case KindClick:
-		e.ClickRef(e.StringRef(ev.Offer), ev.Offer, e.DeviceRef(ev.Worker), ev.Worker)
+		e.Click(e.Intern(ev.Offer), e.InternDevice(ev.Worker))
 	case KindInstall:
-		e.InstallRef(e.StringRef(ev.Pkg), ev.Pkg, e.DeviceRef(ev.Device), ev.Device, ev.Fraud)
+		e.Install(e.Intern(ev.Pkg), e.InternDevice(ev.Device), ev.Fraud)
 	case KindInstallBatch:
-		e.InstallBatchRef(e.StringRef(ev.Pkg), ev.Pkg, ev.Fraud, len(ev.Devices), func(i int) (uint32, string) {
-			return e.DeviceRef(ev.Devices[i]), ev.Devices[i]
+		e.InstallBatch(e.Intern(ev.Pkg), ev.Fraud, len(ev.Devices), func(i int) Ref {
+			return e.InternDevice(ev.Devices[i])
 		})
 	case KindPostback:
-		e.PostbackRef(e.StringRef(ev.Offer), ev.Offer, ev.PostEvent, ev.Certified)
+		e.Postback(e.Intern(ev.Offer), ev.PostEvent, ev.Certified)
 	case KindCertifyBatch:
-		e.CertifyBatchRef(e.StringRef(ev.Offer), ev.Offer, ev.N)
+		e.CertifyBatch(e.Intern(ev.Offer), ev.N)
 	case KindSession:
-		e.SessionRef(e.StringRef(ev.Pkg), ev.Pkg, ev.N, ev.Seconds)
+		e.Session(e.Intern(ev.Pkg), ev.N, ev.Seconds)
 	case KindPurchase:
-		e.PurchaseRef(e.StringRef(ev.Pkg), ev.Pkg, ev.USD)
+		e.Purchase(e.Intern(ev.Pkg), ev.USD)
 	case KindSettle:
-		e.SettleRef(SettleRefs{
-			Offer: e.StringRef(ev.Offer), Dev: e.StringRef(ev.DevAcct),
-			IIP: e.StringRef(ev.IIPAcct), Aff: e.StringRef(ev.AffAcct), User: e.StringRef(ev.UserAcct),
-		}, ev.Offer, ev.N, ev.Batch, ev.Gross, ev.AffCut, ev.UserPayout,
-			ev.DevAcct, ev.IIPAcct, ev.AffAcct, ev.UserAcct)
+		e.Settle(e.Intern(ev.Offer), ev.N, ev.Batch, ev.Gross, ev.AffCut, ev.UserPayout,
+			e.Intern(ev.DevAcct), e.Intern(ev.IIPAcct), e.Intern(ev.AffAcct), e.Intern(ev.UserAcct))
 	case KindEnforce:
 		e.Enforce(ev.Pkg, ev.N)
 	case KindChart:
