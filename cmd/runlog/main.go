@@ -6,7 +6,7 @@
 //	runlog cat [-v] [-kind K] run.log       print events (one line each)
 //	runlog stats run.log                    per-kind byte histogram, run totals
 //	runlog verify run.log                   full replay with verification
-//	runlog seek -day D run.log              rebuild state at day D (O(segment))
+//	runlog seek -day D run.log              rebuild state at day D from its segment
 //	runlog compact [-o OUT] [-segment-bytes N] run.log
 //	                                        rewrite as batched+segmented v3
 //	runlog recover [-dry-run] run.log       salvage a torn/corrupt log by
@@ -17,9 +17,10 @@
 // any logged chart snapshot, enforcement action, or day-end stat line
 // disagrees with the recomputation, or if any frame CRC is wrong.
 //
-// seek does the same rebuild for one day, but restores from the nearest
-// segment checkpoint and replays only that segment's events — the fast
-// path month-scale logs exist for. -day accepts a date (as printed by
+// seek does the same rebuild for one day, but restores the store from the
+// nearest segment checkpoint, rebuilds the ledger from the settle records
+// before it, and replays only that segment's events — the fast path
+// month-scale logs exist for. -day accepts a date (as printed by
 // cat/stats) or "last".
 package main
 
@@ -285,7 +286,7 @@ func verify(args []string) {
 func printState(res *stream.ReplayResult) {
 	fmt.Printf("replayed state: organic=%d incentivized=%d certified=%d revenue=$%.2f installs=%d apps=%d ledger-sum=%.6f\n",
 		res.Stats.OrganicInstalls, res.Stats.IncentivizedInstalls, res.Stats.CertifiedCompletions,
-		res.Stats.RevenueUSD, len(res.Installs), res.Store.NumApps(), res.Ledger.Sum())
+		res.Stats.RevenueUSD, res.InstallRecords, res.Store.NumApps(), res.Ledger.Sum())
 }
 
 func seek(args []string) {

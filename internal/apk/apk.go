@@ -209,7 +209,10 @@ func Decode(b []byte) (APK, error) {
 	if count > 1<<20 {
 		return APK{}, fmt.Errorf("%w: implausible class count %d", ErrBadFormat, count)
 	}
-	a := APK{Package: pkg, Classes: make([]string, 0, count)}
+	// Each class takes at least its 2-byte length, so the bytes left
+	// bound how many a well-formed input holds: size the table by that,
+	// not by the count the input claims.
+	a := APK{Package: pkg, Classes: make([]string, 0, min(count, uint32(r.Len()/2)))}
 	for i := uint32(0); i < count; i++ {
 		c, err := readString16(r)
 		if err != nil {
@@ -224,6 +227,9 @@ func readString16(r *bytes.Reader) (string, error) {
 	var n uint16
 	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
 		return "", fmt.Errorf("%w: truncated string length", ErrBadFormat)
+	}
+	if int(n) > r.Len() {
+		return "", fmt.Errorf("%w: truncated string", ErrBadFormat)
 	}
 	b := make([]byte, n)
 	if _, err := io.ReadFull(r, b); err != nil {

@@ -1,7 +1,9 @@
 package apk
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -123,6 +125,23 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeBoundsClaimedClassCount feeds Decode a 13-byte input that
+// claims 1<<20 classes: it must fail without sizing a table for the
+// claim (16 MiB of string headers).
+func TestDecodeBoundsClaimedClassCount(t *testing.T) {
+	b := []byte("SAPK\x00\x01\x00\x01x\x00\x10\x00\x00")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(b)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("want ErrBadFormat, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("decoding a %d-byte input allocated %d bytes", len(b), got)
+	}
+}
+
 func TestDecodeTruncatedClassTable(t *testing.T) {
 	a := APK{Package: "p", Classes: []string{"a/b/C"}}
 	b := Encode(a)
@@ -179,4 +198,41 @@ func TestBuildIncludesAppClasses(t *testing.T) {
 	if CountAdLibraries(a) != 0 {
 		t.Error("library-free app should detect zero ad libraries")
 	}
+}
+
+// FuzzAPKDecode feeds Decode arbitrary bytes: the crawler decodes APK
+// bodies fetched from the store API. It must never panic, and whatever it
+// accepts must re-encode to a fixed point of Decode and Encode. The seed
+// is a real built APK, which must round-trip byte for byte.
+func FuzzAPKDecode(f *testing.F) {
+	a, err := Build(randx.New(3), "com.fuzz.seed", []string{"Gson", "Fyber", "Google AdMob"}, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := Encode(a)
+	got, err := Decode(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if !bytes.Equal(Encode(got), seed) {
+		f.Fatal("a built APK does not round-trip")
+	}
+	f.Add(seed)
+	f.Add(Encode(APK{Package: "p"}))
+	f.Add([]byte("SAPK\x00\x01\x00\x01x\x00\x10\x00\x00"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := Decode(data)
+		if err != nil {
+			return
+		}
+		enc := Encode(a)
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoded APK does not decode: %v", err)
+		}
+		if !bytes.Equal(Encode(again), enc) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+	})
 }

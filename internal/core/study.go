@@ -52,7 +52,8 @@ type Options struct {
 	// threshold (stream.Writer.SetSegmentBytes): a segment index frame
 	// with an embedded checkpoint is written at the first day boundary
 	// after each SegmentBytes bytes, making the log seekable with
-	// `runlog seek` / stream.ReplayDay at O(segment) cost. Ignored on
+	// `runlog seek` / stream.ReplayDay, which replays one segment of
+	// events after one walk of the settle records before it. Ignored on
 	// resume — the checkpoint carries the original run's segmentation
 	// state, which must govern for the appended bytes to stay identical.
 	SegmentBytes int64

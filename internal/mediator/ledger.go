@@ -8,6 +8,7 @@ package mediator
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -27,7 +28,7 @@ type Tx struct {
 type Ledger struct {
 	mu       sync.Mutex
 	balances map[string]float64
-	txs      []Tx
+	txs      txLog
 	// balancesOnly drops the per-transfer log (and its memo strings),
 	// bounding the ledger at O(accounts) instead of O(run) — the
 	// massive-world configs switch it on (DESIGN.md E12). Balances,
@@ -50,7 +51,7 @@ func (l *Ledger) DisableTxLog() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.balancesOnly = true
-	l.txs = nil
+	l.txs = txLog{}
 }
 
 // Post transfers amount from one account to another.
@@ -87,8 +88,29 @@ func (l *Ledger) applyLocked(tx Tx) {
 	l.balances[tx.From] -= tx.Amount
 	l.balances[tx.To] += tx.Amount
 	if !l.balancesOnly {
-		l.txs = append(l.txs, tx)
+		l.txs.add(tx)
 	}
+}
+
+// txChunkLen is the number of transfers one chunk of a ledger's history
+// holds.
+const txChunkLen = 1 << 10
+
+// txLog is a ledger's transfer history in posting order, held in chunks
+// of txChunkLen: a posting fills the last chunk or opens a new one, so
+// the history never grows by copying what it already holds.
+type txLog struct {
+	chunks [][]Tx // all full but the last
+	n      int
+}
+
+func (t *txLog) add(tx Tx) {
+	if t.n%txChunkLen == 0 {
+		t.chunks = append(t.chunks, make([]Tx, 0, txChunkLen))
+	}
+	last := &t.chunks[len(t.chunks)-1]
+	*last = append(*last, tx)
+	t.n++
 }
 
 func validateTx(from, to string, amount float64) error {
@@ -213,14 +235,14 @@ func (l *Ledger) Sum() float64 {
 func (l *Ledger) NumTransactions() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.txs)
+	return l.txs.n
 }
 
 // Transactions returns a copy of the transaction log.
 func (l *Ledger) Transactions() []Tx {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]Tx(nil), l.txs...)
+	return slices.Concat(l.txs.chunks...)
 }
 
 // Account name helpers keep the naming scheme in one place.

@@ -84,17 +84,31 @@ func (s *OfferSession) SyncTo(m *Mediator) {
 // EncodeSnapshot serializes the ledger: every balance (sorted by account)
 // and the full transaction log in posting order, floats bit-exact, into a
 // buffer sized exactly up front.
-func (l *Ledger) EncodeSnapshot() []byte {
+func (l *Ledger) EncodeSnapshot() []byte { return l.encode(true) }
+
+// EncodeBalances serializes the ledger's balances alone: the snapshot
+// form of a ledger with no transfer history, which RestoreSnapshot reads
+// like any other. A run log's segment frames embed it, since the log's
+// settle records already hold the history.
+func (l *Ledger) EncodeBalances() []byte { return l.encode(false) }
+
+func (l *Ledger) encode(history bool) []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	var txs txLog
+	if history {
+		txs = l.txs
+	}
 	accounts := make([]string, 0, len(l.balances))
-	size := 1 + binenc.UvarintLen(uint64(len(l.balances))) + binenc.UvarintLen(uint64(len(l.txs)))
+	size := 1 + binenc.UvarintLen(uint64(len(l.balances))) + binenc.UvarintLen(uint64(txs.n))
 	for acct := range l.balances {
 		accounts = append(accounts, acct)
 		size += binenc.StrLen(acct) + 8
 	}
-	for _, tx := range l.txs {
-		size += binenc.StrLen(tx.From) + binenc.StrLen(tx.To) + 8 + binenc.StrLen(tx.Memo)
+	for _, c := range txs.chunks {
+		for _, tx := range c {
+			size += binenc.StrLen(tx.From) + binenc.StrLen(tx.To) + 8 + binenc.StrLen(tx.Memo)
+		}
 	}
 	sort.Strings(accounts)
 	enc := binenc.NewEnc(size)
@@ -104,12 +118,14 @@ func (l *Ledger) EncodeSnapshot() []byte {
 		enc.Str(acct)
 		enc.F64(l.balances[acct])
 	}
-	enc.Uvarint(uint64(len(l.txs)))
-	for _, tx := range l.txs {
-		enc.Str(tx.From)
-		enc.Str(tx.To)
-		enc.F64(tx.Amount)
-		enc.Str(tx.Memo)
+	enc.Uvarint(uint64(txs.n))
+	for _, c := range txs.chunks {
+		for _, tx := range c {
+			enc.Str(tx.From)
+			enc.Str(tx.To)
+			enc.F64(tx.Amount)
+			enc.Str(tx.Memo)
+		}
 	}
 	return enc.Bytes()
 }
@@ -117,7 +133,7 @@ func (l *Ledger) EncodeSnapshot() []byte {
 // RestoreSnapshot replaces the ledger's contents with EncodeSnapshot
 // state. Balances are restored bit-exact, so transfers posted after the
 // restore accumulate onto the same float bit patterns the original run
-// held.
+// held. A balances-only ledger parses the history but keeps none of it.
 func (l *Ledger) RestoreSnapshot(data []byte) error {
 	dec := binenc.NewDec(data)
 	if v := dec.U8(); dec.Err() == nil && v != ledgerSnapshotVersion {
@@ -140,28 +156,29 @@ func (l *Ledger) RestoreSnapshot(data []byte) error {
 	if dec.Err() == nil && nTxs > uint64(dec.Remaining()) {
 		return fmt.Errorf("mediator: decoding ledger snapshot: %w", binenc.ErrTooLong)
 	}
-	txs := make([]Tx, 0, nTxs)
+	// A balances-only ledger stays balances-only: a snapshot from a
+	// full-log configuration restores its balances bit-exact but does not
+	// resurrect the O(run) history.
+	l.mu.Lock()
+	keep := !l.balancesOnly
+	l.mu.Unlock()
+	var txs txLog
 	for i := uint64(0); i < nTxs && dec.Err() == nil; i++ {
-		txs = append(txs, Tx{
+		tx := Tx{
 			From:   dec.InternStr(names),
 			To:     dec.InternStr(names),
 			Amount: dec.F64(),
 			Memo:   dec.InternStr(names),
-		})
+		}
+		if keep {
+			txs.add(tx)
+		}
 	}
 	if err := dec.Done(); err != nil {
 		return fmt.Errorf("mediator: decoding ledger snapshot: %w", err)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.balances = balances
-	if l.balancesOnly {
-		// A balances-only ledger stays balances-only: a snapshot from a
-		// full-log configuration restores its balances bit-exact but does
-		// not resurrect the O(run) history.
-		l.txs = nil
-	} else {
-		l.txs = txs
-	}
+	l.balances, l.txs = balances, txs
 	return nil
 }

@@ -2,9 +2,14 @@ package mediator
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/offers"
 )
 
@@ -80,6 +85,95 @@ func TestLedgerSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := l2.RestoreSnapshot(snap[:len(snap)-1]); err == nil {
 		t.Error("truncated ledger snapshot must not decode")
+	}
+}
+
+// flatSnapshot encodes a ledger snapshot from balances and one flat
+// transfer slice: the reference a chunked history must match.
+func flatSnapshot(balances map[string]float64, txs []Tx) []byte {
+	accounts := make([]string, 0, len(balances))
+	for acct := range balances {
+		accounts = append(accounts, acct)
+	}
+	sort.Strings(accounts)
+	enc := binenc.NewEnc(64)
+	enc.U8(ledgerSnapshotVersion)
+	enc.Uvarint(uint64(len(accounts)))
+	for _, acct := range accounts {
+		enc.Str(acct)
+		enc.F64(balances[acct])
+	}
+	enc.Uvarint(uint64(len(txs)))
+	for _, tx := range txs {
+		enc.Str(tx.From)
+		enc.Str(tx.To)
+		enc.F64(tx.Amount)
+		enc.Str(tx.Memo)
+	}
+	return enc.Bytes()
+}
+
+// TestChunkedHistoryMatchesFlat posts histories that end just before, at
+// and just after chunk boundaries. Transactions, NumTransactions and the
+// snapshot bytes must equal a flat reference's; a restore must give the
+// same history back and keep posting across the next boundary; and a
+// balances-only ledger must restore the balances and no history.
+func TestChunkedHistoryMatchesFlat(t *testing.T) {
+	for _, n := range []int{0, 1, txChunkLen - 1, txChunkLen, txChunkLen + 1, 2*txChunkLen + 1} {
+		l := NewLedger()
+		var flat []Tx
+		balances := map[string]float64{}
+		post := func(l *Ledger, i int) Tx {
+			tx := Tx{From: fmt.Sprintf("dev:%d", i%7), To: fmt.Sprintf("user:%d", i%5), Amount: 0.01 * float64(i+1), Memo: settleMemos[i%4]}
+			if err := l.Post(tx.From, tx.To, tx.Amount, tx.Memo); err != nil {
+				t.Fatal(err)
+			}
+			return tx
+		}
+		for i := 0; i < n; i++ {
+			tx := post(l, i)
+			flat = append(flat, tx)
+			balances[tx.From] -= tx.Amount
+			balances[tx.To] += tx.Amount
+		}
+		if got := l.NumTransactions(); got != n {
+			t.Errorf("n=%d: NumTransactions = %d", n, got)
+		}
+		if got := l.Transactions(); !reflect.DeepEqual(got, flat) {
+			t.Errorf("n=%d: Transactions differ from the flat history", n)
+		}
+		snap := l.EncodeSnapshot()
+		if !bytes.Equal(snap, flatSnapshot(balances, flat)) {
+			t.Errorf("n=%d: EncodeSnapshot differs from the flat reference", n)
+		}
+		if !bytes.Equal(l.EncodeBalances(), flatSnapshot(balances, nil)) {
+			t.Errorf("n=%d: EncodeBalances differs from the flat zero-transfer reference", n)
+		}
+
+		restored := NewLedger()
+		if err := restored.RestoreSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(restored.EncodeSnapshot(), snap) || !reflect.DeepEqual(restored.Transactions(), flat) {
+			t.Errorf("n=%d: restore does not give the history back", n)
+		}
+		next := post(restored, n)
+		if got := restored.Transactions(); len(got) != n+1 || !slices.Equal(got[:n], flat) || got[n] != next {
+			t.Errorf("n=%d: posting after a restore does not extend the history", n)
+		}
+
+		bal := NewLedger()
+		bal.DisableTxLog()
+		if err := bal.RestoreSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		post(bal, n)
+		if got := bal.NumTransactions(); got != 0 || bal.Transactions() != nil {
+			t.Errorf("n=%d: balances-only ledger holds %d transfers after a restore and a post", n, got)
+		}
+		if !bytes.Equal(bal.EncodeSnapshot(), restored.EncodeBalances()) {
+			t.Errorf("n=%d: balances-only ledger's balances differ from the full ledger's", n)
+		}
 	}
 }
 

@@ -114,12 +114,11 @@ func runKnobRow(t *testing.T, row knobRow) knobOutcome {
 		if !bytes.Equal(res.Store.EncodeSnapshot(), out.store) {
 			t.Errorf("%+v: replayed store differs from the live store", row)
 		}
-		replayed := make([]InstallRecord, len(res.Installs))
-		for i, in := range res.Installs {
-			replayed[i] = InstallRecord{Device: in.Device, App: in.App, Day: in.Day}
+		if diff := installLogDiff(loggedInstalls(t, out.log), out.installs); diff != "" {
+			t.Errorf("%+v: logged install records %s", row, diff)
 		}
-		if diff := installLogDiff(replayed, out.installs); diff != "" {
-			t.Errorf("%+v: replayed install log %s", row, diff)
+		if res.InstallRecords != int64(len(out.installs)) {
+			t.Errorf("%+v: replay applied %d install records, live %d", row, res.InstallRecords, len(out.installs))
 		}
 	}
 	return out

@@ -221,28 +221,30 @@ func (w *World) RunOpts(o RunOptions) (RunStats, error) {
 // whole days.
 func (w *World) logDayBarrier(log *stream.Writer, day dates.Date, stats *RunStats) error {
 	for _, act := range w.Store.LastEnforcementActions() {
-		if err := log.Enforce(act.Package, act.Removed); err != nil {
+		if err := log.Event(&stream.Event{Kind: stream.KindEnforce, Pkg: act.Package, N: act.Removed}); err != nil {
 			return err
 		}
 	}
 	for _, name := range playstore.ChartNames {
-		if err := log.Chart(name, w.Store.Chart(name)); err != nil {
+		if err := log.Event(&stream.Event{Kind: stream.KindChart, Chart: name, Entries: w.Store.Chart(name)}); err != nil {
 			return err
 		}
 	}
-	if err := log.DayEnd(day, stats.OrganicInstalls, stats.IncentivizedInstalls,
-		stats.CertifiedCompletions, stats.RevenueUSD); err != nil {
+	if err := log.Event(&stream.Event{Kind: stream.KindDayEnd, Day: day,
+		CumOrganic: stats.OrganicInstalls, CumIncent: stats.IncentivizedInstalls,
+		CumCertified: stats.CertifiedCompletions, CumRevenue: stats.RevenueUSD}); err != nil {
 		return err
 	}
 	return log.Flush()
 }
 
 // segmentCheckpoint builds the reduced checkpoint embedded in a segment
-// index frame: store and ledger snapshots plus cumulative stats at the
-// end of day. Unlike a full resume checkpoint it omits the mediator and
-// platform blobs, the RNG streams, and the install log — a seeking
-// replay needs none of them (the certified count rides as a scalar, and
-// charts/enforcement recompute from the store snapshot).
+// index frame: the store snapshot, the ledger's balances and cumulative
+// stats at the end of day. Unlike a full resume checkpoint it omits the
+// transfer history, the mediator and platform blobs, the RNG streams,
+// and the install log — a seeking replay needs none of them (it rebuilds
+// the history from the log's settle records, the certified count rides
+// as a scalar, and charts/enforcement recompute from the store snapshot).
 func (w *World) segmentCheckpoint(day dates.Date, stats *RunStats) *stream.Checkpoint {
 	return &stream.Checkpoint{
 		Day:                  day,
@@ -252,7 +254,7 @@ func (w *World) segmentCheckpoint(day dates.Date, stats *RunStats) *stream.Check
 		CertifiedCompletions: stats.CertifiedCompletions,
 		RevenueUSD:           stats.RevenueUSD,
 		Store:                w.Store.EncodeSnapshot(),
-		Ledger:               w.Ledger.EncodeSnapshot(),
+		Ledger:               w.Ledger.EncodeBalances(),
 	}
 }
 

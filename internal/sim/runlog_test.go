@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"testing"
@@ -58,6 +59,30 @@ func loggedRun(t *testing.T, cfg Config, o RunOptions) ([]byte, RunStats, *World
 	return buf.Bytes(), stats, w
 }
 
+// loggedInstalls walks a run log with a Reader and returns the install
+// records its events carry, in log order.
+func loggedInstalls(t *testing.T, logBytes []byte) []InstallRecord {
+	t.Helper()
+	r, err := stream.NewReader(bytes.NewReader(logBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []InstallRecord
+	var ev stream.Event
+	for {
+		err := r.Next(&ev)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for in := range ev.Installs(r.Day()) {
+			out = append(out, InstallRecord{Device: in.Device, App: in.App, Day: in.Day})
+		}
+	}
+}
+
 // TestRunLogIdenticalAcrossWorkerCounts extends the engine's determinism
 // contract to the event log: the bytes on disk are bit-identical no
 // matter how many workers produced them.
@@ -107,14 +132,19 @@ func TestReplayMatchesLive(t *testing.T) {
 	if !bytes.Equal(res.Ledger.EncodeSnapshot(), w.Ledger.EncodeSnapshot()) {
 		t.Error("replayed ledger snapshot differs from live ledger")
 	}
+	// The install records are the log's own: a walk of it must yield the
+	// live install log, and the replay must have applied that many.
 	live := collect(t, &w.InstallLog)
-	if len(res.Installs) != len(live) {
-		t.Fatalf("replayed install log has %d records, live %d", len(res.Installs), len(live))
+	logged := loggedInstalls(t, logBytes)
+	if res.InstallRecords != int64(len(live)) {
+		t.Errorf("replay applied %d install records, live %d", res.InstallRecords, len(live))
 	}
-	for i := range res.Installs {
-		rec := InstallRecord{Device: res.Installs[i].Device, App: res.Installs[i].App, Day: res.Installs[i].Day}
-		if rec != live[i] {
-			t.Fatalf("install log diverges at %d: %+v vs %+v", i, rec, live[i])
+	if len(logged) != len(live) {
+		t.Fatalf("logged install records: %d, live %d", len(logged), len(live))
+	}
+	for i := range logged {
+		if logged[i] != live[i] {
+			t.Fatalf("install log diverges at %d: %+v vs %+v", i, logged[i], live[i])
 		}
 	}
 
@@ -133,12 +163,12 @@ func TestReplayMatchesLive(t *testing.T) {
 	check("revenue bits", math.Float64bits(res.Stats.RevenueUSD), goldenRevenueBits)
 
 	installHash := newFnv()
-	for _, rec := range res.Installs {
+	for _, rec := range logged {
 		installHash.str(rec.Device)
 		installHash.str(rec.App)
 		installHash.u64(uint64(rec.Day))
 	}
-	check("install log length", uint64(len(res.Installs)), goldenInstallLogLen)
+	check("install log length", uint64(res.InstallRecords), goldenInstallLogLen)
 	check("install log hash", uint64(installHash), goldenInstallLogHash)
 
 	txHash := newFnv()

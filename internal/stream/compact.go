@@ -25,7 +25,9 @@ type CompactStats struct {
 // The full replay verification machinery drives the rewrite: every event
 // is applied to a live replay state as it is copied, so the embedded
 // checkpoints are bit-exact and a corrupt or diverged input fails instead
-// of producing a plausible-looking output. A torn input (killed run) is
+// of producing a plausible-looking output. The embedded checkpoints carry
+// the ledger's balances alone, as the live writer's do, so the replay
+// state keeps no transfer history. A torn input (killed run) is
 // rejected; resume the run or verify the prefix first.
 func Compact(r io.Reader, out io.Writer, segmentBytes int64) (*CompactStats, error) {
 	lr, err := NewReader(r)
@@ -47,6 +49,7 @@ func Compact(r io.Reader, out io.Writer, segmentBytes int64) (*CompactStats, err
 	if err != nil {
 		return nil, err
 	}
+	st.res.Ledger.DisableTxLog()
 
 	var batch Encoder
 	batch.SetRecordMode(true)
@@ -86,7 +89,7 @@ func Compact(r io.Reader, out io.Writer, segmentBytes int64) (*CompactStats, err
 					CertifiedCompletions: st.res.Stats.CertifiedCompletions,
 					RevenueUSD:           st.res.Stats.RevenueUSD,
 					Store:                st.res.Store.EncodeSnapshot(),
-					Ledger:               st.res.Ledger.EncodeSnapshot(),
+					Ledger:               st.res.Ledger.EncodeBalances(),
 				}
 				if err := w.StartSegment(ev.Day, cp.Encode()); err != nil {
 					return nil, err

@@ -40,8 +40,9 @@ const Magic = "IIRLOG1\n"
 // names, and catalog packages ride the base frame once and appear in
 // event frames as 1-3 byte references). Version 3 added event-batch
 // frames (a whole day's unit events length-prefixed inside one CRC'd
-// frame) and segment index frames (periodic embedded checkpoints that
-// make seeking O(segment)); readers accept both 2 and 3.
+// frame) and segment index frames (periodic embedded checkpoints from
+// which a seek replays one segment of events); readers accept both 2
+// and 3.
 const Version = 3
 
 // minReadVersion is the oldest header version readers still accept.
@@ -582,9 +583,11 @@ func (e *Encoder) Event(ev *Event) error {
 // log at a day boundary. Ordinal counts segments from 1 (the region
 // before the first index frame is the implicit segment 0), FirstDay is
 // the first day whose frames follow, and Checkpoint is an encoded
-// reduced checkpoint (store + ledger snapshots and cumulative stats at
-// the end of FirstDay-1) that seeds a seeking replay — so rebuilding
-// state at any day costs one segment of events, not the whole log.
+// reduced checkpoint (the store snapshot, the ledger's balances in its
+// zero-transfer snapshot form, and cumulative stats at the end of
+// FirstDay-1) that seeds a seeking replay — so rebuilding state at any
+// day costs one segment of events plus one walk of the settle records
+// before it, not a replay of the whole log.
 type Segment struct {
 	Ordinal    int64
 	FirstDay   dates.Date
@@ -600,14 +603,15 @@ func (e *Encoder) Segment(s Segment) {
 	e.end(st)
 }
 
-// decodeSegment parses a KindSegment payload.
+// decodeSegment parses a KindSegment payload. The checkpoint aliases
+// payload.
 func decodeSegment(payload []byte) (Segment, error) {
 	dec := binenc.NewDec(payload)
 	s := Segment{
 		Ordinal:  int64(dec.Uvarint()),
 		FirstDay: dates.Date(dec.Varint()),
 	}
-	s.Checkpoint = dec.Blob()
+	s.Checkpoint = dec.BlobView()
 	if err := dec.Done(); err != nil {
 		return Segment{}, fmt.Errorf("%w: decoding segment frame: %v", ErrFrame, err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/binenc"
 	"repro/internal/dates"
+	"repro/internal/mediator"
 	"repro/internal/playstore"
 )
 
@@ -177,8 +178,16 @@ func FuzzBatchRecordRoundTrip(f *testing.F) {
 
 // FuzzSegmentCodecRoundTrip asserts the canonical-codec property on v3
 // segment index frames, and that truncated or corrupted segment frames
-// are rejected rather than misread.
+// are rejected rather than misread. One seed is a real segment frame's
+// balances-only checkpoint.
 func FuzzSegmentCodecRoundTrip(f *testing.F) {
+	data, _ := settledLog(f, (*mediator.Ledger).EncodeBalances)
+	idx, err := ScanIndex(bytes.NewReader(data))
+	if err != nil {
+		f.Fatal(err)
+	}
+	seg := idx.Segments[1]
+	f.Add(uint64(seg.Ordinal), int64(seg.FirstDay), seg.Checkpoint)
 	f.Add(uint64(1), int64(12), []byte("checkpoint-blob"))
 	f.Add(uint64(0), int64(0), []byte{})
 	f.Add(uint64(1)<<40, int64(-3), bytes.Repeat([]byte{0xAB}, 300))

@@ -184,6 +184,42 @@ func (c *cursor) next(ev *Event) error {
 	}
 }
 
+// kindSet is a set of kinds, bit k standing for Kind k.
+type kindSet uint64
+
+func (s kindSet) has(k Kind) bool { return s&(1<<k) != 0 }
+
+// walkHistory steps the cursor through the log up to the frame boundary
+// end, decoding only the records whose kind is in kinds and handing each
+// to fn in log order; fn must not keep ev. Every frame on the way is
+// CRC-verified, and nothing else is decoded. It is the walk that rebuilds
+// the history a snapshot leaves out of the log that holds it.
+func (c *cursor) walkHistory(end int64, kinds kindSet, fn func(ev *Event) error) error {
+	var ev Event
+	for c.off < end || c.batchOff < len(c.batch) {
+		k, payload, _, _, err := c.step()
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
+		if !kinds.has(k) {
+			continue
+		}
+		if err := decodePayload(k, payload, &ev, c.base.Devices, c.base.Strings); err != nil {
+			return err
+		}
+		if err := fn(&ev); err != nil {
+			return err
+		}
+	}
+	if c.off != end {
+		return fmt.Errorf("%w: frame at byte %d runs past byte %d", ErrFrame, c.at, end)
+	}
+	return nil
+}
+
 // dayBracketErr reports how ev breaks the day structure the writer emits,
 // given the day the log was in before it: every event lies between a
 // day-start and the day-end of the same day, and days do not nest. Replay

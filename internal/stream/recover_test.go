@@ -52,10 +52,10 @@ func buildRecoverLog(t *testing.T, days, segEvery int) recoverLog {
 		if err := w.EventBatch(e.Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Enforce("com.x", int64(d)); err != nil {
+		if err := w.Event(&Event{Kind: KindEnforce, Pkg: "com.x", N: int64(d)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.DayEnd(day, int64(d), 2, 0, 0.25); err != nil {
+		if err := w.Event(&Event{Kind: KindDayEnd, Day: day, CumOrganic: int64(d), CumIncent: 2, CumRevenue: 0.25}); err != nil {
 			t.Fatal(err)
 		}
 		rl.boundaries = append(rl.boundaries, w.Offset())
@@ -171,7 +171,7 @@ func TestScanValidStructure(t *testing.T) {
 		if err := w.DayStart(1); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.DayEnd(1, 1, 0, 0, 0); err != nil {
+		if err := w.Event(&Event{Kind: KindDayEnd, Day: 1, CumOrganic: 1}); err != nil {
 			t.Fatal(err)
 		}
 		f(w)
@@ -182,7 +182,7 @@ func TestScanValidStructure(t *testing.T) {
 		f    func(w *Writer)
 	}{
 		{"event outside day", func(w *Writer) {
-			if err := w.Enforce("com.x", 1); err != nil {
+			if err := w.Event(&Event{Kind: KindEnforce, Pkg: "com.x", N: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -198,12 +198,12 @@ func TestScanValidStructure(t *testing.T) {
 			if err := w.DayStart(2); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.DayEnd(9, 1, 0, 0, 0); err != nil {
+			if err := w.Event(&Event{Kind: KindDayEnd, Day: 9, CumOrganic: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"day end without start", func(w *Writer) {
-			if err := w.DayEnd(2, 1, 0, 0, 0); err != nil {
+			if err := w.Event(&Event{Kind: KindDayEnd, Day: 2, CumOrganic: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -321,7 +321,7 @@ func FuzzRecover(f *testing.F) {
 		if err := w.EventBatch(e.Bytes()); err != nil {
 			f.Fatal(err)
 		}
-		if err := w.DayEnd(d, 1, 1, 0, 0); err != nil {
+		if err := w.Event(&Event{Kind: KindDayEnd, Day: d, CumOrganic: 1, CumIncent: 1}); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -389,7 +389,7 @@ func replayableLog(t *testing.T, more func(w *Writer)) ([]byte, int64) {
 	if err := w.DayStart(day); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.DayEnd(day, 0, 0, 0, 0); err != nil {
+	if err := w.Event(&Event{Kind: KindDayEnd, Day: day}); err != nil {
 		t.Fatal(err)
 	}
 	intact := w.Offset()
@@ -428,9 +428,9 @@ func TestReplayAndScanValidAgreeOnStructure(t *testing.T) {
 			func(w *Writer) error { return w.DayStart(102) })},
 		{"mismatched day end", frames(
 			func(w *Writer) error { return w.DayStart(101) },
-			func(w *Writer) error { return w.DayEnd(109, 0, 0, 0, 0) })},
+			func(w *Writer) error { return w.Event(&Event{Kind: KindDayEnd, Day: 109}) })},
 		{"day end without start", frames(
-			func(w *Writer) error { return w.DayEnd(101, 0, 0, 0, 0) })},
+			func(w *Writer) error { return w.Event(&Event{Kind: KindDayEnd, Day: 101}) })},
 		{"click outside day", event(Event{Kind: KindClick, Offer: "offer-1", Worker: "w1"})},
 		{"settle outside day", event(Event{Kind: KindSettle, Offer: "offer-1", N: 1, Gross: 0.12, AffCut: 0.025, UserPayout: 0.06,
 			DevAcct: "dev:d", IIPAcct: "iip:x", AffAcct: "affiliate:z", UserAcct: "user:w1"})},

@@ -1,11 +1,11 @@
 package stream
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"repro/internal/dates"
 	"repro/internal/mediator"
@@ -28,14 +28,16 @@ type ReplayStats struct {
 
 // ReplayResult is the world state rebuilt from a run log: the store (with
 // charts and enforcement recomputed through the live code paths), the
-// ledger (every balance bit-exact), the device-resolved install log, and
-// the run stats.
+// ledger (every balance bit-exact, the transfer history in posting
+// order), and the run stats. The install records are not kept: the log
+// holds them, and a reader that wants them walks it (Reader and
+// Event.Installs). InstallRecords counts the records the replay applied.
 type ReplayResult struct {
-	Header   Header
-	Stats    ReplayStats
-	Store    *playstore.Store
-	Ledger   *mediator.Ledger
-	Installs []Install
+	Header         Header
+	Stats          ReplayStats
+	Store          *playstore.Store
+	Ledger         *mediator.Ledger
+	InstallRecords int64
 }
 
 // Replay rebuilds the run's state from the log alone. The base snapshot
@@ -73,9 +75,9 @@ func baseReplayState(hdr Header, base Base) (*replayState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: replay base store: %w", err)
 	}
-	ledger := mediator.NewLedger()
-	if err := ledger.RestoreSnapshot(base.Ledger); err != nil {
-		return nil, fmt.Errorf("stream: replay base ledger: %w", err)
+	ledger, err := baseLedger(base)
+	if err != nil {
+		return nil, err
 	}
 	// The mediator snapshot contributes the pre-run certified count (the
 	// day-end stat lines report the mediator's absolute total).
@@ -92,13 +94,27 @@ func baseReplayState(hdr Header, base Base) (*replayState, error) {
 	}, nil
 }
 
-// segmentReplayState builds the replay starting point from a segment's
-// embedded reduced checkpoint: store and ledger snapshots plus the
-// cumulative stats at the end of the previous segment. The mediator's
-// absolute certified count rides the checkpoint as a scalar, so the full
-// mediator snapshot is not needed.
-func segmentReplayState(hdr Header, cpBytes []byte) (*replayState, error) {
-	cp, err := DecodeCheckpoint(cpBytes)
+// baseLedger restores the ledger of the run-start base snapshot.
+func baseLedger(base Base) (*mediator.Ledger, error) {
+	ledger := mediator.NewLedger()
+	if err := ledger.RestoreSnapshot(base.Ledger); err != nil {
+		return nil, fmt.Errorf("stream: replay base ledger: %w", err)
+	}
+	return ledger, nil
+}
+
+// segmentReplayState builds the replay starting point at a segment: the
+// store snapshot and cumulative stats its embedded reduced checkpoint
+// holds, and the ledger rebuilt from the base snapshot plus every settle
+// record before the segment frame, history included. The rebuilt
+// balances must equal the balances the segment embeds, bit for bit, or
+// the log disagrees with itself (ErrReplayDiverged). A segment frame
+// that embeds the full history (as logs written before balances-only
+// frames do) is read the same way: its history is ignored. The
+// mediator's absolute certified count rides the checkpoint as a scalar,
+// so the full mediator snapshot is not needed.
+func segmentReplayState(r io.ReaderAt, idx *LogIndex, seg SegmentInfo) (*replayState, error) {
+	cp, err := DecodeCheckpoint(seg.Checkpoint)
 	if err != nil {
 		return nil, fmt.Errorf("stream: segment checkpoint: %w", err)
 	}
@@ -106,11 +122,33 @@ func segmentReplayState(hdr Header, cpBytes []byte) (*replayState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: segment checkpoint store: %w", err)
 	}
-	ledger := mediator.NewLedger()
-	if err := ledger.RestoreSnapshot(cp.Ledger); err != nil {
+	embedded := mediator.NewLedger()
+	embedded.DisableTxLog()
+	if err := embedded.RestoreSnapshot(cp.Ledger); err != nil {
 		return nil, fmt.Errorf("stream: segment checkpoint ledger: %w", err)
 	}
-	res := &ReplayResult{Header: hdr, Store: store, Ledger: ledger}
+	ledger, err := baseLedger(idx.Base)
+	if err != nil {
+		return nil, err
+	}
+	medAcct := mediator.MediatorAccount(idx.Header.MediatorName)
+	c := newCursor(r)
+	c.hdr, c.base, c.off = idx.Header, idx.Base, idx.Segments[0].DataOff
+	err = c.walkHistory(seg.FrameOff, 1<<KindSettle, func(ev *Event) error {
+		legs := ev.settlement(idx.Header, medAcct).Legs()
+		if err := ledger.PostAll(legs[:]); err != nil {
+			return replayErr(ev, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("stream: rebuilding the ledger before segment %d: %w", seg.Ordinal, err)
+	}
+	if !bytes.Equal(ledger.EncodeBalances(), embedded.EncodeBalances()) {
+		return nil, fmt.Errorf("%w: ledger rebuilt from the settle records before segment %d disagrees with its embedded balances",
+			ErrReplayDiverged, seg.Ordinal)
+	}
+	res := &ReplayResult{Header: idx.Header, Store: store, Ledger: ledger}
 	res.Stats = ReplayStats{
 		Days:                 int(cp.Days),
 		OrganicInstalls:      cp.OrganicInstalls,
@@ -119,10 +157,10 @@ func segmentReplayState(hdr Header, cpBytes []byte) (*replayState, error) {
 		RevenueUSD:           cp.RevenueUSD,
 	}
 	return &replayState{
-		hdr:       hdr,
+		hdr:       idx.Header,
 		res:       res,
 		certified: cp.CertifiedCompletions,
-		medAcct:   mediator.MediatorAccount(hdr.MediatorName),
+		medAcct:   medAcct,
 	}, nil
 }
 
@@ -156,12 +194,11 @@ func replayLoop(lr *Reader, st *replayState, until dates.Date, haveUntil bool) (
 
 // ReplayDay rebuilds the run's state through the end of day without
 // replaying the whole log: it scans the seek directory (ScanIndex),
-// restores from the latest segment checkpoint at or before the day, and
-// applies — with full verification — only that segment's events. The
-// result's Installs list covers only the replayed tail (the embedded
-// checkpoints deliberately omit the device-resolved install log; use
-// Replay when the complete list matters); Stats and every store/ledger
-// float are bit-exact.
+// restores the store and stats from the latest segment checkpoint at or
+// before the day, rebuilds the ledger from the settle records before that
+// segment, and applies — with full verification — only that segment's
+// events. Stats, the ledger with its history, and every store float are
+// bit-exact; InstallRecords counts only the replayed segment's records.
 func ReplayDay(r io.ReaderAt, day dates.Date) (*ReplayResult, error) {
 	idx, err := ScanIndex(r)
 	if err != nil {
@@ -177,7 +214,7 @@ func replayDayIndexed(r io.ReaderAt, idx *LogIndex, day dates.Date) (*ReplayResu
 	if seg.Checkpoint == nil {
 		st, err = baseReplayState(idx.Header, idx.Base)
 	} else {
-		st, err = segmentReplayState(idx.Header, seg.Checkpoint)
+		st, err = segmentReplayState(r, idx, seg)
 	}
 	if err != nil {
 		return nil, err
@@ -237,13 +274,13 @@ func (st *replayState) apply(ev *Event, day dates.Date) error {
 		}); err != nil {
 			return replayErr(ev, err)
 		}
-		res.Installs = append(res.Installs, Install{Device: ev.Device, App: ev.Pkg, Day: day})
+		res.InstallRecords++
 
 	case KindInstallBatch:
 		if err := res.Store.RecordInstallBatch(ev.Pkg, day, ev.N, playstore.SourceReferral, ev.Fraud); err != nil {
 			return replayErr(ev, err)
 		}
-		res.Installs = slices.AppendSeq(res.Installs, ev.Installs(day))
+		res.InstallRecords += ev.N
 
 	case KindPostback:
 		if ev.Certified {
@@ -264,12 +301,7 @@ func (st *replayState) apply(ev *Event, day dates.Date) error {
 		}
 
 	case KindSettle:
-		// The live path's own legs, so the float bits match.
-		legs := mediator.Settlement{
-			Developer: ev.DevAcct, IIP: ev.IIPAcct, Affiliate: ev.AffAcct, User: ev.UserAcct, Mediator: st.medAcct,
-			N: ev.N, Batch: ev.Batch,
-			Gross: ev.Gross, AffiliateCut: ev.AffCut, UserPayout: ev.UserPayout, FeePer: st.hdr.FeePerUser,
-		}.Legs()
+		legs := ev.settlement(st.hdr, st.medAcct).Legs()
 		if err := res.Ledger.PostAll(legs[:]); err != nil {
 			return replayErr(ev, err)
 		}
@@ -331,6 +363,17 @@ func (st *replayState) step(day dates.Date) {
 	st.res.Store.StepDay(day)
 	st.enforced = st.res.Store.LastEnforcementActions()
 	st.stepped = true
+}
+
+// settlement is the money of a settle event, as the live engine settled
+// it: posting its Legs reproduces the live transfers to the bit. medAcct
+// is the mediator's ledger account, which the header's mediator names.
+func (ev *Event) settlement(hdr Header, medAcct string) mediator.Settlement {
+	return mediator.Settlement{
+		Developer: ev.DevAcct, IIP: ev.IIPAcct, Affiliate: ev.AffAcct, User: ev.UserAcct, Mediator: medAcct,
+		N: ev.N, Batch: ev.Batch,
+		Gross: ev.Gross, AffiliateCut: ev.AffCut, UserPayout: ev.UserPayout, FeePer: hdr.FeePerUser,
+	}
 }
 
 func replayErr(ev *Event, err error) error {

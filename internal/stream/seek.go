@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"io"
 
 	"repro/internal/binenc"
@@ -115,7 +116,7 @@ func ScanIndex(r io.ReaderAt) (*LogIndex, error) {
 				}
 				idx.Segments = append(idx.Segments, SegmentInfo{
 					Ordinal: seg.Ordinal, FirstDay: seg.FirstDay,
-					FrameOff: off, DataOff: next, Checkpoint: seg.Checkpoint,
+					FrameOff: off, DataOff: next, Checkpoint: bytes.Clone(seg.Checkpoint),
 				})
 			}
 		}

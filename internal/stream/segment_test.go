@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/binenc"
 	"repro/internal/dates"
+	"repro/internal/mediator"
+	"repro/internal/playstore"
 )
 
 // testHeader/testBase build the minimal preamble the format-level tests
@@ -74,7 +76,7 @@ func TestEventBatchRoundTrip(t *testing.T) {
 	if err := w.EventBatch(a.Bytes(), b.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.DayEnd(5, 1, 2, 0, 0); err != nil {
+	if err := w.Event(&Event{Kind: KindDayEnd, Day: 5, CumOrganic: 1, CumIncent: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if w.Offset() != int64(buf.Len()) {
@@ -181,7 +183,7 @@ func segmentedTestLog(t *testing.T) []byte {
 		if err := w.EventBatch(u.Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.DayEnd(d, int64(d), 0, 0, 0); err != nil {
+		if err := w.Event(&Event{Kind: KindDayEnd, Day: d, CumOrganic: int64(d)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -435,7 +437,7 @@ func TestReadVersionCompat(t *testing.T) {
 	if err := w.Event(&Event{Kind: KindInstall, Pkg: "com.x", Device: "d1", Fraud: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.DayEnd(3, 1, 0, 0, 0); err != nil {
+	if err := w.Event(&Event{Kind: KindDayEnd, Day: 3, CumOrganic: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -480,5 +482,176 @@ func TestReadVersionCompat(t *testing.T) {
 		if _, err := NewReader(bytes.NewReader(buf.Bytes())); err == nil {
 			t.Errorf("version %d accepted, want rejection", v)
 		}
+	}
+}
+
+// settledLog writes a three-day log that installs and settles on a real
+// store and ledger, with a segment frame before days 2 and 3 (days 101
+// to 103). Each segment frame embeds the live store snapshot and
+// ledgerForm's encoding of the live ledger: EncodeBalances is what the
+// writer embeds, EncodeSnapshot what logs written before balances-only
+// segment frames embed. It returns the log and the live ledger's final
+// snapshot.
+func settledLog(tb testing.TB, ledgerForm func(*mediator.Ledger) []byte) ([]byte, []byte) {
+	tb.Helper()
+	day0 := dates.Date(101)
+	store := playstore.New(day0)
+	store.SetChartSize(4)
+	store.AddDeveloper(playstore.Developer{ID: "d"})
+	if err := store.Publish(playstore.Listing{Package: "com.b", Title: "B", Genre: "Casual", Developer: "d", Released: day0.AddDays(-30)}); err != nil {
+		tb.Fatal(err)
+	}
+	ledger := mediator.NewLedger()
+	// The base ledger has history of its own, which a rebuild keeps.
+	if err := ledger.Post(mediator.ExternalWorld, "dev:d", 50, "funding"); err != nil {
+		tb.Fatal(err)
+	}
+	hdr := Header{Version: Version, Seed: 1, WindowStart: day0, WindowEnd: day0 + 2, MediatorName: "med", FeePerUser: 0.03}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, hdr, Base{
+		Store: store.EncodeSnapshot(), Ledger: ledger.EncodeSnapshot(), Mediator: mediator.New("med").EncodeSnapshot(),
+		Devices: []string{"w1", "w2"}, Strings: []string{"com.b", "offer-1", "dev:d", "iip:x", "affiliate:z"},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	medAcct := mediator.MediatorAccount(hdr.MediatorName)
+	var cumIncent int64
+	for day := day0; day <= hdr.WindowEnd; day++ {
+		if day > day0 {
+			cp := &Checkpoint{
+				Day: day - 1, Days: int64(day - day0), IncentivizedInstalls: cumIncent,
+				Store: store.EncodeSnapshot(), Ledger: ledgerForm(ledger),
+			}
+			if err := w.StartSegment(day, cp.Encode()); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := w.DayStart(day); err != nil {
+			tb.Fatal(err)
+		}
+		var unit Encoder
+		unit.SetRecordMode(true)
+		unit.SetDeviceTable(w.DeviceTable())
+		unit.SetStringTable(w.StringTable())
+		settles := []Event{
+			{Kind: KindSettle, Offer: "offer-1", N: 1, Gross: 0.12, AffCut: 0.025, UserPayout: 0.06,
+				DevAcct: "dev:d", IIPAcct: "iip:x", AffAcct: "affiliate:z", UserAcct: "user:w1"},
+			{Kind: KindSettle, Offer: "offer-1", N: int64(day - day0 + 2), Batch: true, Gross: 0.36 * float64(day), AffCut: 0.07, UserPayout: 0.2,
+				DevAcct: "dev:d", IIPAcct: "iip:x", AffAcct: "affiliate:z", UserAcct: "user:w2"},
+		}
+		encode(tb, &unit, Event{Kind: KindInstall, Pkg: "com.b", Device: "w1", Fraud: 0.9})
+		if err := store.RecordInstall("com.b", playstore.Install{Day: day, Source: playstore.SourceReferral, FraudScore: 0.9}); err != nil {
+			tb.Fatal(err)
+		}
+		for i := range settles {
+			encode(tb, &unit, settles[i])
+			legs := settles[i].settlement(hdr, medAcct).Legs()
+			if err := ledger.PostAll(legs[:]); err != nil {
+				tb.Fatal(err)
+			}
+			cumIncent += settles[i].N
+		}
+		if err := w.EventBatch(unit.Bytes()); err != nil {
+			tb.Fatal(err)
+		}
+		store.StepDay(day)
+		for _, act := range store.LastEnforcementActions() {
+			if err := w.Event(&Event{Kind: KindEnforce, Pkg: act.Package, N: act.Removed}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		for _, name := range playstore.ChartNames {
+			if err := w.Event(&Event{Kind: KindChart, Chart: name, Entries: store.Chart(name)}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := w.Event(&Event{Kind: KindDayEnd, Day: day, CumIncent: cumIncent}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes(), ledger.EncodeSnapshot()
+}
+
+// TestReplayDayReadsBothSegmentForms seeks every day of a log whose
+// segment frames embed the ledger's balances and of the same log with
+// full-history segment frames: both must rebuild the same store, ledger
+// (history included) and stats, and at the last day the live ledger.
+func TestReplayDayReadsBothSegmentForms(t *testing.T) {
+	balances, liveLedger := settledLog(t, (*mediator.Ledger).EncodeBalances)
+	full, _ := settledLog(t, (*mediator.Ledger).EncodeSnapshot)
+	if len(balances) >= len(full) {
+		t.Fatalf("balances-only log is %d bytes, full-history log %d", len(balances), len(full))
+	}
+	idx, err := ScanIndex(bytes.NewReader(balances))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.Segments) != 3 {
+		t.Fatalf("%d segments, want 3", len(idx.Segments))
+	}
+	for _, seg := range idx.Segments[1:] {
+		cp, err := DecodeCheckpoint(seg.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := mediator.NewLedger()
+		if err := l.RestoreSnapshot(cp.Ledger); err != nil {
+			t.Fatal(err)
+		}
+		if n := l.NumTransactions(); n != 0 {
+			t.Errorf("segment %d embeds %d transfers, want balances only", seg.Ordinal, n)
+		}
+	}
+	for day := dates.Date(101); day <= 103; day++ {
+		got, err := ReplayDay(bytes.NewReader(balances), day)
+		if err != nil {
+			t.Fatalf("balances-only log, day %s: %v", day, err)
+		}
+		want, err := ReplayDay(bytes.NewReader(full), day)
+		if err != nil {
+			t.Fatalf("full-history log, day %s: %v", day, err)
+		}
+		if got.Stats != want.Stats {
+			t.Errorf("day %s: stats %+v, full-history form %+v", day, got.Stats, want.Stats)
+		}
+		if !bytes.Equal(got.Store.EncodeSnapshot(), want.Store.EncodeSnapshot()) {
+			t.Errorf("day %s: store differs between the segment forms", day)
+		}
+		if !bytes.Equal(got.Ledger.EncodeSnapshot(), want.Ledger.EncodeSnapshot()) {
+			t.Errorf("day %s: ledger differs between the segment forms", day)
+		}
+		if day == 103 && !bytes.Equal(got.Ledger.EncodeSnapshot(), liveLedger) {
+			t.Error("ledger at the last day differs from the live ledger")
+		}
+	}
+}
+
+// TestReplayDayRefusesDivergedBalances embeds balances in the segment
+// frames that the log's settle records do not add up to: a seek past the
+// first segment frame must fail with ErrReplayDiverged, while a seek
+// within the first segment and a full replay, which read no segment
+// frame, still succeed.
+func TestReplayDayRefusesDivergedBalances(t *testing.T) {
+	data, _ := settledLog(t, func(l *mediator.Ledger) []byte {
+		off := mediator.NewLedger()
+		if err := off.RestoreSnapshot(l.EncodeBalances()); err != nil {
+			t.Fatal(err)
+		}
+		if err := off.Post("dev:d", "iip:x", 0.01, "not in the log"); err != nil {
+			t.Fatal(err)
+		}
+		return off.EncodeBalances()
+	})
+	for _, day := range []dates.Date{102, 103} {
+		if _, err := ReplayDay(bytes.NewReader(data), day); !errors.Is(err, ErrReplayDiverged) {
+			t.Errorf("ReplayDay(%s) = %v, want ErrReplayDiverged", day, err)
+		}
+	}
+	if _, err := ReplayDay(bytes.NewReader(data), 101); err != nil {
+		t.Errorf("ReplayDay within the first segment: %v", err)
+	}
+	if _, err := Replay(bytes.NewReader(data)); err != nil {
+		t.Errorf("full replay: %v", err)
 	}
 }

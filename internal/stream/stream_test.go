@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/binenc"
@@ -168,7 +169,7 @@ func TestWriterTailRoundTrip(t *testing.T) {
 	if err := w.AppendFrames(unit.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.DayEnd(5, 1, 1, 0, 0); err != nil {
+	if err := w.Event(&Event{Kind: KindDayEnd, Day: 5, CumOrganic: 1, CumIncent: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if w.Offset() != int64(buf.Len()) {
@@ -215,7 +216,7 @@ func TestResumeWriterContinuesByteStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := w.Offset()
-	if err := w.DayEnd(1, 10, 2, 1, 0.5); err != nil {
+	if err := w.Event(&Event{Kind: KindDayEnd, Day: 1, CumOrganic: 10, CumIncent: 2, CumCertified: 1, CumRevenue: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -224,7 +225,7 @@ func TestResumeWriterContinuesByteStream(t *testing.T) {
 	if rw.Offset() != mid {
 		t.Fatalf("resume offset %d, want %d", rw.Offset(), mid)
 	}
-	if err := rw.DayEnd(1, 10, 2, 1, 0.5); err != nil {
+	if err := rw.Event(&Event{Kind: KindDayEnd, Day: 1, CumOrganic: 10, CumIncent: 2, CumCertified: 1, CumRevenue: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rest.Bytes(), full.Bytes()[mid:]) {
@@ -386,16 +387,16 @@ func TestReplayAppliesEvents(t *testing.T) {
 		}
 		liveStore.StepDay(day)
 		for _, act := range liveStore.LastEnforcementActions() {
-			if err := w.Enforce(act.Package, act.Removed); err != nil {
+			if err := w.Event(&Event{Kind: KindEnforce, Pkg: act.Package, N: act.Removed}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, name := range playstore.ChartNames {
-			if err := w.Chart(name, liveStore.Chart(name)); err != nil {
+			if err := w.Event(&Event{Kind: KindChart, Chart: name, Entries: liveStore.Chart(name)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := w.DayEnd(day, cumOrganic, cumIncent, cumCertified, cumRevenue); err != nil {
+		if err := w.Event(&Event{Kind: KindDayEnd, Day: day, CumOrganic: cumOrganic, CumIncent: cumIncent, CumCertified: cumCertified, CumRevenue: cumRevenue}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -415,8 +416,29 @@ func TestReplayAppliesEvents(t *testing.T) {
 	if !bytes.Equal(res.Ledger.EncodeSnapshot(), liveLedger.EncodeSnapshot()) {
 		t.Error("replayed ledger differs from live ledger")
 	}
-	if len(res.Installs) != 2 || res.Installs[0].Device != "w1" || res.Installs[0].App != "com.b" {
-		t.Errorf("replayed install log = %+v", res.Installs)
+	// The install records are the log's: a walk of it yields them, and
+	// the replay counts the same records.
+	lr, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var installs []Install
+	var ev Event
+	for {
+		err := lr.Next(&ev)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		installs = slices.AppendSeq(installs, ev.Installs(lr.Day()))
+	}
+	if len(installs) != 2 || installs[0].Device != "w1" || installs[0].App != "com.b" {
+		t.Errorf("logged install records = %+v", installs)
+	}
+	if res.InstallRecords != int64(len(installs)) {
+		t.Errorf("replay counted %d install records, the log holds %d", res.InstallRecords, len(installs))
 	}
 
 	// A tampered day-end stat line must be caught by the verification.

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/binenc"
 	"repro/internal/dates"
-	"repro/internal/playstore"
 )
 
 // DefaultSegmentBytes is the segment-rotation threshold a fresh writer
@@ -109,9 +108,10 @@ func (w *Writer) ShouldRotate() bool {
 }
 
 // StartSegment writes a segment index frame: the next segment's first
-// day plus an encoded reduced checkpoint (store/ledger snapshots and
-// cumulative stats as of the end of the previous day) that lets a
-// seeking replay start here instead of at the base snapshot.
+// day plus an encoded reduced checkpoint (the store snapshot, the
+// ledger's balances and cumulative stats as of the end of the previous
+// day) that lets a seeking replay start here instead of at the base
+// snapshot.
 func (w *Writer) StartSegment(firstDay dates.Date, checkpoint []byte) error {
 	w.enc.Segment(Segment{Ordinal: w.segOrdinal + 1, FirstDay: firstDay, Checkpoint: checkpoint})
 	if err := w.flushScratch(); err != nil {
@@ -236,26 +236,8 @@ func (w *Writer) DayStart(day dates.Date) error {
 	return w.flushScratch()
 }
 
-// Enforce writes an enforcement action.
-func (w *Writer) Enforce(pkg string, removed int64) error {
-	w.enc.Enforce(pkg, removed)
-	return w.flushScratch()
-}
-
-// Chart writes one chart snapshot.
-func (w *Writer) Chart(name string, entries []playstore.ChartEntry) error {
-	w.enc.Chart(name, entries)
-	return w.flushScratch()
-}
-
-// DayEnd writes the day barrier with cumulative stats.
-func (w *Writer) DayEnd(day dates.Date, cumOrganic, cumIncent, cumCertified int64, cumRevenue float64) error {
-	w.enc.DayEnd(day, cumOrganic, cumIncent, cumCertified, cumRevenue)
-	return w.flushScratch()
-}
-
-// Event writes one event frame (runlog tooling; the engine uses the
-// specialized paths).
+// Event writes one event frame: the engine's barrier-side events
+// (enforcement actions, charts, the day-end line) and runlog tooling.
 func (w *Writer) Event(ev *Event) error {
 	if err := w.enc.Event(ev); err != nil {
 		w.enc.Reset()
