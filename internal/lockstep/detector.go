@@ -141,6 +141,13 @@ func (d *Detector) Events() int {
 	return n
 }
 
+// Devices returns the detector's device table: every device passed to
+// Ingest, once each, in first-ingest order. Ingest interns the device
+// before anything else, so a device is listed even when its installs
+// linked nothing (a duplicate pair, a dead cell). The slice is the table
+// itself, clipped so appends cannot reach it; do not modify it.
+func (d *Detector) Devices() []string { return slices.Clip(d.devName) }
+
 func (d *Detector) internDev(name string) int32 {
 	if id, ok := d.devID[name]; ok {
 		return id

@@ -2,6 +2,7 @@ package lockstep
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/dates"
@@ -140,6 +141,33 @@ func TestDetectPopularAppGuard(t *testing.T) {
 	cfg := Config{DayBucket: 2, MinCommonApps: 3, MinGroupSize: 3, MaxBucketPopulation: 50}
 	if groups := Detect(events, cfg); len(groups) != 0 {
 		t.Errorf("viral apps linked the population: %d groups", len(groups))
+	}
+}
+
+// TestDetectorDevicesIsTheIngestedSet: the device table lists every
+// device passed to Ingest once, in first-ingest order, including devices
+// whose installs linked nothing: re-installs and arrivals in a cell past
+// the population cap.
+func TestDetectorDevicesIsTheIngestedSet(t *testing.T) {
+	d := NewDetector(Config{DayBucket: 2, MinCommonApps: 1, MinGroupSize: 2, MaxBucketPopulation: 2})
+	var want []string
+	seen := map[string]bool{}
+	for _, ev := range []Event{
+		{"a", "x", 0}, {"b", "x", 0}, {"a", "x", 5}, // a re-install
+		{"c", "x", 1}, {"d", "x", 1}, // past the cap of 2: the cell dies
+		{"b", "y", 3}, {"e", "z", 9},
+	} {
+		d.IngestEvent(ev)
+		if !seen[ev.Device] {
+			seen[ev.Device] = true
+			want = append(want, ev.Device)
+		}
+	}
+	if got := d.Devices(); !slices.Equal(got, want) {
+		t.Errorf("Devices() = %v, want %v", got, want)
+	}
+	if d.Stats().BucketsRetracted != 1 {
+		t.Fatalf("the capped cell did not die: %+v", d.Stats())
 	}
 }
 

@@ -35,7 +35,7 @@ func WriteCSV(w io.Writer, offers []Offer) error {
 			o.IIP,
 			o.AppPackage,
 			o.Description,
-			strconv.FormatFloat(o.PayoutUSD, 'f', 4, 64),
+			payoutText(o.PayoutUSD),
 			strconv.Itoa(int(o.FirstSeen)),
 			strconv.Itoa(int(o.LastSeen)),
 			strings.Join(o.Countries, ";"),
@@ -48,7 +48,12 @@ func WriteCSV(w io.Writer, offers []Offer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a dataset written by WriteCSV.
+// payoutText renders a payout as the format keeps it: four decimals.
+func payoutText(usd float64) string { return strconv.FormatFloat(usd, 'f', 4, 64) }
+
+// ReadCSV parses a dataset written by WriteCSV. A payout the format
+// cannot hold (more than four decimals, or not a number) is refused, so a
+// dataset ReadCSV accepts is written back unchanged.
 func ReadCSV(r io.Reader) ([]Offer, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -73,7 +78,7 @@ func ReadCSV(r io.Reader) ([]Offer, error) {
 			return nil, fmt.Errorf("offers: line %d: %w", line, err)
 		}
 		payout, err := strconv.ParseFloat(rec[4], 64)
-		if err != nil {
+		if kept, _ := strconv.ParseFloat(payoutText(payout), 64); err != nil || kept != payout {
 			return nil, fmt.Errorf("offers: line %d: bad payout %q", line, rec[4])
 		}
 		first, err := strconv.Atoi(rec[5])

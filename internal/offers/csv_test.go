@@ -1,6 +1,8 @@
 package offers
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -98,6 +100,8 @@ func TestReadCSVErrors(t *testing.T) {
 		"a,b\n", // wrong column count
 		strings.Replace(validCSV(t), "offer_id", "offer_identifier", 1), // wrong column name
 		strings.Replace(validCSV(t), "0.0600", "not-a-number", 1),       // bad payout
+		strings.Replace(validCSV(t), "0.0600", "0.06001", 1),            // a payout past the format's 4 decimals
+		strings.Replace(validCSV(t), "0.0600", "NaN", 1),                // not a number
 	}
 	for i, in := range cases {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
@@ -127,4 +131,44 @@ func TestCSVEmptyDataset(t *testing.T) {
 	if len(got) != 0 {
 		t.Errorf("empty dataset round trip: %v", got)
 	}
+}
+
+// FuzzReadCSV: ReadCSV never panics on arbitrary input, and whatever it
+// accepts, written again by WriteCSV, reads back equal. The seed is a
+// dataset WriteCSV wrote that reads back as the offers it was written
+// from.
+func FuzzReadCSV(f *testing.F) {
+	in := sampleOffers(6)
+	for i := range in {
+		in[i].PayoutUSD = math.Round(in[i].PayoutUSD*1e4) / 1e4 // the format keeps 4 decimals
+	}
+	in[1].Countries = nil
+	var seed strings.Builder
+	if err := WriteCSV(&seed, in); err != nil {
+		f.Fatal(err)
+	}
+	if got, err := ReadCSV(strings.NewReader(seed.String())); err != nil || !reflect.DeepEqual(got, in) {
+		f.Fatalf("the seed dataset does not round-trip: %v\n got %+v\nwant %+v", err, got, in)
+	}
+	f.Add(seed.String())
+	f.Add(strings.Replace(seed.String(), "0.0600", "0.00001", 1))
+	f.Add(strings.Join(csvHeader, ",") + "\n")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, data string) {
+		got, err := ReadCSV(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out strings.Builder
+		if err := WriteCSV(&out, got); err != nil {
+			t.Fatalf("writing an accepted dataset: %v", err)
+		}
+		again, err := ReadCSV(strings.NewReader(out.String()))
+		if err != nil {
+			t.Fatalf("reading back an accepted dataset: %v\n%s", err, out.String())
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("an accepted dataset changed when written again:\n got %+v\nwant %+v", again, got)
+		}
+	})
 }

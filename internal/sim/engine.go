@@ -81,6 +81,10 @@ type engine struct {
 	sinkEnc   []stream.Encoder
 	batchBufs [][]byte // barrier scratch: non-empty unit buffers for EventBatch
 
+	// installs, when non-nil, receives each sink's install records at the
+	// barrier, in install-log order (RunOptions.Installs).
+	installs func([]InstallRecord) error
+
 	// obs, when non-nil, times the day phases and counts emitted events.
 	// It is written only at phase barriers (a handful of clock reads per
 	// day) and never read by simulation logic, so attaching it cannot
@@ -620,6 +624,11 @@ func (e *engine) stepDay(day dates.Date, stats *RunStats) error {
 			err = fmt.Errorf("sim: ledger flush %s: %w", day, ferr)
 		}
 		w.InstallLog.Append(s.log...)
+		if e.installs != nil && len(s.log) > 0 && err == nil {
+			if ierr := e.installs(s.log); ierr != nil {
+				err = fmt.Errorf("sim: installs on %s: %w", day, ierr)
+			}
+		}
 		stats.IncentivizedInstalls += s.delivered
 		certified += s.certified
 		s.log = s.log[:0]

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -281,5 +282,89 @@ func TestResumeBitIdenticalStatefulStrategies(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInstallsCallbackMatchesInstallLog: RunOptions.Installs hands over
+// exactly the install log's records, in order, at every level of the
+// knobs that shape how the barrier gathers them (worker count, spill
+// window, run log off or on), and a run resumed from a mid-run checkpoint
+// hands over exactly the records after the checkpoint's. An error from
+// the callback stops the run with that error.
+func TestInstallsCallbackMatchesInstallLog(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		for _, window := range []int{0, 64} {
+			for _, logged := range []bool{false, true} {
+				t.Run(fmt.Sprintf("workers=%d/window=%d/log=%v", workers, window, logged), func(t *testing.T) {
+					cfg := microConfig()
+					cfg.Workers, cfg.InstallLogWindow = workers, window
+					run := func(o RunOptions) ([]InstallRecord, *World) {
+						t.Helper()
+						w, err := NewWorld(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						t.Cleanup(func() { w.Close() })
+						var buf bytes.Buffer
+						switch {
+						case logged && o.Resume != nil:
+							o.Log = w.ResumeRunLog(&buf, o.Resume)
+						case logged:
+							if o.Log, err = w.NewRunLog(&buf); err != nil {
+								t.Fatal(err)
+							}
+						}
+						var got []InstallRecord
+						o.Installs = func(recs []InstallRecord) error {
+							got = append(got, recs...)
+							return nil
+						}
+						if _, err := w.RunOpts(o); err != nil {
+							t.Fatal(err)
+						}
+						return got, w
+					}
+
+					var cps []*stream.Checkpoint
+					got, w := run(RunOptions{CheckpointEvery: 6, Checkpoint: func(cp *stream.Checkpoint) error {
+						decoded, err := stream.DecodeCheckpoint(cp.Encode())
+						cps = append(cps, decoded)
+						return err
+					}})
+					want := collect(t, &w.InstallLog)
+					if len(want) == 0 || len(cps) < 2 {
+						t.Fatalf("%d install records, %d checkpoints: nothing to compare", len(want), len(cps))
+					}
+					if diff := installLogDiff(got, want); diff != "" {
+						t.Errorf("the callback's records %s", diff)
+					}
+
+					mid := cps[0]
+					n := mid.Installs.Len()
+					if n == 0 || n == len(want) {
+						t.Fatalf("checkpoint after %s holds %d of %d records, want a strict prefix", mid.Day, n, len(want))
+					}
+					got, _ = run(RunOptions{Resume: mid})
+					if diff := installLogDiff(got, want[n:]); diff != "" {
+						t.Errorf("resumed after %s, the callback's records %s", mid.Day, diff)
+					}
+				})
+			}
+		}
+	}
+
+	w, err := NewWorld(microConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	stop := errors.New("stop")
+	calls := 0
+	_, err = w.RunOpts(RunOptions{Installs: func([]InstallRecord) error {
+		calls++
+		return stop
+	}})
+	if !errors.Is(err, stop) || calls != 1 {
+		t.Errorf("a failing callback: run returned %v after %d calls, want the callback's error after 1", err, calls)
 	}
 }

@@ -47,6 +47,16 @@ type RunOptions struct {
 	// event-log flush (so a hook tailing the log observes the full day).
 	Hook func(day dates.Date) error
 
+	// Installs, when non-nil, receives the day's incentivized install
+	// records at each day barrier, as the install log takes them: one call
+	// per developer group that installed, in install-log order, before the
+	// day's log flush and Hook. Concatenated over a run, the calls yield
+	// the records the install log gains, for any worker count and with the
+	// log on or off. The slice is reused once the call returns. An error
+	// stops the run. Observation only, like Hook: the engine reads nothing
+	// back.
+	Installs func(recs []InstallRecord) error
+
 	// Log, when non-nil, receives the framed event stream. Open it with
 	// World.NewRunLog (fresh run) or stream.ResumeWriter (resumed run).
 	Log *stream.Writer
@@ -124,6 +134,7 @@ func (w *World) RunOpts(o RunOptions) (RunStats, error) {
 		eng.enableLog(o.Log)
 	}
 	eng.obs = o.Metrics
+	eng.installs = o.Installs
 	m := o.Metrics
 	every := o.CheckpointEvery
 	if every <= 0 {

@@ -186,8 +186,12 @@ func FuzzSegmentCodecRoundTrip(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	cp, err := idx.SegmentCheckpoint(bytes.NewReader(data), 1)
+	if err != nil {
+		f.Fatal(err)
+	}
 	seg := idx.Segments[1]
-	f.Add(uint64(seg.Ordinal), int64(seg.FirstDay), seg.Checkpoint)
+	f.Add(uint64(seg.Ordinal), int64(seg.FirstDay), cp.Encode())
 	f.Add(uint64(1), int64(12), []byte("checkpoint-blob"))
 	f.Add(uint64(0), int64(0), []byte{})
 	f.Add(uint64(1)<<40, int64(-3), bytes.Repeat([]byte{0xAB}, 300))

@@ -103,18 +103,23 @@ func baseLedger(base Base) (*mediator.Ledger, error) {
 	return ledger, nil
 }
 
-// segmentReplayState builds the replay starting point at a segment: the
+// segmentReplayState builds the replay starting point at segment i: the
 // store snapshot and cumulative stats its embedded reduced checkpoint
-// holds, and the ledger rebuilt from the base snapshot plus every settle
-// record before the segment frame, history included. The rebuilt
-// balances must equal the balances the segment embeds, bit for bit, or
-// the log disagrees with itself (ErrReplayDiverged). A segment frame
-// that embeds the full history (as logs written before balances-only
-// frames do) is read the same way: its history is ignored. The
-// mediator's absolute certified count rides the checkpoint as a scalar,
-// so the full mediator snapshot is not needed.
-func segmentReplayState(r io.ReaderAt, idx *LogIndex, seg SegmentInfo) (*replayState, error) {
-	cp, err := DecodeCheckpoint(seg.Checkpoint)
+// holds (its index frame re-read and CRC-checked), and the ledger
+// rebuilt from the base snapshot plus every settle record before the
+// segment frame, history included. The rebuilt balances must equal the
+// balances the segment embeds, bit for bit, or the log disagrees with
+// itself (ErrReplayDiverged). A segment frame that embeds the full
+// history (as logs written before balances-only frames do) is read the
+// same way: its history is ignored. The mediator's absolute certified
+// count rides the checkpoint as a scalar, so the full mediator snapshot
+// is not needed.
+func segmentReplayState(r io.ReaderAt, idx *LogIndex, i int) (*replayState, error) {
+	seg := idx.Segments[i]
+	// The checkpoint views c's frame buffer, which the settle walk below
+	// reuses: its store and ledger are decoded (copied) before the walk.
+	c := newCursor(r)
+	cp, err := c.segmentCheckpoint(seg.FrameOff)
 	if err != nil {
 		return nil, fmt.Errorf("stream: segment checkpoint: %w", err)
 	}
@@ -132,7 +137,6 @@ func segmentReplayState(r io.ReaderAt, idx *LogIndex, seg SegmentInfo) (*replayS
 		return nil, err
 	}
 	medAcct := mediator.MediatorAccount(idx.Header.MediatorName)
-	c := newCursor(r)
 	c.hdr, c.base, c.off = idx.Header, idx.Base, idx.Segments[0].DataOff
 	err = c.walkHistory(seg.FrameOff, 1<<KindSettle, func(ev *Event) error {
 		legs := ev.settlement(idx.Header, medAcct).Legs()
@@ -208,13 +212,14 @@ func ReplayDay(r io.ReaderAt, day dates.Date) (*ReplayResult, error) {
 }
 
 func replayDayIndexed(r io.ReaderAt, idx *LogIndex, day dates.Date) (*ReplayResult, error) {
-	seg := idx.Segments[idx.Segment(day)]
+	i := idx.Segment(day)
+	seg := idx.Segments[i]
 	var st *replayState
 	var err error
-	if seg.Checkpoint == nil {
+	if i == 0 {
 		st, err = baseReplayState(idx.Header, idx.Base)
 	} else {
-		st, err = segmentReplayState(r, idx, seg)
+		st, err = segmentReplayState(r, idx, i)
 	}
 	if err != nil {
 		return nil, err

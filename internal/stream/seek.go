@@ -1,7 +1,7 @@
 package stream
 
 import (
-	"bytes"
+	"fmt"
 	"io"
 
 	"repro/internal/binenc"
@@ -10,13 +10,14 @@ import (
 
 // SegmentInfo describes one segment discovered by ScanIndex. The implicit
 // first segment (everything before the first index frame) has Ordinal 0
-// and a nil Checkpoint: replaying it starts from the base snapshot.
+// and no index frame: replaying it starts from the base snapshot. The
+// index keeps no copy of a segment's embedded checkpoint;
+// LogIndex.SegmentCheckpoint reads the one a seek restores from.
 type SegmentInfo struct {
-	Ordinal    int64
-	FirstDay   dates.Date
-	FrameOff   int64  // offset of the segment index frame (preamble end for segment 0)
-	DataOff    int64  // offset of the first frame after the index frame
-	Checkpoint []byte // encoded reduced checkpoint; nil for segment 0
+	Ordinal  int64
+	FirstDay dates.Date
+	FrameOff int64 // offset of the segment index frame (preamble end for segment 0)
+	DataOff  int64 // offset of the first frame after the index frame
 }
 
 // DayInfo locates one day's frames: the offset of its day-start frame and
@@ -28,7 +29,7 @@ type DayInfo struct {
 }
 
 // LogIndex is the seek directory of a run log, built by one forward
-// header-hop scan: segment boundaries with their embedded checkpoints,
+// header-hop scan: segment boundaries and their index frames' offsets,
 // plus the day-start offset of every day. Batching keeps the frame count
 // near a dozen per day, so the scan reads a few hundred bytes per
 // simulated day regardless of event volume.
@@ -70,6 +71,34 @@ func (x *LogIndex) LastDay() (dates.Date, bool) {
 		return 0, false
 	}
 	return x.Days[len(x.Days)-1].Day, true
+}
+
+// SegmentCheckpoint reads the reduced checkpoint embedded in segment i's
+// index frame: it re-reads the frame from r, the log x indexes, checks its
+// CRC and decodes it. Segment 0 has no index frame; its checkpoint is nil.
+func (x *LogIndex) SegmentCheckpoint(r io.ReaderAt, i int) (*Checkpoint, error) {
+	if i == 0 {
+		return nil, nil
+	}
+	c := newCursor(r)
+	return c.segmentCheckpoint(x.Segments[i].FrameOff)
+}
+
+// segmentCheckpoint reads the segment index frame at off and decodes its
+// embedded checkpoint, which views the cursor's frame buffer.
+func (c *cursor) segmentCheckpoint(off int64) (*Checkpoint, error) {
+	k, payload, _, err := c.frame(off)
+	if err == nil && k != KindSegment {
+		err = fmt.Errorf("%w: %s frame at segment offset %d", ErrFrame, k, off)
+	}
+	if err != nil {
+		return nil, err
+	}
+	seg, err := decodeSegment(payload)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeCheckpoint(seg.Checkpoint)
 }
 
 // ScanIndex builds the seek directory of a run log. Only frame headers
@@ -115,8 +144,7 @@ func ScanIndex(r io.ReaderAt) (*LogIndex, error) {
 					return nil, err
 				}
 				idx.Segments = append(idx.Segments, SegmentInfo{
-					Ordinal: seg.Ordinal, FirstDay: seg.FirstDay,
-					FrameOff: off, DataOff: next, Checkpoint: bytes.Clone(seg.Checkpoint),
+					Ordinal: seg.Ordinal, FirstDay: seg.FirstDay, FrameOff: off, DataOff: next,
 				})
 			}
 		}

@@ -221,10 +221,13 @@ func TestSegmentFrameIndexedAndSkipped(t *testing.T) {
 	if len(idx.Segments) != 2 || idx.Segments[0].Ordinal != 0 || idx.Segments[1].Ordinal != 1 {
 		t.Fatalf("segments = %+v", idx.Segments)
 	}
-	if idx.Segments[1].FirstDay != 2 || idx.Segments[1].Checkpoint == nil {
+	if idx.Segments[1].FirstDay != 2 {
 		t.Fatalf("segment 1 = %+v", idx.Segments[1])
 	}
-	cp, err := DecodeCheckpoint(idx.Segments[1].Checkpoint)
+	if cp, err := idx.SegmentCheckpoint(bytes.NewReader(data), 0); cp != nil || err != nil {
+		t.Fatalf("segment 0 checkpoint = %+v, %v; want none", cp, err)
+	}
+	cp, err := idx.SegmentCheckpoint(bytes.NewReader(data), 1)
 	if err != nil || cp.Day != 1 || string(cp.Store) != "s2" {
 		t.Fatalf("embedded checkpoint = %+v, %v", cp, err)
 	}
@@ -590,8 +593,8 @@ func TestReplayDayReadsBothSegmentForms(t *testing.T) {
 	if len(idx.Segments) != 3 {
 		t.Fatalf("%d segments, want 3", len(idx.Segments))
 	}
-	for _, seg := range idx.Segments[1:] {
-		cp, err := DecodeCheckpoint(seg.Checkpoint)
+	for i, seg := range idx.Segments[1:] {
+		cp, err := idx.SegmentCheckpoint(bytes.NewReader(balances), i+1)
 		if err != nil {
 			t.Fatal(err)
 		}

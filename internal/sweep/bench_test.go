@@ -8,10 +8,10 @@ import (
 )
 
 // BenchmarkCellRun runs one in-memory paper-baseline cell on the tiny
-// world: the world build, the 121-day run with its run log tailed into the
-// detector, and the scoring. Run with -benchmem; the bytes a cell
-// allocates are what its world, ledger, run-log buffer and detector keep
-// (its install log only counts records).
+// world: the world build, the 121-day run feeding its installs to the
+// detector at each day barrier, and the scoring. Run with -benchmem; the
+// bytes a cell allocates are what its world, ledger and detector keep (it
+// writes no run log, and its install log only counts records).
 func BenchmarkCellRun(b *testing.B) {
 	sp, ok := scenario.Lookup("paper-baseline")
 	if !ok {

@@ -49,7 +49,8 @@ type CellRunner struct {
 	// write failures and torn writes.
 	Fault *fault.Injector
 	// PerDay, when non-nil, runs after each simulated day (after the
-	// detector drain): worker heartbeats and crash points hook in here.
+	// day's installs reached the detector): worker heartbeats and crash
+	// points hook in here.
 	PerDay func(day dates.Date) error
 	// Detector, when non-nil, receives every cell detector's retraction
 	// and banding-funnel increments (aggregated across the cells this
@@ -64,21 +65,22 @@ type CellRunner struct {
 // with the spool checkpointed (errors.Is(err, ctx.Err())); a successor
 // resumes the cell, it does not restart it.
 //
-// The run log is the detector's input either way, and the source of the
-// ground truth it is scored against: a Tail follows it at each day
-// barrier, as an out-of-process analytics job tailing the file would. In
-// memory it drains into a buffer. Spooled, it and periodic checkpoints
-// live under SpoolDir, so a successor of a killed run salvages the log's
-// torn tail (stream.Recover), restores the last checkpoint, re-ingests
-// the detector and the truth set from the salvaged prefix and continues
-// the simulation, writing the bytes the uninterrupted run would have.
+// The detector takes each day's incentivized installs at the day barrier
+// (sim.RunOptions.Installs), and its device table, read before the
+// organic decoys join it, is the ground truth the cell is scored against.
+// In memory no run log is written at all. Spooled, the run log and
+// periodic checkpoints live under SpoolDir, so a successor of a killed
+// run salvages the log's torn tail (stream.Recover), restores the last
+// checkpoint, re-ingests the salvaged prefix into the detector and
+// continues the simulation, writing the bytes the uninterrupted run would
+// have.
 func (cr *CellRunner) Run(ctx context.Context, sp scenario.Spec, seed uint64) (Cell, CellRunInfo, error) {
 	cell, info, _, err := cr.run(ctx, sp, seed)
 	return cell, info, err
 }
 
-// run is Run, also returning the detector tap the cell was scored from.
-func (cr *CellRunner) run(ctx context.Context, sp scenario.Spec, seed uint64) (Cell, CellRunInfo, *detectorTap, error) {
+// run is Run, also returning the truth set the cell was scored against.
+func (cr *CellRunner) run(ctx context.Context, sp scenario.Spec, seed uint64) (Cell, CellRunInfo, map[string]bool, error) {
 	var info CellRunInfo
 	cfg, err := sim.ConfigForSpec(sp)
 	if err != nil {
@@ -92,7 +94,7 @@ func (cr *CellRunner) run(ctx context.Context, sp scenario.Spec, seed uint64) (C
 	// and so every simulated value, are the same without it.
 	cfg.LedgerBalancesOnly = true
 	cell := Cell{Scenario: sp.Name, Seed: cfg.Seed}
-	fail := func(what string, err error) (Cell, CellRunInfo, *detectorTap, error) {
+	fail := func(what string, err error) (Cell, CellRunInfo, map[string]bool, error) {
 		return cell, info, nil, fmt.Errorf("sweep: %s %s/seed=%d: %w", what, sp.Name, cfg.Seed, err)
 	}
 	w, err := sim.NewWorld(cfg)
@@ -100,22 +102,23 @@ func (cr *CellRunner) run(ctx context.Context, sp scenario.Spec, seed uint64) (C
 		return fail("building", err)
 	}
 
-	opts := sim.RunOptions{Context: ctx}
-	var src io.ReaderAt
+	det := lockstep.NewDetector(sp.Detector.Config())
+	det.SetMetrics(cr.Detector)
+	opts := sim.RunOptions{Context: ctx, Hook: cr.PerDay, Installs: func(recs []sim.InstallRecord) error {
+		for _, in := range recs {
+			det.Ingest(in.Device, in.App, in.Day)
+		}
+		return nil
+	}}
 	var spool *sim.RunLogFile
 	var logPath, ckptPath string
 	if cr.SpoolDir == "" {
-		// The tap takes truth from the run log, so nothing reads the
-		// world's install records: keep only their count. A spooled cell
-		// keeps them, since its checkpoints embed the install history.
+		// The detector takes the installs at the barrier, so nothing reads
+		// the world's install records: keep only their count. A spooled
+		// cell keeps them, since its checkpoints embed the install history.
 		if err := w.InstallLog.CountOnly(); err != nil {
-			return fail("logging", err)
+			return fail("counting installs", err)
 		}
-		buf := &memLog{}
-		if opts.Log, err = w.NewRunLog(buf); err != nil {
-			return fail("logging", err)
-		}
-		src = buf
 	} else {
 		logPath, ckptPath = cr.spoolPaths(sp.Name, cfg.Seed)
 		opts.Resume = cr.loadResume(w, logPath, ckptPath, &info)
@@ -127,20 +130,18 @@ func (cr *CellRunner) run(ctx context.Context, sp scenario.Spec, seed uint64) (C
 		if err != nil {
 			return fail("spooling", err)
 		}
-		opts.Log, src = spool.Log, spool
+		opts.Log = spool.Log
 		opts.CheckpointEvery, opts.Checkpoint = cr.CheckpointEvery, spool.Checkpoint(ckptPath)
-	}
-
-	tap := newDetectorTap(sp, src, cr.Detector)
-	opts.Hook = cr.dayHook(tap)
-	// A resumed cell first re-ingests the already-simulated prefix: resume
-	// continues the analysis too, it does not restart it.
-	if opts.Resume != nil {
-		if err := tap.drain(); err != nil {
-			spool.Close()
-			return fail("re-ingesting", err)
+		// A resumed cell first re-ingests the already-simulated prefix:
+		// resume continues the analysis too, it does not restart it.
+		if opts.Resume != nil {
+			if err := ingestLog(det, spool); err != nil {
+				spool.Close()
+				return fail("re-ingesting", err)
+			}
 		}
 	}
+
 	stats, err := w.RunOpts(opts)
 	if spool != nil {
 		if cerr := spool.Close(); err == nil {
@@ -152,14 +153,14 @@ func (cr *CellRunner) run(ctx context.Context, sp scenario.Spec, seed uint64) (C
 	}
 	info.DaysExecuted = stats.Days - info.ResumedAfterDays
 	cell.Stats = stats
-	scoreCell(&cell, w.DecoyEvents(), tap)
+	truth := scoreCell(&cell, w.DecoyEvents(), det)
 	if spool != nil {
 		// The cell is done and its result content-verifiable; the spool is
 		// scratch space, not an artifact.
 		os.Remove(logPath)
 		os.Remove(ckptPath)
 	}
-	return cell, info, tap, nil
+	return cell, info, truth, nil
 }
 
 func (cr *CellRunner) spoolPaths(name string, seed uint64) (logPath, ckptPath string) {
@@ -194,125 +195,48 @@ func (cr *CellRunner) loadResume(w *sim.World, logPath, ckptPath string, info *C
 	return cp
 }
 
-// dayHook chains the detector drain with the runner's PerDay hook.
-func (cr *CellRunner) dayHook(tap *detectorTap) func(dates.Date) error {
-	return func(day dates.Date) error {
-		if err := tap.drain(); err != nil {
-			return err
-		}
-		if cr.PerDay != nil {
-			return cr.PerDay(day)
-		}
-		return nil
-	}
-}
-
-// detectorTap feeds the incremental lockstep detector from a run log via
-// stream.Tail: drained at each day barrier, it observes installs exactly
-// as an out-of-process analytics job tailing the file would. The run log
-// carries every incentivized install the world's install log receives,
-// so the devices the tap ingests are the cell's ground truth.
-type detectorTap struct {
-	det   *lockstep.Detector
-	truth map[string]bool // every device the tap ingested an install from
-	tail  *stream.Tail
-	mem   *memLog // src, when it is an in-memory log
-	ev    stream.Event
-}
-
-func newDetectorTap(sp scenario.Spec, src io.ReaderAt, m *lockstep.Metrics) *detectorTap {
-	det := lockstep.NewDetector(sp.Detector.Config())
-	det.SetMetrics(m)
-	mem, _ := src.(*memLog)
-	return &detectorTap{
-		det:   det,
-		truth: make(map[string]bool, 1024),
-		tail:  stream.NewTail(src),
-		mem:   mem,
-	}
-}
-
-// drain ingests every complete event the log holds. An in-memory log then
-// drops what the tail has read: the tail reads forward only, and at a day
-// barrier, where drain runs, its offset is exact.
-func (tp *detectorTap) drain() error {
+// ingestLog feeds det every install a run log holds, in log order: the
+// salvaged prefix of a resumed cell, whose days the barrier callback of
+// this run never sees.
+func ingestLog(det *lockstep.Detector, src io.ReaderAt) error {
+	tail := stream.NewTail(src)
+	var ev stream.Event
 	for {
-		ok, err := tp.tail.Next(&tp.ev)
-		if err != nil {
+		ok, err := tail.Next(&ev)
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			if tp.mem != nil {
-				tp.mem.discard(tp.tail.Offset())
-			}
-			return nil
-		}
-		for in := range tp.ev.Installs(tp.tail.Day()) {
-			tp.det.Ingest(in.Device, in.App, in.Day)
-			tp.truth[in.Device] = true
+		for in := range ev.Installs(tail.Day()) {
+			det.Ingest(in.Device, in.App, in.Day)
 		}
 	}
 }
 
-// scoreCell finishes a completed run: the organic decoy background, then
-// the tap's groups scored against the truth set it collected.
-func scoreCell(cell *Cell, decoys []lockstep.Event, tap *detectorTap) {
-	det := tap.det
+// scoreCell finishes a completed run. The detector's device table, read
+// before the organic decoy background joins it, is the cell's ground
+// truth: every device it took an incentivized install from. The groups
+// found once the decoys are in are scored against it, and it is returned.
+func scoreCell(cell *Cell, decoys []lockstep.Event, det *lockstep.Detector) map[string]bool {
+	devs := det.Devices()
+	truth := make(map[string]bool, len(devs))
+	for _, d := range devs {
+		truth[d] = true
+	}
 	for _, dev := range decoys {
 		det.Ingest(dev.Device, dev.App, dev.Day)
 	}
 	groups := det.Groups()
-	cell.Truth = len(tap.truth)
+	cell.Truth = len(truth)
 	cell.Groups = len(groups)
 	cell.Flagged = 0
 	for _, g := range groups {
 		cell.Flagged += len(g.Devices)
 	}
-	cell.Eval = lockstep.Evaluate(groups, tap.truth)
+	cell.Eval = lockstep.Evaluate(groups, truth)
 	cell.Detector = det.Stats()
+	return truth
 }
 
 // IsInjected reports whether err stems from an injected fault — the
 // signal a chaos-harness worker treats as its own simulated death.
 func IsInjected(err error) bool { return errors.Is(err, fault.ErrInjected) }
-
-// memLog is the in-memory run log a cell writes and tails: Write appends,
-// ReadAt addresses absolute offsets. It keeps only the bytes from base on:
-// discard drops the prefix the tail has read, so a cell holds about one
-// day of log, not the whole run. The writer (run loop) and reader
-// (day-barrier hook) share one goroutine, so no locking is needed.
-type memLog struct {
-	buf  []byte
-	base int64 // absolute offset of buf[0]
-}
-
-func (m *memLog) Write(p []byte) (int, error) {
-	m.buf = append(m.buf, p...)
-	return len(p), nil
-}
-
-func (m *memLog) ReadAt(p []byte, off int64) (int, error) {
-	if off < m.base {
-		return 0, fmt.Errorf("sweep: run-log read at %d, before the kept bytes at %d", off, m.base)
-	}
-	off -= m.base
-	if off >= int64(len(m.buf)) {
-		return 0, io.EOF
-	}
-	n := copy(p, m.buf[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// discard drops the bytes before absolute offset off, keeping the buffer's
-// capacity for the next day's writes.
-func (m *memLog) discard(off int64) {
-	n := min(off-m.base, int64(len(m.buf)))
-	if n <= 0 {
-		return
-	}
-	m.buf = m.buf[:copy(m.buf, m.buf[n:])]
-	m.base += n
-}

@@ -118,11 +118,11 @@ func TestSpooledForeignLogRestartsCell(t *testing.T) {
 }
 
 // TestTapTruthMatchesTruthLabels: for every built-in scenario, the truth
-// set a cell's tap collects from its run log equals World.TruthLabels of
-// a same-seed run that keeps its install records, both for an in-memory
-// cell, whose install log keeps only a count, and for a spooled cell
-// killed at a day barrier and resumed, whose tap re-ingests the salvaged
-// prefix.
+// set a cell scores against (its detector's device table, fed at the day
+// barriers) equals World.TruthLabels of a same-seed run that keeps its
+// install records, both for an in-memory cell, whose install log keeps
+// only a count, and for a spooled cell killed at a day barrier and
+// resumed, whose detector re-ingests the salvaged log prefix.
 func TestTapTruthMatchesTruthLabels(t *testing.T) {
 	const seed = 20190301
 	for i, b := range scenario.Builtins() {
@@ -149,19 +149,19 @@ func TestTapTruthMatchesTruthLabels(t *testing.T) {
 			if err := w.InstallLog.Err(); err != nil || len(want) == 0 {
 				t.Fatalf("reference truth: %d devices, err %v", len(want), err)
 			}
-			check := func(what string, cell Cell, tap *detectorTap) {
+			check := func(what string, cell Cell, truth map[string]bool) {
 				t.Helper()
-				if !maps.Equal(tap.truth, want) || cell.Truth != len(want) {
-					t.Errorf("%s: the tap's truth set (%d devices, cell reports %d) differs from TruthLabels (%d)",
-						what, len(tap.truth), cell.Truth, len(want))
+				if !maps.Equal(truth, want) || cell.Truth != len(want) {
+					t.Errorf("%s: the cell's truth set (%d devices, cell reports %d) differs from TruthLabels (%d)",
+						what, len(truth), cell.Truth, len(want))
 				}
 			}
 
-			cell, _, tap, err := (&CellRunner{}).run(context.Background(), sp, seed)
+			cell, _, truth, err := (&CellRunner{}).run(context.Background(), sp, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("in-memory", cell, tap)
+			check("in-memory", cell, truth)
 
 			spool := t.TempDir()
 			days := 0
@@ -174,14 +174,14 @@ func TestTapTruthMatchesTruthLabels(t *testing.T) {
 			if _, _, err := first.Run(context.Background(), sp, seed); !IsInjected(err) {
 				t.Fatalf("killed run returned %v, want an injected fault", err)
 			}
-			cell, info, tap, err := (&CellRunner{SpoolDir: spool, CheckpointEvery: 1}).run(context.Background(), sp, seed)
+			cell, info, truth, err := (&CellRunner{SpoolDir: spool, CheckpointEvery: 1}).run(context.Background(), sp, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !info.Resumed || info.ResumedAfterDays != killAt-1 {
 				t.Fatalf("successor info = %+v, want a resume after day %d", info, killAt-1)
 			}
-			check("spooled, killed and resumed", cell, tap)
+			check("spooled, killed and resumed", cell, truth)
 		})
 	}
 }

@@ -2,13 +2,16 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -86,5 +89,70 @@ func TestCoordinatorRejectsOversizedBody(t *testing.T) {
 	}
 	if got := co.Progress(); got.Leased != 0 {
 		t.Errorf("normal-size fail did not release the lease: %+v", got)
+	}
+}
+
+// TestClientDeadlineOnStalledCoordinator: a coordinator that sends its
+// headers and then stalls mid-body fails a Client without its own HTTP
+// client once each attempt's deadline passes, instead of hanging the
+// worker.
+func TestClientDeadlineOnStalledCoordinator(t *testing.T) {
+	defer func(d time.Duration) { requestTimeout = d }(requestTimeout)
+	requestTimeout = 100 * time.Millisecond
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, `{"claim":`)
+		w.(http.Flusher).Flush()
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer srv.Close()
+	defer close(release)
+
+	c := &Client{BaseURL: srv.URL, Retries: 1, RetryBase: time.Millisecond}
+	done := make(chan error, 1)
+	go func() {
+		_, _, _, err := c.Lease(context.Background())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a stalled response body leased successfully")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Lease still waiting on a stalled coordinator after 5s: no request deadline")
+	}
+}
+
+// TestClientBoundsResponseBody: a response body of maxResponseBytes reads
+// and decodes; one byte more fails the request without a retry.
+func TestClientBoundsResponseBody(t *testing.T) {
+	body := func(n int) string {
+		const head, tail = `{"retry_ms":7,"pad":"`, `"}`
+		return head + strings.Repeat("x", n-len(head)-len(tail)) + tail
+	}
+	for _, c := range []struct {
+		size int
+		ok   bool
+	}{{maxResponseBytes, true}, {maxResponseBytes + 1, false}} {
+		var calls atomic.Int32
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, body(c.size))
+		}))
+		_, retry, _, err := (&Client{BaseURL: srv.URL, RetryBase: time.Millisecond}).Lease(context.Background())
+		srv.Close()
+		switch {
+		case c.ok && (err != nil || retry != 7*time.Millisecond):
+			t.Errorf("a %d-byte response: retry %v, err %v; want 7ms", c.size, retry, err)
+		case !c.ok && (err == nil || calls.Load() != 1):
+			t.Errorf("a %d-byte response: err %v after %d calls; want a failure after 1", c.size, err, calls.Load())
+		}
 	}
 }

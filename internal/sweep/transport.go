@@ -53,6 +53,17 @@ type failRequest struct {
 	Transient bool   `json:"transient"`
 }
 
+// maxResponseBytes bounds a coordinator response body, as maxRequestBytes
+// bounds a request. The largest legitimate response, a lease carrying one
+// CellClaim, is a few hundred bytes of JSON.
+const maxResponseBytes = 1 << 20
+
+// requestTimeout is the deadline of each request a Client without its own
+// HTTP client makes. The coordinator answers from memory plus at most one
+// journal append, so only a stalled coordinator meets it. A variable so
+// tests can shorten it.
+var requestTimeout = 30 * time.Second
+
 // Client is a worker's connection to the coordinator. Transport-level
 // failures (connection refused, injected drops, 5xx) are retried with
 // capped exponential backoff + jitter; protocol-level outcomes (410
@@ -60,8 +71,9 @@ type failRequest struct {
 type Client struct {
 	// BaseURL is the coordinator root, e.g. "http://127.0.0.1:7077".
 	BaseURL string
-	// HTTP is the underlying client (nil = http.DefaultClient). Chaos
-	// tests install a fault-injecting RoundTripper here.
+	// HTTP is the underlying client (nil = the default transport with a
+	// deadline on each request). Chaos tests install a fault-injecting
+	// RoundTripper here.
 	HTTP *http.Client
 	// Retries bounds transport-level retries per request (0 = 8).
 	Retries int
@@ -100,9 +112,10 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return d
 }
 
-// post sends one JSON request, retrying transport failures. A non-nil
-// out receives the decoded 200 body. Cancelling ctx aborts the request
-// in flight and the backoff waits between retries.
+// post sends one JSON request, retrying transport failures (a request
+// past its deadline is one). A non-nil out receives the decoded 200 body.
+// A response body over maxResponseBytes fails the request. Cancelling ctx
+// aborts the request in flight and the backoff waits between retries.
 func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
@@ -110,7 +123,7 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	}
 	httpc := c.HTTP
 	if httpc == nil {
-		httpc = http.DefaultClient
+		httpc = &http.Client{Timeout: requestTimeout}
 	}
 	var lastErr error
 	for attempt := 0; attempt <= c.retries(); attempt++ {
@@ -135,11 +148,14 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 			lastErr = err // connection-level: retry
 			continue
 		}
-		data, err := io.ReadAll(resp.Body)
+		data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 		resp.Body.Close()
 		if err != nil {
 			lastErr = err
 			continue
+		}
+		if len(data) > maxResponseBytes {
+			return fmt.Errorf("sweep: %s: %s response body over %d bytes", path, resp.Status, maxResponseBytes)
 		}
 		switch {
 		case resp.StatusCode == http.StatusOK:
