@@ -1,8 +1,8 @@
 package repro
 
 // Massive-world benchmarks (DESIGN.md E12): the order-of-magnitude
-// scale-up the SoA store columns, the sketch-tier lockstep detector, and
-// the spill-to-disk install log were built for. By default they run a
+// scale-up the SoA store columns, the lockstep detector, and the
+// spill-to-disk install log were built for. By default they run a
 // mid-size world so `go test -bench` stays tractable; the -massive flag
 // switches to the full sim.MassiveConfig population (~100k apps, ~1M
 // devices). Both are skipped under -short (CI's budget smoke runs the
@@ -144,12 +144,13 @@ func BenchmarkMassiveWorld(b *testing.B) {
 	b.Run("spill=on", func(b *testing.B) { benchMassiveRun(b, true) })
 }
 
-// BenchmarkMassiveLockstepIngest drives the sketch-tier detector's
-// online ingest at massive device counts: one million devices under
-// -massive, one hundred thousand by default. The stream mixes background
-// noise with planted lockstep groups so both the cell fan-out and the
-// bucket-population cap are exercised; ns/op is the cost of one full
-// pass over the synthesized stream.
+// BenchmarkMassiveLockstepIngest drives the detector's online ingest at
+// massive device counts: one million devices under -massive, one hundred
+// thousand by default. The stream mixes background noise with planted
+// lockstep groups so both the cell fan-out and the bucket-population cap
+// are exercised; ns/op is the cost of one full pass over the synthesized
+// stream. After the timed passes, one Groups call off the clock must
+// recover exactly the planted groups.
 func BenchmarkMassiveLockstepIngest(b *testing.B) {
 	if testing.Short() {
 		b.Skip("massive lockstep benchmark skipped in -short")
@@ -164,9 +165,6 @@ func BenchmarkMassiveLockstepIngest(b *testing.B) {
 		MinCommonApps:       3,
 		MinGroupSize:        3,
 		MaxBucketPopulation: 500,
-		SketchHashes:        64,
-		SketchRows:          8,
-		SketchSeed:          42,
 	}
 	// Synthesize the event stream once, off the clock: mostly uniform
 	// background installs, plus planted 20-device groups marching through
@@ -201,8 +199,9 @@ func BenchmarkMassiveLockstepIngest(b *testing.B) {
 	debug.FreeOSMemory()
 	resetPeakRSS()
 	b.ResetTimer()
+	var det *lockstep.Detector
 	for i := 0; i < b.N; i++ {
-		det := lockstep.NewDetector(cfg)
+		det = lockstep.NewDetector(cfg)
 		det.Grow(len(events))
 		for _, e := range events {
 			det.Ingest(e.dev, e.app, e.day)
@@ -211,7 +210,18 @@ func BenchmarkMassiveLockstepIngest(b *testing.B) {
 			b.Fatal("stream never crossed the bucket cap")
 		}
 	}
+	b.StopTimer()
 	b.ReportMetric(peakRSSMB(), "peakRSS-MB")
+	groups := det.Groups()
+	if len(groups) != devices/1000 {
+		b.Fatalf("Groups found %d groups, want the %d planted", len(groups), devices/1000)
+	}
+	for _, g := range groups {
+		if len(g.Devices) != 20 || len(g.Apps) != appsPerDevice {
+			b.Fatalf("group of %d devices over %d apps, want a planted group of 20 over %d",
+				len(g.Devices), len(g.Apps), appsPerDevice)
+		}
+	}
 	b.ReportMetric(float64(devices), "devices")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/install")
 }

@@ -321,7 +321,7 @@ func seek(args []string) {
 		day = dates.FromTime(t)
 	}
 	seg := idx.Segments[idx.Segment(day)]
-	res, err := stream.ReplayDay(f, day)
+	res, err := idx.ReplayDay(f, day)
 	if err != nil {
 		log.Fatalf("FAIL: %v", err)
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // Detector is the incremental form of Detect: events stream in one at a
-// time (the run-log tail feeds it day by day) and Groups can be asked for
-// at any point, reporting the lockstep clusters formed so far.
+// time (a sweep cell feeds it each day's installs at the day barrier) and
+// Groups can be asked for at any point, reporting the lockstep clusters
+// formed so far.
 //
 // Device and app strings are interned to dense int32 ids on first sight,
 // so the co-occurrence state is an inverted index over integers: each
@@ -47,30 +48,15 @@ type Detector struct {
 	counts  []int32
 	touched []int32
 
-	// Sketch tier (cfg.Sketching()): per-device MinHash signatures over
-	// the live cells each device joined, flat at sketchK slots per
-	// device. sketched[dev] records whether the device joined any cell
-	// while it was alive (only those take part in banding). hashA/hashB
-	// are the universal-hash parameters, all derived from cfg.SketchSeed.
-	sketchK    int
-	sketchSalt uint64
-	hashA      []uint64
-	hashB      []uint64
-	sigs       []uint64
-	sketched   []bool
-
 	// Accounting surfaced through Stats; metrics, when attached, mirrors
 	// the increments into obs counters (observation only).
 	bucketsRetracted int64
 	pairsPruned      int64
-	lastCandidates   int64
-	lastVerified     int64
 	metrics          *Metrics
 }
 
 type cellState struct {
-	// devs lists the members while the cell is alive (exact tier only;
-	// the sketch tier never counts co-members).
+	// devs lists the members while the cell is alive.
 	devs []int32
 	// pop counts every non-duplicate arrival, dead or alive — the basis
 	// for the population cap and for pricing the signal a dead cell
@@ -91,16 +77,12 @@ func NewDetector(cfg Config) *Detector {
 	if cfg.MinGroupSize < 2 {
 		cfg.MinGroupSize = 2
 	}
-	d := &Detector{
+	return &Detector{
 		cfg:    cfg,
 		devID:  map[string]int32{},
 		appID:  map[string]int32{},
 		cellID: map[uint64]int32{},
 	}
-	if cfg.Sketching() {
-		d.initSketch()
-	}
-	return d
 }
 
 // Stats returns the detector's internal accounting so far.
@@ -108,8 +90,6 @@ func (d *Detector) Stats() Stats {
 	return Stats{
 		BucketsRetracted: d.bucketsRetracted,
 		PairsPruned:      d.pairsPruned,
-		CandidatePairs:   d.lastCandidates,
-		VerifiedPairs:    d.lastVerified,
 	}
 }
 
@@ -126,10 +106,6 @@ func (d *Detector) Grow(events int) {
 	d.appID = make(map[string]int32, events/16+1)
 	d.cellID = make(map[uint64]int32, events/2+1)
 	d.cells = make([]cellState, 0, events/2+1)
-	if d.cfg.Sketching() {
-		d.sigs = make([]uint64, 0, devs*d.sketchK)
-		d.sketched = make([]bool, 0, devs)
-	}
 }
 
 // Events returns how many non-duplicate installs have been ingested.
@@ -156,10 +132,6 @@ func (d *Detector) internDev(name string) int32 {
 	d.devID[name] = id
 	d.devName = append(d.devName, name)
 	d.devCells = append(d.devCells, nil)
-	if d.cfg.Sketching() {
-		d.sigs = append(d.sigs, d.emptySig()...)
-		d.sketched = append(d.sketched, false)
-	}
 	return id
 }
 
@@ -182,13 +154,6 @@ func cellKey(app int32, bucket int) uint64 {
 // without hashing.
 func cellRef(app, cell int32) uint64 {
 	return uint64(uint32(app))<<32 | uint64(uint32(cell))
-}
-
-func pairKey(a, b int32) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
 // Ingest feeds one install observation. Duplicate (device, app) pairs are
@@ -236,12 +201,6 @@ func (d *Detector) Ingest(device, app string, day dates.Date) {
 		d.metrics.addRetraction(pruned)
 		return
 	}
-	if d.cfg.Sketching() {
-		// Membership and the signature minima replace co-member
-		// counting; Groups verifies banding candidates instead.
-		d.sketchAdd(di, key)
-		return
-	}
 	c.devs = append(c.devs, di)
 }
 
@@ -267,12 +226,9 @@ func sortPairs(out [][2]string) [][2]string {
 	return out
 }
 
-// QualifyingPairs returns the device pairs currently meeting the exact
-// MinCommonApps criterion, each name-ordered, the list sorted. The exact
-// tier counts every pair's shared live cells; the sketch tier verifies
-// its banding candidates — so the sketch tier's list can only miss pairs
-// whose signatures never collided in a band (measured recall loss), never
-// contain a pair the exact criterion rejects.
+// QualifyingPairs returns the device pairs currently meeting the
+// MinCommonApps criterion, each name-ordered, the list sorted: every pair
+// whose shared live cells number at least MinCommonApps.
 func (d *Detector) QualifyingPairs() [][2]string {
 	var out [][2]string
 	d.eachQualifying(func(a int32, bs, _ []int32) {
@@ -287,26 +243,13 @@ func (d *Detector) QualifyingPairs() [][2]string {
 // stars: fn(a, bs, apps) says a qualifies with each partner in bs, and
 // apps is the union of those pairs' linking apps. Every qualifying pair
 // appears in exactly one star; stars come in no particular order, and fn
-// must not retain the slices. It returns how many candidate pairs the
-// sketch tier's banding emitted (0 for the exact tier).
-func (d *Detector) eachQualifying(fn func(a int32, bs, apps []int32)) (candidates int64) {
+// must not retain the slices.
+//
+// For each device a it counts how many live cells a shares with every
+// co-member b > a. A pair shares at most one cell per app, so the count
+// is its shared synchronized-app count.
+func (d *Detector) eachQualifying(fn func(a int32, bs, apps []int32)) {
 	var apps []int32
-	if d.cfg.Sketching() {
-		cand := d.candidatePairs()
-		var b [1]int32
-		for pk := range cand {
-			a := int32(pk >> 32)
-			b[0] = int32(uint32(pk))
-			apps = d.appendCommonLiveApps(apps[:0], a, b[0])
-			if len(apps) >= d.cfg.MinCommonApps {
-				fn(a, b[:], apps)
-			}
-		}
-		return int64(len(cand))
-	}
-	// Exact tier: for each device a, count how many live cells it shares
-	// with every co-member b > a. A pair shares at most one cell per app,
-	// so the count is its shared synchronized-app count.
 	if n := len(d.devName); len(d.counts) < n {
 		d.counts = append(d.counts, make([]int32, n-len(d.counts))...)
 	}
@@ -355,14 +298,12 @@ func (d *Detector) eachQualifying(fn func(a int32, bs, apps []int32)) (candidate
 			d.counts[b] = 0
 		}
 	}
-	return 0
 }
 
 // joinStar merges device a with each of its qualifying partners in the
 // union-find forest, folding their linking apps into the set tracked at
 // the merged root. Set union is commutative, so the final forest and app
-// sets are independent of the order stars arrive in — which is what lets
-// the sketch tier feed it in map-iteration order.
+// sets are independent of the order stars arrive in.
 func joinStar(uf *unionFind, linkApps map[int32]map[int32]struct{}, a int32, bs, apps []int32) {
 	// merged is the app set of a's component. It stays out of linkApps
 	// until the unions are done, so a's current root never has an entry.
@@ -391,20 +332,13 @@ func joinStar(uf *unionFind, linkApps map[int32]map[int32]struct{}, a int32, bs,
 // pairs sharing at least MinCommonApps synchronized apps, groups of at
 // least MinGroupSize, everything sorted deterministically. It can be
 // called repeatedly as events stream in; each call runs in the live
-// cells' co-membership (exact tier) or the banding candidate set (sketch
-// tier), not the full event history.
+// cells' co-membership, not the full event history.
 func (d *Detector) Groups() []Group {
 	uf := newUnionFind(len(d.devName))
 	linkApps := map[int32]map[int32]struct{}{}
-	var verified int64
-	candidates := d.eachQualifying(func(a int32, bs, apps []int32) {
-		verified += int64(len(bs))
+	d.eachQualifying(func(a int32, bs, apps []int32) {
 		joinStar(uf, linkApps, a, bs, apps)
 	})
-	if d.cfg.Sketching() {
-		d.lastCandidates, d.lastVerified = candidates, verified
-		d.metrics.addFunnel(candidates, verified)
-	}
 
 	members := map[int32][]int32{}
 	for di := range d.devName {

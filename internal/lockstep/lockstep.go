@@ -36,35 +36,11 @@ type Config struct {
 	// than this — hugely popular organic apps would otherwise link
 	// everyone (a standard CopyCatch-style guard).
 	MaxBucketPopulation int
-
-	// SketchHashes enables the MinHash/LSH sketch tier when positive: the
-	// detector keeps a SketchHashes-long MinHash signature per device over
-	// its live (app, bucket) cell set instead of the cells' member lists,
-	// and Groups generates candidate pairs by LSH banding before
-	// verifying each candidate exactly against the cell index. Precision
-	// is unchanged (every reported pair passes the exact MinCommonApps
-	// test); recall can only be lost at the banding step, where a
-	// qualifying pair's signatures never collide in any band. Zero keeps
-	// the exact tier, which counts every live cell's co-members.
-	SketchHashes int
-	// SketchRows is how many signature rows form one LSH band
-	// (SketchHashes/SketchRows bands; a candidate pair must agree on
-	// every row of at least one band). Higher rows sharpen the similarity
-	// threshold; 1 maximizes candidate recall. Defaults to 1.
-	SketchRows int
-	// SketchSeed keys the MinHash functions (derived through
-	// randx.Derive, so the same seed always builds the same functions and
-	// the sketch tier stays bit-deterministic across runs and worker
-	// counts).
-	SketchSeed uint64
 }
 
-// Sketching reports whether the sketch tier is enabled.
-func (c Config) Sketching() bool { return c.SketchHashes > 0 }
-
 // Stats is the detector's internal accounting, surfaced so signal loss at
-// the bucket-population cap — previously silent — and the sketch tier's
-// pruning pressure are attributable in reports.
+// the bucket-population cap — previously silent — is attributable in
+// reports.
 type Stats struct {
 	// BucketsRetracted counts (app, bucket) cells that crossed
 	// MaxBucketPopulation and had their pair contributions discarded.
@@ -73,12 +49,6 @@ type Stats struct {
 	// discarded by retraction (links undone at cell death plus links a
 	// dead cell never formed).
 	PairsPruned int64 `json:"pairs_pruned"`
-	// CandidatePairs is how many pairs the last Groups call's LSH banding
-	// emitted for exact verification (sketch tier only).
-	CandidatePairs int64 `json:"candidate_pairs,omitempty"`
-	// VerifiedPairs is how many of those candidates passed the exact
-	// MinCommonApps verification (sketch tier only).
-	VerifiedPairs int64 `json:"verified_pairs,omitempty"`
 }
 
 // DefaultConfig returns a conservative configuration: three shared

@@ -292,3 +292,27 @@ func TestDetectorIncrementalGrowth(t *testing.T) {
 		t.Errorf("Events() = %d, want 4", d.Events())
 	}
 }
+
+// TestRetractionCounters drives one cell over the population cap and
+// checks the previously-silent signal loss is priced: one retracted
+// bucket, max*(max+1)/2 pairs undone at death, and one more pruned link
+// per post-death arrival.
+func TestRetractionCounters(t *testing.T) {
+	t.Run("exact", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.MaxBucketPopulation = 4
+		d := NewDetector(cfg)
+		for i := 0; i < 7; i++ {
+			d.Ingest(fmt.Sprintf("dev-%d", i), "viral.app", dates.Date(0))
+		}
+		st := d.Stats()
+		if st.BucketsRetracted != 1 {
+			t.Errorf("buckets retracted = %d, want 1", st.BucketsRetracted)
+		}
+		// Death at arrival 5: C(5,2) = 10 links lost; arrivals 6 and 7
+		// would have linked to 5 and 6 prior residents.
+		if want := int64(10 + 5 + 6); st.PairsPruned != want {
+			t.Errorf("pairs pruned = %d, want %d", st.PairsPruned, want)
+		}
+	})
+}

@@ -3,9 +3,9 @@ package lockstep
 import "repro/internal/obs"
 
 // Metrics is the detector's observability hook: counters for the signal
-// the MaxBucketPopulation cap discards and for the sketch tier's banding
-// funnel. Like the run-log writer's metrics, it is attached after
-// construction and incremented inline at the retraction sites — pure
+// the MaxBucketPopulation cap discards. Like the run-log writer's
+// metrics, it is attached after construction and incremented inline at
+// the retraction sites — pure
 // observation, never consulted by the detection path, so an attached
 // registry cannot perturb the deterministic results.
 type Metrics struct {
@@ -16,10 +16,6 @@ type Metrics struct {
 	// resident pairs retracted at cell death plus the links arrivals to a
 	// dead cell never formed.
 	PairsPruned *obs.Counter
-	// CandidatePairs and VerifiedPairs size the sketch tier's banding
-	// funnel per Groups extraction (exact tier never touches them).
-	CandidatePairs *obs.Counter
-	VerifiedPairs  *obs.Counter
 }
 
 // NewMetrics registers the lockstep detector metrics in reg (nil reg
@@ -31,8 +27,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		BucketsRetracted: reg.Counter("lockstep_buckets_retracted_total", "detector cells retracted at the bucket-population cap"),
 		PairsPruned:      reg.Counter("lockstep_pairs_pruned_total", "device pairs the bucket-population cap retracted or never formed"),
-		CandidatePairs:   reg.Counter("lockstep_candidate_pairs_total", "sketch-tier banding candidate pairs emitted for exact verification"),
-		VerifiedPairs:    reg.Counter("lockstep_verified_pairs_total", "sketch-tier candidates that survived exact verification"),
 	}
 }
 
@@ -53,12 +47,4 @@ func (m *Metrics) addPruned(n int64) {
 		return
 	}
 	m.PairsPruned.Add(n)
-}
-
-func (m *Metrics) addFunnel(candidates, verified int64) {
-	if m == nil {
-		return
-	}
-	m.CandidatePairs.Add(candidates)
-	m.VerifiedPairs.Add(verified)
 }

@@ -272,10 +272,10 @@ func ScaleConfig() Config {
 // MassiveConfig returns an order-of-magnitude scale-up: a catalog around
 // one hundred thousand apps and worker pools totalling about a million
 // devices across the seven IIPs. It exists to exercise the SoA store
-// columns, the sketch-tier lockstep detector, and the spill-to-disk
-// install log at the sizes they were built for; the -massive-gated
-// benchmarks run it. The structural knobs (shares, payouts, medians) stay
-// at the paper's calibration — only the population scales.
+// columns and the spill-to-disk install log at the sizes they were built
+// for; the -massive-gated benchmarks run it. The structural knobs
+// (shares, payouts, medians) stay at the paper's calibration — only the
+// population scales.
 func MassiveConfig() Config {
 	cfg := DefaultConfig()
 	cfg.BaselineApps = 6_000

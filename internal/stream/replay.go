@@ -197,21 +197,24 @@ func replayLoop(lr *Reader, st *replayState, until dates.Date, haveUntil bool) (
 }
 
 // ReplayDay rebuilds the run's state through the end of day without
-// replaying the whole log: it scans the seek directory (ScanIndex),
-// restores the store and stats from the latest segment checkpoint at or
-// before the day, rebuilds the ledger from the settle records before that
-// segment, and applies — with full verification — only that segment's
-// events. Stats, the ledger with its history, and every store float are
-// bit-exact; InstallRecords counts only the replayed segment's records.
+// replaying the whole log: it scans the seek directory (ScanIndex) and
+// calls LogIndex.ReplayDay.
 func ReplayDay(r io.ReaderAt, day dates.Date) (*ReplayResult, error) {
 	idx, err := ScanIndex(r)
 	if err != nil {
 		return nil, err
 	}
-	return replayDayIndexed(r, idx, day)
+	return idx.ReplayDay(r, day)
 }
 
-func replayDayIndexed(r io.ReaderAt, idx *LogIndex, day dates.Date) (*ReplayResult, error) {
+// ReplayDay rebuilds the state through the end of day of the log r that
+// idx indexes: it restores the store and stats from the latest segment
+// checkpoint at or before the day, rebuilds the ledger from the settle
+// records before that segment, and applies — with full verification —
+// only that segment's events. Stats, the ledger with its history, and
+// every store float are bit-exact; InstallRecords counts only the
+// replayed segment's records.
+func (idx *LogIndex) ReplayDay(r io.ReaderAt, day dates.Date) (*ReplayResult, error) {
 	i := idx.Segment(day)
 	seg := idx.Segments[i]
 	var st *replayState

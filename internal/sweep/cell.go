@@ -53,8 +53,8 @@ type CellRunner struct {
 	// points hook in here.
 	PerDay func(day dates.Date) error
 	// Detector, when non-nil, receives every cell detector's retraction
-	// and banding-funnel increments (aggregated across the cells this
-	// runner executes — observation only, never consulted by detection).
+	// increments (aggregated across the cells this runner executes —
+	// observation only, never consulted by detection).
 	Detector *lockstep.Metrics
 }
 

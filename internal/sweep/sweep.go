@@ -62,8 +62,7 @@ type Cell struct {
 	Flagged  int                 `json:"flagged_devices"`
 	Eval     lockstep.Evaluation `json:"eval"`
 	// Detector is the cell detector's internal accounting: signal
-	// retracted at the bucket-population cap and, under a sketch-tier
-	// spec, the banding candidate/verified counts.
+	// retracted at the bucket-population cap.
 	Detector lockstep.Stats `json:"detector"`
 }
 
