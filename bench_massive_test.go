@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -149,8 +150,9 @@ func BenchmarkMassiveWorld(b *testing.B) {
 // thousand by default. The stream mixes background noise with planted
 // lockstep groups so both the cell fan-out and the bucket-population cap
 // are exercised; ns/op is the cost of one full pass over the synthesized
-// stream. After the timed passes, one Groups call off the clock must
-// recover exactly the planted groups.
+// stream, and peakRSS-MB the peak of one pass (each pass's detector is
+// collected before the next is built). After the timed passes, one
+// Groups call off the clock must recover exactly the planted groups.
 func BenchmarkMassiveLockstepIngest(b *testing.B) {
 	if testing.Short() {
 		b.Skip("massive lockstep benchmark skipped in -short")
@@ -201,6 +203,15 @@ func BenchmarkMassiveLockstepIngest(b *testing.B) {
 	b.ResetTimer()
 	var det *lockstep.Detector
 	for i := 0; i < b.N; i++ {
+		if det != nil {
+			// Collect the previous pass's detector off the clock, so the
+			// next pass reuses its memory and peakRSS-MB stays one pass's
+			// peak for any b.N.
+			b.StopTimer()
+			det = nil
+			runtime.GC()
+			b.StartTimer()
+		}
 		det = lockstep.NewDetector(cfg)
 		det.Grow(len(events))
 		for _, e := range events {

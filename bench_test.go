@@ -252,17 +252,22 @@ func BenchmarkSection5Enforcement(b *testing.B) {
 }
 
 // BenchmarkSection5LockstepDetector times the proposed-defense detector
-// over the study's device-resolved install stream plus organic decoys.
+// and its scoring over the study's device-resolved install stream plus
+// organic decoys (World.DetectionEvents), the post-hoc form of the
+// detector the study feeds at its day barriers; both must find the same
+// groups.
 func BenchmarkSection5LockstepDetector(b *testing.B) {
-	_, a := benchFixture(b)
+	s, _ := benchFixture(b)
+	events, truth := s.World.DetectionEvents()
+	if err := s.World.InstallLog.Err(); err != nil {
+		b.Fatal(err)
+	}
+	want := s.Results.Lockstep.Groups
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l, err := a.Lockstep()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if l.Groups == 0 {
-			b.Fatal("detector found nothing")
+		groups := lockstep.Detect(events, lockstep.DefaultConfig())
+		if e := lockstep.Evaluate(groups, truth); len(groups) != want || e.TruePositives == 0 {
+			b.Fatalf("detector found %d groups (%v), the study %d", len(groups), e, want)
 		}
 	}
 }

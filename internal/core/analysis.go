@@ -84,8 +84,5 @@ func (a *Analysis) Arbitrage() ArbitrageResult {
 	return buildArbitrage(a.views, a.vetted, a.unvetted)
 }
 
-// Lockstep recomputes the Section 5.2 defense evaluation.
-func (a *Analysis) Lockstep() (LockstepResult, error) { return a.study.buildLockstep() }
-
 // Disclosure recomputes the Section 5.1 contact list.
 func (a *Analysis) Disclosure() []DisclosureRow { return a.study.buildDisclosure(a.views) }

@@ -4,7 +4,8 @@ import "strings"
 
 // analyze derives every table and figure from the collected measurements,
 // through the same Analysis the benchmark harness times artifact by
-// artifact.
+// artifact. The lockstep score is not among them: RunCtx stores it when
+// the run ends, from the detector the run fed.
 func (s *Study) analyze() error {
 	a := s.NewAnalysis()
 	r := &s.Results
@@ -47,9 +48,6 @@ func (s *Study) analyze() error {
 
 	r.Enforcement = a.Enforcement()
 	r.Arbitrage = a.Arbitrage()
-	if r.Lockstep, err = a.Lockstep(); err != nil {
-		return err
-	}
 	r.Disclosure = a.Disclosure()
 	return nil
 }

@@ -8,45 +8,35 @@ import (
 	"repro/internal/sim"
 )
 
-// TestLockstepFailsOnClosedSpill: the defense evaluation on a spilling
-// world whose install log is closed fails instead of scoring the partial
-// detection stream and truth set a closed spill reads back.
-func TestLockstepFailsOnClosedSpill(t *testing.T) {
-	cfg := sim.TinyConfig()
-	cfg.Window.End = cfg.Window.Start.AddDays(19)
-	cfg.InstallLogWindow = 256
-	cfg.InstallLogDir = t.TempDir()
-	w, err := sim.NewWorld(cfg)
-	if err != nil {
+// lockstepReference scores lockstep.Detect's groups over
+// World.DetectionEvents against World.TruthLabels: the post-hoc reference
+// the barrier-fed detector must reproduce.
+func lockstepReference(t *testing.T, w *sim.World) (*lockstep.Detector, map[string]bool, LockstepResult) {
+	t.Helper()
+	events, truth := w.DetectionEvents()
+	if err := w.InstallLog.Err(); err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	if _, err := w.Run(); err != nil {
-		t.Fatal(err)
+	ref := lockstep.NewDetector(lockstep.DefaultConfig())
+	for _, ev := range events {
+		ref.IngestEvent(ev)
 	}
-	if n := w.InstallLog.Len(); n <= cfg.InstallLogWindow {
-		t.Fatalf("world too small to spill: %d records", n)
+	groups := ref.Groups()
+	flagged := 0
+	for _, g := range groups {
+		flagged += len(g.Devices)
 	}
-	s := &Study{World: w}
-	if _, err := s.buildLockstep(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.InstallLog.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if res, err := s.buildLockstep(); err == nil {
-		t.Fatalf("scored a closed spill: %+v", res)
-	}
+	return ref, truth, LockstepResult{Groups: len(groups), FlaggedDevices: flagged, Eval: lockstep.Evaluate(groups, truth)}
 }
 
-// TestLockstepMatchesDetectionEvents: the study's evaluation feeds the
-// detector straight from the install log and collects the truth set in
-// the same walk, so its detector must end where lockstep.Detect's does
-// over World.DetectionEvents (same events, accounting and groups; the
-// decoys are never flagged on this world, so only the event count shows
-// them), with the same truth set and score, with the log resident and
-// with it spilled to disk. Once the spill is closed it must fail, not
-// score the part it can still read.
+// TestLockstepMatchesDetectionEvents: a detector fed at the day barriers
+// (RunOptions.Installs) and scored by lockstep.Score, as the study scores
+// its own, must end where lockstep.Detect's does over
+// World.DetectionEvents (same events, accounting and groups; the decoys
+// are never flagged on this world, so only the event count shows them),
+// with the same truth set and score, with the install log resident and
+// with it spilled to disk. The study's stored score matches the same
+// reference over its own world.
 func TestLockstepMatchesDetectionEvents(t *testing.T) {
 	for _, window := range []int{0, 512} {
 		cfg := sim.TinyConfig()
@@ -59,55 +49,41 @@ func TestLockstepMatchesDetectionEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w.Close()
-		if _, err := w.Run(); err != nil {
+		det := lockstep.NewDetector(lockstep.DefaultConfig())
+		_, err = w.RunOpts(sim.RunOptions{Installs: func(recs []sim.InstallRecord) error {
+			for _, in := range recs {
+				det.Ingest(in.Device, in.App, in.Day)
+			}
+			return nil
+		}})
+		if err != nil {
 			t.Fatal(err)
 		}
 		if w.InstallLog.Spilling() != (window > 0) || w.InstallLog.Len() <= 2*window {
 			t.Fatalf("window %d: spilling %v with %d records", window, w.InstallLog.Spilling(), w.InstallLog.Len())
 		}
-		s := &Study{World: w}
-		det, truth, err := s.detectLockstep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		events, wantTruth := w.DetectionEvents()
-		ref := lockstep.NewDetector(lockstep.DefaultConfig())
-		for _, ev := range events {
-			ref.IngestEvent(ev)
-		}
+		res, truth := lockstep.Score(det, w.DecoyEvents())
+		ref, wantTruth, want := lockstepReference(t, w)
 		if got, want := det.Events(), ref.Events(); got != want {
 			t.Fatalf("window %d: detector ingested %d events, Detect's %d", window, got, want)
 		}
 		if got, want := det.Stats(), ref.Stats(); got != want {
 			t.Fatalf("window %d: detector stats %+v, Detect's %+v", window, got, want)
 		}
-		groups := ref.Groups()
-		if got := det.Groups(); !reflect.DeepEqual(got, groups) {
+		if got, groups := det.Groups(), ref.Groups(); !reflect.DeepEqual(got, groups) {
 			t.Fatalf("window %d: %d groups, Detect over DetectionEvents %d", window, len(got), len(groups))
 		}
-		if !reflect.DeepEqual(truth, wantTruth) {
-			t.Fatalf("window %d: %d truth labels, TruthLabels %d", window, len(truth), len(wantTruth))
+		if !reflect.DeepEqual(truth, wantTruth) || res.Truth != len(wantTruth) {
+			t.Fatalf("window %d: %d truth labels (score says %d), TruthLabels %d", window, len(truth), res.Truth, len(wantTruth))
 		}
-		got, err := s.buildLockstep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		flagged := 0
-		for _, g := range groups {
-			flagged += len(g.Devices)
-		}
-		want := LockstepResult{Groups: len(groups), FlaggedDevices: flagged, Eval: lockstep.Evaluate(groups, wantTruth)}
+		got := LockstepResult{Groups: res.Groups, FlaggedDevices: res.Flagged, Eval: res.Eval}
 		if got != want || want.Eval.TruePositives == 0 {
-			t.Fatalf("window %d: study scored %+v, Detect over DetectionEvents %+v", window, got, want)
+			t.Fatalf("window %d: barrier-fed detector scored %+v, Detect over DetectionEvents %+v", window, got, want)
 		}
-		if window == 0 {
-			continue
-		}
-		if err := w.InstallLog.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if res, err := s.buildLockstep(); err == nil {
-			t.Fatalf("window %d: scored a closed spill: %+v", window, res)
-		}
+	}
+
+	s := tinyStudy(t)
+	if _, _, want := lockstepReference(t, s.World); s.Results.Lockstep != want {
+		t.Fatalf("study scored %+v, Detect over its DetectionEvents %+v", s.Results.Lockstep, want)
 	}
 }

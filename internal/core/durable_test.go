@@ -143,3 +143,33 @@ func TestStudyResumeRefusesForeignLog(t *testing.T) {
 		})
 	}
 }
+
+// TestStudyResumeLockstep: a study resumed from the day-10 checkpoint
+// reports the lockstep score of the uninterrupted study, because the
+// resumed run hands its detector the restored install history before the
+// remaining days' installs.
+func TestStudyResumeLockstep(t *testing.T) {
+	ckptPath := filepath.Join(t.TempDir(), "run.ckpt")
+	lockstep := func(opts Options) LockstepResult {
+		t.Helper()
+		opts.SkipHoney = true
+		s, err := Run(durableConfig(t), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		return s.Results.Lockstep
+	}
+	want := lockstep(Options{CheckpointPath: ckptPath, CheckpointEvery: 5})
+	cp, err := stream.ReadCheckpointFile(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Days != 10 || cp.Installs.Len() == 0 || want.Groups == 0 {
+		t.Fatalf("checkpoint after %d days with %d installs, %d groups: nothing to compare",
+			cp.Days, cp.Installs.Len(), want.Groups)
+	}
+	if got := lockstep(Options{ResumePath: ckptPath}); got != want {
+		t.Fatalf("resumed study scored %+v, the uninterrupted one %+v", got, want)
+	}
+}

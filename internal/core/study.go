@@ -25,6 +25,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/httpmem"
 	"repro/internal/iip"
+	"repro/internal/lockstep"
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/playapi"
@@ -221,6 +222,16 @@ func RunCtx(ctx context.Context, cfg sim.Config, opts Options) (*Study, error) {
 		runOpts.Checkpoint = runLog.Checkpoint(opts.CheckpointPath)
 	}
 
+	// The Section 5.2 detector takes every incentivized install of the
+	// run, a resumed run's restored history first.
+	det := lockstep.NewDetector(lockstep.DefaultConfig())
+	runOpts.Installs = func(recs []sim.InstallRecord) error {
+		for _, in := range recs {
+			det.Ingest(in.Device, in.App, in.Day)
+		}
+		return nil
+	}
+
 	opts.log("running %d-day study window", world.Cfg.Window.Days())
 	start := world.Cfg.Window.Start
 	runOpts.Hook = func(day dates.Date) error {
@@ -245,6 +256,8 @@ func RunCtx(ctx context.Context, cfg sim.Config, opts Options) (*Study, error) {
 		return nil, fmt.Errorf("core: running world: %w", err)
 	}
 	s.Results.RunStats = runStats
+	lock, _ := lockstep.Score(det, world.DecoyEvents())
+	s.Results.Lockstep = LockstepResult{Groups: lock.Groups, FlaggedDevices: lock.Flagged, Eval: lock.Eval}
 
 	// A resumed study rebuilds its crawler/milker fresh, so their datasets
 	// cover only the post-resume days (documented on ResumePath). When the

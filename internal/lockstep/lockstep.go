@@ -129,3 +129,34 @@ func Evaluate(groups []Group, workers map[string]bool) Evaluation {
 	}
 	return e
 }
+
+// Result is a fed detector's score against the ground truth it was fed.
+type Result struct {
+	Truth   int // devices in the truth set
+	Groups  int
+	Flagged int // devices in the groups
+	Eval    Evaluation
+	Stats   Stats
+}
+
+// Score finishes a detector that was fed every incentivized install of a
+// run and nothing else. Its device table, read before the organic decoys
+// join it, is the ground truth: every device an incentivized install came
+// from. The decoys are ingested, and the groups found are scored against
+// that truth set, which is returned with the score.
+func Score(d *Detector, decoys []Event) (Result, map[string]bool) {
+	devs := d.Devices()
+	truth := make(map[string]bool, len(devs))
+	for _, dev := range devs {
+		truth[dev] = true
+	}
+	for _, ev := range decoys {
+		d.IngestEvent(ev)
+	}
+	groups := d.Groups()
+	res := Result{Truth: len(truth), Groups: len(groups), Eval: Evaluate(groups, truth), Stats: d.Stats()}
+	for _, g := range groups {
+		res.Flagged += len(g.Devices)
+	}
+	return res, truth
+}

@@ -12,11 +12,13 @@ import (
 // device-resolved stream of incentivized deliveries, and nothing else
 // writes to it — so the device identities appearing there (including
 // rotated identities under the device-churn adversary) are the labels a
-// Section 5.2 lockstep detector should recover. The run log carries the
-// same installs, so a reader that tails it (a sweep cell) collects the
-// same labels from the installs it ingests, and its world's install log
-// may keep only a count (InstallLog.CountOnly); TruthLabels and
-// DetectionEvents then fail through InstallLog.Err.
+// Section 5.2 lockstep detector should recover. RunOptions.Installs hands
+// a consumer the same records, so a detector fed there (the study's, a
+// sweep cell's) collects the same labels in its device table
+// (lockstep.Score), and a world whose every reader is fed there may keep
+// only a count (InstallLog.CountOnly); TruthLabels and DetectionEvents
+// then fail through InstallLog.Err. They stay as the post-hoc reference
+// that tests and benchmarks check the barrier-fed detector against.
 
 // TruthLabels returns every device identity that fulfilled an
 // incentivized install during the run, keyed by the identity the store

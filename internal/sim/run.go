@@ -47,14 +47,16 @@ type RunOptions struct {
 	// event-log flush (so a hook tailing the log observes the full day).
 	Hook func(day dates.Date) error
 
-	// Installs, when non-nil, receives the day's incentivized install
-	// records at each day barrier, as the install log takes them: one call
-	// per developer group that installed, in install-log order, before the
-	// day's log flush and Hook. Concatenated over a run, the calls yield
-	// the records the install log gains, for any worker count and with the
-	// log on or off. The slice is reused once the call returns. An error
-	// stops the run. Observation only, like Hook: the engine reads nothing
-	// back.
+	// Installs, when non-nil, receives every incentivized install record
+	// of the run exactly once, in install-log order, resumed or not. A
+	// resumed run first hands over the install log Resume restored, in
+	// batches of at most 4096 records. Then, at each day barrier, it hands
+	// over the day's records as the install log takes them: one call per
+	// developer group that installed, before the day's log flush and
+	// Hook. Concatenated over a run, the calls yield the whole install
+	// log, for any worker count and with the log on or off. The slice is
+	// reused once the call returns. An error stops the run. Observation
+	// only, like Hook: the engine reads nothing back.
 	Installs func(recs []InstallRecord) error
 
 	// Log, when non-nil, receives the framed event stream. Open it with
@@ -132,6 +134,11 @@ func (w *World) RunOpts(o RunOptions) (RunStats, error) {
 	}
 	if o.Log != nil {
 		eng.enableLog(o.Log)
+	}
+	if o.Resume != nil && o.Installs != nil {
+		if err := w.deliverRestored(o.Installs); err != nil {
+			return stats, err
+		}
 	}
 	eng.obs = o.Metrics
 	eng.installs = o.Installs
@@ -224,6 +231,35 @@ func (w *World) RunOpts(o RunOptions) (RunStats, error) {
 		}
 	}
 	return stats, nil
+}
+
+// restoredBatch caps the records of one Installs call that hands over a
+// resumed run's restored install log.
+const restoredBatch = 1 << 12
+
+// deliverRestored hands the install log a resume restored to fn, in
+// order, in batches of at most restoredBatch records through one reused
+// buffer, so a spilled history is never held in RAM at once.
+func (w *World) deliverRestored(fn func([]InstallRecord) error) error {
+	buf := make([]InstallRecord, 0, min(restoredBatch, w.InstallLog.Len()))
+	for rec := range w.InstallLog.All() {
+		buf = append(buf, rec)
+		if len(buf) == restoredBatch {
+			if err := fn(buf); err != nil {
+				return fmt.Errorf("sim: restored installs: %w", err)
+			}
+			buf = buf[:0]
+		}
+	}
+	if err := w.InstallLog.Err(); err != nil {
+		return fmt.Errorf("sim: reading the restored install log: %w", err)
+	}
+	if len(buf) > 0 {
+		if err := fn(buf); err != nil {
+			return fmt.Errorf("sim: restored installs: %w", err)
+		}
+	}
+	return nil
 }
 
 // logDayBarrier writes the barrier-side events of a completed day — the

@@ -180,9 +180,9 @@ func (w *World) Restore(cp *stream.Checkpoint) error {
 // RunLogFile is a run log on disk, and the one place that creates such a
 // file, continues it at a checkpoint, and makes it durable (DESIGN.md E6,
 // "The durable run log"). Writes go through a 1 MiB buffer, which the run
-// loop flushes at every day barrier, so a tail reading the file through
-// ReadAt sees whole days. A write-fault injector sits below the buffer,
-// at the depth where a crash mid-write tears the file.
+// loop flushes at every day barrier, so a reader tailing the file
+// (stream.NewTail) sees whole days. A write-fault injector sits below the
+// buffer, at the depth where a crash mid-write tears the file.
 type RunLogFile struct {
 	// Log is the run-log writer to attach as RunOptions.Log.
 	Log *stream.Writer
@@ -253,10 +253,6 @@ func (w *World) openLogFile(path string, resume *stream.Checkpoint) (*os.File, e
 	}
 	return f, nil
 }
-
-// ReadAt reads the file, for tails that follow the log while it is
-// written (stream.NewTail).
-func (l *RunLogFile) ReadAt(p []byte, off int64) (int, error) { return l.f.ReadAt(p, off) }
 
 // Checkpoint returns the RunOptions.Checkpoint callback that writes each
 // checkpoint atomically to path, after flushing and fsyncing the log

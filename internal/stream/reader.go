@@ -290,15 +290,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return lr, nil
 }
 
-// newSectionReader wraps a reader positioned at a frame boundary mid-log
-// (no preamble expected) with the log's already-decoded header and
-// tables; seeking replays use it to consume a single segment.
-func newSectionReader(r io.Reader, hdr Header, base Base) *Reader {
-	lr := &Reader{c: newStreamCursor(r)}
-	lr.c.hdr, lr.c.base = hdr, base
-	return lr
-}
-
 // Header returns the run parameters.
 func (r *Reader) Header() Header { return r.c.hdr }
 

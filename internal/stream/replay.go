@@ -113,12 +113,13 @@ func baseLedger(base Base) (*mediator.Ledger, error) {
 // history (as logs written before balances-only frames do) is read the
 // same way: its history is ignored. The mediator's absolute certified
 // count rides the checkpoint as a scalar, so the full mediator snapshot
-// is not needed.
-func segmentReplayState(r io.ReaderAt, idx *LogIndex, i int) (*replayState, error) {
+// is not needed. c, positioned at the log's first event frame, walks the
+// settle records and is left past the segment frame, at the segment's
+// first event.
+func segmentReplayState(c *cursor, idx *LogIndex, i int) (*replayState, error) {
 	seg := idx.Segments[i]
 	// The checkpoint views c's frame buffer, which the settle walk below
 	// reuses: its store and ledger are decoded (copied) before the walk.
-	c := newCursor(r)
 	cp, err := c.segmentCheckpoint(seg.FrameOff)
 	if err != nil {
 		return nil, fmt.Errorf("stream: segment checkpoint: %w", err)
@@ -137,7 +138,6 @@ func segmentReplayState(r io.ReaderAt, idx *LogIndex, i int) (*replayState, erro
 		return nil, err
 	}
 	medAcct := mediator.MediatorAccount(idx.Header.MediatorName)
-	c.hdr, c.base, c.off = idx.Header, idx.Base, idx.Segments[0].DataOff
 	err = c.walkHistory(seg.FrameOff, 1<<KindSettle, func(ev *Event) error {
 		legs := ev.settlement(idx.Header, medAcct).Legs()
 		if err := ledger.PostAll(legs[:]); err != nil {
@@ -148,6 +148,7 @@ func segmentReplayState(r io.ReaderAt, idx *LogIndex, i int) (*replayState, erro
 	if err != nil {
 		return nil, fmt.Errorf("stream: rebuilding the ledger before segment %d: %w", seg.Ordinal, err)
 	}
+	c.off = seg.DataOff
 	if !bytes.Equal(ledger.EncodeBalances(), embedded.EncodeBalances()) {
 		return nil, fmt.Errorf("%w: ledger rebuilt from the settle records before segment %d disagrees with its embedded balances",
 			ErrReplayDiverged, seg.Ordinal)
@@ -214,21 +215,23 @@ func ReplayDay(r io.ReaderAt, day dates.Date) (*ReplayResult, error) {
 // only that segment's events. Stats, the ledger with its history, and
 // every store float are bit-exact; InstallRecords counts only the
 // replayed segment's records.
+//
+// One cursor, bounded by the index's end, reads the whole seek: the
+// settle walk up to the segment, then the segment's events.
 func (idx *LogIndex) ReplayDay(r io.ReaderAt, day dates.Date) (*ReplayResult, error) {
 	i := idx.Segment(day)
-	seg := idx.Segments[i]
+	lr := &Reader{c: newCursor(io.NewSectionReader(r, 0, idx.End))}
+	lr.c.hdr, lr.c.base, lr.c.off = idx.Header, idx.Base, idx.Segments[0].DataOff
 	var st *replayState
 	var err error
 	if i == 0 {
 		st, err = baseReplayState(idx.Header, idx.Base)
 	} else {
-		st, err = segmentReplayState(r, idx, i)
+		st, err = segmentReplayState(&lr.c, idx, i)
 	}
 	if err != nil {
 		return nil, err
 	}
-	sec := io.NewSectionReader(r, seg.DataOff, idx.End-seg.DataOff)
-	lr := newSectionReader(sec, idx.Header, idx.Base)
 	return replayLoop(lr, st, day, true)
 }
 

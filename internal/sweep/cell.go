@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -65,15 +64,14 @@ type CellRunner struct {
 // with the spool checkpointed (errors.Is(err, ctx.Err())); a successor
 // resumes the cell, it does not restart it.
 //
-// The detector takes each day's incentivized installs at the day barrier
-// (sim.RunOptions.Installs), and its device table, read before the
-// organic decoys join it, is the ground truth the cell is scored against.
-// In memory no run log is written at all. Spooled, the run log and
-// periodic checkpoints live under SpoolDir, so a successor of a killed
-// run salvages the log's torn tail (stream.Recover), restores the last
-// checkpoint, re-ingests the salvaged prefix into the detector and
-// continues the simulation, writing the bytes the uninterrupted run would
-// have.
+// The detector takes every incentivized install of the run through
+// sim.RunOptions.Installs, and lockstep.Score scores it against its own
+// device table. In memory no run log is written at all. Spooled, the run
+// log and periodic checkpoints live under SpoolDir, so a successor of a
+// killed run salvages the log's torn tail (stream.Recover), restores the
+// last checkpoint, whose install history RunOpts hands the detector
+// first, and continues the simulation, writing the bytes the
+// uninterrupted run would have.
 func (cr *CellRunner) Run(ctx context.Context, sp scenario.Spec, seed uint64) (Cell, CellRunInfo, error) {
 	cell, info, _, err := cr.run(ctx, sp, seed)
 	return cell, info, err
@@ -132,14 +130,6 @@ func (cr *CellRunner) run(ctx context.Context, sp scenario.Spec, seed uint64) (C
 		}
 		opts.Log = spool.Log
 		opts.CheckpointEvery, opts.Checkpoint = cr.CheckpointEvery, spool.Checkpoint(ckptPath)
-		// A resumed cell first re-ingests the already-simulated prefix:
-		// resume continues the analysis too, it does not restart it.
-		if opts.Resume != nil {
-			if err := ingestLog(det, spool); err != nil {
-				spool.Close()
-				return fail("re-ingesting", err)
-			}
-		}
 	}
 
 	stats, err := w.RunOpts(opts)
@@ -153,7 +143,8 @@ func (cr *CellRunner) run(ctx context.Context, sp scenario.Spec, seed uint64) (C
 	}
 	info.DaysExecuted = stats.Days - info.ResumedAfterDays
 	cell.Stats = stats
-	truth := scoreCell(&cell, w.DecoyEvents(), det)
+	res, truth := lockstep.Score(det, w.DecoyEvents())
+	cell.Truth, cell.Groups, cell.Flagged, cell.Eval, cell.Detector = res.Truth, res.Groups, res.Flagged, res.Eval, res.Stats
 	if spool != nil {
 		// The cell is done and its result content-verifiable; the spool is
 		// scratch space, not an artifact.
@@ -193,48 +184,6 @@ func (cr *CellRunner) loadResume(w *sim.World, logPath, ckptPath string, info *C
 	info.ResumedAfterDays = int(cp.Days)
 	info.RecoveredBytes = rinfo.Dropped()
 	return cp
-}
-
-// ingestLog feeds det every install a run log holds, in log order: the
-// salvaged prefix of a resumed cell, whose days the barrier callback of
-// this run never sees.
-func ingestLog(det *lockstep.Detector, src io.ReaderAt) error {
-	tail := stream.NewTail(src)
-	var ev stream.Event
-	for {
-		ok, err := tail.Next(&ev)
-		if err != nil || !ok {
-			return err
-		}
-		for in := range ev.Installs(tail.Day()) {
-			det.Ingest(in.Device, in.App, in.Day)
-		}
-	}
-}
-
-// scoreCell finishes a completed run. The detector's device table, read
-// before the organic decoy background joins it, is the cell's ground
-// truth: every device it took an incentivized install from. The groups
-// found once the decoys are in are scored against it, and it is returned.
-func scoreCell(cell *Cell, decoys []lockstep.Event, det *lockstep.Detector) map[string]bool {
-	devs := det.Devices()
-	truth := make(map[string]bool, len(devs))
-	for _, d := range devs {
-		truth[d] = true
-	}
-	for _, dev := range decoys {
-		det.Ingest(dev.Device, dev.App, dev.Day)
-	}
-	groups := det.Groups()
-	cell.Truth = len(truth)
-	cell.Groups = len(groups)
-	cell.Flagged = 0
-	for _, g := range groups {
-		cell.Flagged += len(g.Devices)
-	}
-	cell.Eval = lockstep.Evaluate(groups, truth)
-	cell.Detector = det.Stats()
-	return truth
 }
 
 // IsInjected reports whether err stems from an injected fault — the

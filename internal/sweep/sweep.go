@@ -2,9 +2,9 @@
 // the Section 5.2 lockstep detector against each world's recorded ground
 // truth. It is the measurement harness for the paper's open question —
 // does install-time lockstep detection survive adversaries that adapt? —
-// executed as: one isolated world per grid cell, the event-sourced run
-// log tapped online (the detector ingests installs day by day through
-// stream.Tail, exactly as an out-of-process analytics job would), and
+// executed as: one isolated world per grid cell, the store's install
+// stream tapped online (the detector ingests each day's incentivized
+// installs at the engine's day barrier, sim.RunOptions.Installs), and
 // precision/recall/F1 per adversary at the end.
 //
 // The grid runs in two shapes with byte-identical results:
