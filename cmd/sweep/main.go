@@ -200,10 +200,18 @@ func coordinate(ctx context.Context, opts sweep.Options, addr, addrFile, journal
 // instead of holding a connection open for good.
 const readHeaderTimeout = 5 * time.Second
 
+// readTimeout bounds how long a connection may take to send a whole
+// request, header and body. No coordinator endpoint waits on its client:
+// each reads one small JSON body (at most a kilobyte or so, a megabyte
+// by the decoder's bound) and answers at once, so a client that stalls
+// mid-body is cut off here. The bound covers reading only; a handler that
+// takes long to answer (a pprof profile) is not affected.
+const readTimeout = 10 * time.Second
+
 // newServer serves the coordinator's endpoints under its connection
 // limits.
 func newServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 }
 
 // emit writes the human table, the degradation line, and the optional

@@ -71,11 +71,12 @@ func benchDeliveryFixture(b *testing.B, typ offers.Type) (*World, *campUnit, dat
 	}
 	w.medAcct = mediator.MediatorAccount(med.Name)
 
-	e := &engine{w: w}
+	e := &engine{w: w, unitOf: map[string]int{pkg: 0}}
+	_, devIdx := w.runLogDeviceIndex()
 	u, err := e.resolveUnit(&PlannedCampaign{
 		IIP: platform.Name, OfferID: c.OfferID, App: pkg, Spec: spec,
 		DailyUptake: 5,
-	}, map[string]iipNames{})
+	}, map[string]iipNames{}, devIdx)
 	if err != nil {
 		b.Fatal(err)
 	}

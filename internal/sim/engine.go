@@ -82,8 +82,10 @@ type engine struct {
 	batchBufs [][]byte // barrier scratch: non-empty unit buffers for EventBatch
 
 	// installs, when non-nil, receives each sink's install records at the
-	// barrier, in install-log order (RunOptions.Installs).
-	installs func([]InstallRecord) error
+	// barrier, in install-log order (RunOptions.Installs), their names
+	// resolved into the one reused buffer installBuf.
+	installs   func([]InstallRecord) error
+	installBuf []InstallRecord
 
 	// obs, when non-nil, times the day phases and counts emitted events.
 	// It is written only at phase barriers (a handful of clock reads per
@@ -95,7 +97,7 @@ type engine struct {
 // organicUnit is one phase-1 work unit: an app with its random stream,
 // store handle, and organic activity rates resolved at construction.
 type organicUnit struct {
-	pkg     stream.Ref // the app's package, interned at enableLog
+	pkg     stream.Ref // the app's package: run-log string ID i+1 for unit i
 	r       *randx.Rand
 	app     playstore.AppHandle
 	install float64 // expected organic installs per day
@@ -131,8 +133,10 @@ func (u *organicUnit) record(day dates.Date, n, dau, secPer int64, usd float64) 
 // platform's daily pace cap.
 //
 // Every name the delivery flow writes or logs is one stream.Ref, built in
-// resolveUnit and given its run-log reference at enableLog (the ID stays 0
-// when event logging is disabled).
+// resolveUnit. The pool devices and the package get their table IDs there,
+// which the install log and the run log share; the ledger accounts and the
+// offer ID get their run-log references at enableLog (the ID stays 0 when
+// event logging is disabled).
 type campUnit struct {
 	c        *PlannedCampaign
 	r        *randx.Rand
@@ -212,6 +216,8 @@ func newEngine(w *World) (*engine, error) {
 	e := &engine{w: w, workers: workers}
 
 	pkgs := w.Store.Packages()
+	devs, devIdx := w.runLogDeviceIndex()
+	w.InstallLog.setNames(devs, pkgs)
 	e.organic = make([]organicUnit, len(pkgs))
 	e.charted = make([]bool, len(pkgs))
 	e.unitOf = make(map[string]int, len(pkgs))
@@ -222,7 +228,7 @@ func newEngine(w *World) (*engine, error) {
 			return nil, fmt.Errorf("sim: resolving organic app %s: %w", pkg, err)
 		}
 		e.organic[i] = organicUnit{
-			pkg:     stream.Ref{S: pkg},
+			pkg:     stream.Ref{ID: uint32(i) + 1, S: pkg},
 			r:       randx.Derive(w.Cfg.Seed, "engine/"+pkg),
 			app:     h,
 			install: w.organicInstall[pkg],
@@ -240,7 +246,7 @@ func newEngine(w *World) (*engine, error) {
 			groupOf[c.Spec.Developer] = g
 			e.groups = append(e.groups, nil)
 		}
-		u, err := e.resolveUnit(c, names)
+		u, err := e.resolveUnit(c, names, devIdx)
 		if err != nil {
 			return nil, err
 		}
@@ -252,10 +258,16 @@ func newEngine(w *World) (*engine, error) {
 }
 
 // enableLog attaches the event-sourced run log, allocating the per-unit
-// encoders the parallel phases buffer into and giving every unit's
-// interned names their run-log references. With no log attached the hot
-// paths skip event encoding entirely.
-func (e *engine) enableLog(w *stream.Writer) {
+// encoders the parallel phases buffer into and giving the ledger accounts
+// and offer IDs their run-log references. Packages and pool devices hold
+// their table IDs from the engine build already; the writer's tables must
+// be this world's (World.NewRunLog or ResumeRunLog, opened after the last
+// app was published). With no log attached the hot paths skip event
+// encoding entirely.
+func (e *engine) enableLog(w *stream.Writer) error {
+	if err := e.checkLogTables(w); err != nil {
+		return err
+	}
 	e.log = w
 	e.orgEnc = make([]stream.Encoder, len(e.organic))
 	for i := range e.organic {
@@ -264,7 +276,6 @@ func (e *engine) enableLog(w *stream.Writer) {
 		u.enc.SetStringTable(w.StringTable())
 		u.enc.SetRecordMode(true)
 		u.enc.Grow(48) // one organic record per day
-		u.pkg = u.enc.Intern(u.pkg.S)
 	}
 	e.sinkEnc = make([]stream.Encoder, len(e.sinks))
 	for g := range e.sinks {
@@ -275,25 +286,47 @@ func (e *engine) enableLog(w *stream.Writer) {
 		e.sinks[g].enc = &e.sinkEnc[g]
 	}
 	e.batchBufs = make([][]byte, 0, len(e.orgEnc)+len(e.sinkEnc))
-	// Each IIP's shared slices are resolved once, through the first
-	// campaign that carries them; the delivery hot path then performs no
-	// map lookups at all.
+	// Each IIP's shared account slices are resolved once, through the
+	// first campaign that carries them; the delivery hot path then
+	// performs no map lookups at all.
 	enc := &e.sinkEnc[0]
 	shared := map[string]bool{}
 	for _, g := range e.groups {
 		for _, u := range g {
 			if !shared[u.c.IIP] {
 				shared[u.c.IIP] = true
-				u.iipNames.intern(enc)
+				for _, accts := range [][]stream.Ref{u.poolAccts, u.affAccts} {
+					for i := range accts {
+						accts[i] = enc.Intern(accts[i].S)
+					}
+				}
 			}
 			u.noAffAcct = enc.Intern(u.noAffAcct.S)
-			u.pkg = enc.Intern(u.pkg.S)
 			u.offerID = enc.Intern(u.offerID.S)
 			u.devAcct = enc.Intern(u.devAcct.S)
 			u.iipAcct = enc.Intern(u.iipAcct.S)
 			u.poolAcct = enc.Intern(u.poolAcct.S)
 		}
 	}
+	return nil
+}
+
+// checkLogTables spot-checks that the writer's tables put this world's
+// devices and packages where the engine's table IDs say: the same device
+// count, and the first and last name of each list at its position.
+func (e *engine) checkLogTables(w *stream.Writer) error {
+	at := func(tab map[string]uint32, list []string, i int) bool {
+		id, ok := tab[list[i]]
+		return ok && id == uint32(i)
+	}
+	ends := func(tab map[string]uint32, list []string) bool {
+		return len(list) == 0 || at(tab, list, 0) && at(tab, list, len(list)-1)
+	}
+	names := &e.w.InstallLog.names
+	if len(w.DeviceTable()) != len(names.devs) || !ends(w.DeviceTable(), names.devs) || !ends(w.StringTable(), names.pkgs) {
+		return fmt.Errorf("sim: the run log's name tables are not this world's (open it with NewRunLog or ResumeRunLog after the last app is published)")
+	}
+	return nil
 }
 
 // iipNames are the names every campaign on one IIP shares. Its slices
@@ -306,21 +339,10 @@ type iipNames struct {
 	noAffAcct stream.Ref   // fallback when the IIP has no instrumented affiliates
 }
 
-// intern gives the shared slices' names their run-log references.
-func (n *iipNames) intern(enc *stream.Encoder) {
-	for i := range n.devs {
-		n.devs[i] = enc.InternDevice(n.devs[i].S)
-	}
-	for i := range n.poolAccts {
-		n.poolAccts[i] = enc.Intern(n.poolAccts[i].S)
-	}
-	for i := range n.affAccts {
-		n.affAccts[i] = enc.Intern(n.affAccts[i].S)
-	}
-}
-
-// newIIPNames builds the shared names of the IIP called name.
-func (w *World) newIIPNames(name string) iipNames {
+// newIIPNames builds the shared names of the IIP called name, each pool
+// device with its position in devIdx (the run log's device table) as its
+// ID; a device devIdx lacks keeps ID 0 and is written inline.
+func (w *World) newIIPNames(name string, devIdx map[string]uint32) iipNames {
 	pool := w.Pools[name]
 	// Affiliate accounts come from the world's per-IIP cache when present
 	// (the standard platforms); any other platform name is resolved here,
@@ -336,6 +358,9 @@ func (w *World) newIIPNames(name string) iipNames {
 	n := iipNames{devs: refs[:np:np], poolAccts: refs[np : 2*np : 2*np], affAccts: refs[2*np:]}
 	for i, wk := range pool {
 		n.devs[i] = stream.Ref{S: wk.ID}
+		if id, ok := devIdx[wk.ID]; ok {
+			n.devs[i].ID = id + 1
+		}
 		n.poolAccts[i] = stream.Ref{S: mediator.UserAccount(wk.ID)}
 	}
 	for i, acct := range affAccts {
@@ -350,8 +375,8 @@ func (w *World) newIIPNames(name string) iipNames {
 
 // resolveUnit turns one planned campaign into a fully resolved work unit,
 // taking its IIP's shared names from names (and adding them on the IIP's
-// first campaign).
-func (e *engine) resolveUnit(c *PlannedCampaign, names map[string]iipNames) (*campUnit, error) {
+// first campaign, with their device IDs from devIdx).
+func (e *engine) resolveUnit(c *PlannedCampaign, names map[string]iipNames, devIdx map[string]uint32) (*campUnit, error) {
 	w := e.w
 	platform := w.Platforms[c.IIP]
 	if platform == nil {
@@ -369,9 +394,13 @@ func (e *engine) resolveUnit(c *PlannedCampaign, names map[string]iipNames) (*ca
 	if err != nil {
 		return nil, fmt.Errorf("sim: resolving campaign %s: %w", c.OfferID, err)
 	}
+	pkg, ok := e.unitOf[c.App]
+	if !ok {
+		return nil, fmt.Errorf("sim: resolving campaign %s: app %s is not in the engine's catalog", c.OfferID, c.App)
+	}
 	shared, ok := names[c.IIP]
 	if !ok {
-		shared = w.newIIPNames(c.IIP)
+		shared = w.newIIPNames(c.IIP, devIdx)
 		names[c.IIP] = shared
 	}
 	strat, err := scenario.NewStrategy(w.Cfg.Adversary, w.Cfg.Seed, c.OfferID)
@@ -388,7 +417,7 @@ func (e *engine) resolveUnit(c *PlannedCampaign, names map[string]iipNames) (*ca
 		iipNames: shared,
 		paceCap:  platform.DailyPace(),
 		strat:    strat,
-		pkg:      stream.Ref{S: c.App},
+		pkg:      stream.Ref{ID: uint32(pkg) + 1, S: c.App},
 		offerID:  stream.Ref{S: c.OfferID},
 		devAcct:  stream.Ref{S: mediator.DeveloperAccount(c.Spec.Developer)},
 		iipAcct:  stream.Ref{S: mediator.IIPAccount(c.IIP)},
@@ -531,6 +560,19 @@ func (e *engine) parallelFor(n int, fn func(i int) error) error {
 	return firstErr
 }
 
+// deliverInstalls hands one sink's records to the Installs callback, their
+// names resolved into the reused buffer.
+func (e *engine) deliverInstalls(recs []pendingInstall) error {
+	names := &e.w.InstallLog.names
+	buf := e.installBuf[:0]
+	for i := range recs {
+		p := &recs[i]
+		buf = append(buf, InstallRecord{Device: p.dev.S, App: names.pkgs[p.app], Day: p.day})
+	}
+	e.installBuf = buf
+	return e.installs(buf)
+}
+
 // markCharted sets charted for exactly the organic units on day's top-free
 // chart.
 func (e *engine) markCharted(day dates.Date) {
@@ -623,9 +665,9 @@ func (e *engine) stepDay(day dates.Date, stats *RunStats) error {
 		if ferr := s.txs.FlushTo(w.Ledger); ferr != nil && err == nil {
 			err = fmt.Errorf("sim: ledger flush %s: %w", day, ferr)
 		}
-		w.InstallLog.Append(s.log...)
+		w.InstallLog.appendPending(s.log)
 		if e.installs != nil && len(s.log) > 0 && err == nil {
-			if ierr := e.installs(s.log); ierr != nil {
+			if ierr := e.deliverInstalls(s.log); ierr != nil {
 				err = fmt.Errorf("sim: installs on %s: %w", day, ierr)
 			}
 		}

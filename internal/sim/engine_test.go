@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"io"
 	"math"
 	"runtime"
 	"testing"
 
+	"repro/internal/dates"
 	"repro/internal/playstore"
+	"repro/internal/stream"
 )
 
 // runFingerprint captures everything the determinism contract covers: the
@@ -198,5 +201,113 @@ func TestEngineGroupsPartitionCampaigns(t *testing.T) {
 	}
 	if total != len(w.Campaigns) {
 		t.Errorf("groups cover %d campaigns, want %d", total, len(w.Campaigns))
+	}
+}
+
+// TestEngineRefsMatchRunLogTables checks the table IDs the engine gives
+// its names against the run log's own tables, for a fresh log and for one
+// ResumeRunLog continues: every unit's Ref.ID must equal what
+// Encoder.Intern / InternDevice on the writer's tables return. Packages
+// and pool devices carry their IDs from the engine build, log or no log;
+// the rest get theirs at enableLog. The checkpointed world published an
+// app before its run, so the resumed store's catalog outgrows the build.
+func TestEngineRefsMatchRunLogTables(t *testing.T) {
+	cfg := microConfig()
+	check := func(label string, w *World, lw *stream.Writer) {
+		t.Helper()
+		eng, err := newEngine(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc stream.Encoder
+		enc.SetDeviceTable(lw.DeviceTable())
+		enc.SetStringTable(lw.StringTable())
+		same := func(what string, got stream.Ref, want stream.Ref) {
+			t.Helper()
+			if got != want || got.ID == 0 {
+				t.Fatalf("%s: %s = %+v, the log's tables give %+v", label, what, got, want)
+			}
+		}
+		// The IDs the engine build resolved, before any log is attached.
+		refs := func() {
+			for i := range eng.organic {
+				same("organic package", eng.organic[i].pkg, enc.Intern(eng.organic[i].pkg.S))
+			}
+			for _, g := range eng.groups {
+				for _, u := range g {
+					same("campaign package", u.pkg, enc.Intern(u.pkg.S))
+					for _, d := range u.devs {
+						same("pool device", d, enc.InternDevice(d.S))
+					}
+				}
+			}
+		}
+		refs()
+		if err := eng.enableLog(lw); err != nil {
+			t.Fatal(err)
+		}
+		refs()
+		for _, g := range eng.groups {
+			for _, u := range g {
+				for _, r := range []stream.Ref{u.offerID, u.devAcct, u.iipAcct, u.poolAcct, u.noAffAcct} {
+					same("campaign name", r, enc.Intern(r.S))
+				}
+				for _, accts := range [][]stream.Ref{u.poolAccts, u.affAccts} {
+					for _, r := range accts {
+						same("account", r, enc.Intern(r.S))
+					}
+				}
+			}
+		}
+	}
+
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Store.Publish(playstore.Listing{Package: "late.published.app", Title: "Late",
+		Genre: "Puzzle", Developer: w.Advertised[0].Developer, Released: cfg.Window.Start}); err != nil {
+		t.Fatal(err)
+	}
+	lw, err := w.NewRunLog(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fresh log", w, lw)
+	var cp *stream.Checkpoint
+	if _, err := w.RunOpts(RunOptions{Log: lw, CheckpointEvery: 4, Checkpoint: func(c *stream.Checkpoint) error {
+		if cp == nil {
+			cp, err = stream.DecodeCheckpoint(c.Encode())
+		}
+		return err
+	}}); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	check("resumed log", w2, w2.ResumeRunLog(io.Discard, cp))
+}
+
+// TestEngineRejectsForeignLogTables: a log opened before the last app was
+// published puts the engine's package IDs where its tables have other
+// names, and the run refuses it instead of writing wrong references.
+func TestEngineRejectsForeignLogTables(t *testing.T) {
+	w := buildTiny(t)
+	lw, err := w.NewRunLog(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Store.Publish(playstore.Listing{Package: "late.published.app", Title: "Late",
+		Genre: "Puzzle", Developer: w.Advertised[0].Developer, Released: dates.StudyStart}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.RunOpts(RunOptions{Log: lw}); err == nil {
+		t.Fatal("a run accepted a log whose tables miss a package")
 	}
 }

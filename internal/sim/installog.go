@@ -7,6 +7,7 @@ import (
 	"io"
 	"iter"
 	"os"
+	"slices"
 
 	"repro/internal/dates"
 	"repro/internal/stream"
@@ -25,13 +26,19 @@ import (
 // would hold. A log made CountOnly keeps no records at all, only their
 // count, for a run whose readers take the installs from elsewhere.
 //
+// A resident record is 12 pointer-free bytes (installRec): the device and
+// the app as IDs into the log's name table (installNames), which readers
+// turn back into names on the way out. The chunks are therefore never
+// scanned by the garbage collector, however long the run.
+//
 // The type is not safe for concurrent use; the engine appends only at day
 // barriers, on one goroutine, and readers run between days or post-run.
 type InstallLog struct {
 	// chunks[:used] hold the resident records in append order (the whole
 	// log when not spilling); each is full but the last. Chunks past used
 	// are empty and wait for reuse.
-	chunks  [][]InstallRecord
+	chunks  [][]installRec
+	names   installNames
 	used    int
 	n       int // resident records
 	spilled int // records already flushed to the spill file
@@ -51,10 +58,76 @@ type InstallLog struct {
 	err     error // sticky: first spill I/O failure
 }
 
-// installChunk is the record capacity of one resident chunk (about
-// 160 KB); a spill window smaller than this sizes its chunks to the
-// window instead.
+// installChunk is the record capacity of one resident chunk (48 KB); a
+// spill window smaller than this sizes its chunks to the window instead.
 const installChunk = 1 << 12
+
+// installRec is one resident install record: the device and the app as
+// name-table IDs (installNames) and the day. It holds no pointer.
+type installRec struct {
+	dev, app uint32
+	day      int32
+}
+
+// installNames is an install log's name table. An ID below overflowID is
+// positional: in a record's dev field it indexes devs, the run log's
+// device table (World.RunLogDevices order), and in its app field pkgs,
+// the store's packages (package i of Store.Packages() is run-log string
+// ID i+1). The engine sets both lists at its build (InstallLog.setNames)
+// and hands the log those IDs, so an engine record reaches its chunk
+// without a hash lookup. Every other name, in either field — a rotated
+// device ID, a restored or test-appended name — is interned in the
+// overflow as it is appended, in install-log order, and gets
+// overflowID|i. The overflow holds only what resident records name: it
+// empties whenever the resident records do.
+type installNames struct {
+	devs, pkgs []string
+	over       []string
+	overIdx    map[string]uint32
+}
+
+// overflowID marks an overflow ID; the low bits index installNames.over.
+const overflowID = 1 << 31
+
+// dev returns the device name of a record's dev field.
+func (t *installNames) dev(id uint32) string {
+	if id&overflowID != 0 {
+		return t.over[id&^overflowID]
+	}
+	return t.devs[id]
+}
+
+// app returns the package name of a record's app field.
+func (t *installNames) app(id uint32) string {
+	if id&overflowID != 0 {
+		return t.over[id&^overflowID]
+	}
+	return t.pkgs[id]
+}
+
+// intern returns name's overflow ID, adding it on first sight.
+func (t *installNames) intern(name string) uint32 {
+	if id, ok := t.overIdx[name]; ok {
+		return id
+	}
+	if t.overIdx == nil {
+		t.overIdx = make(map[string]uint32)
+	}
+	id := overflowID | uint32(len(t.over))
+	t.over = append(t.over, name)
+	t.overIdx[name] = id
+	return id
+}
+
+// pendingInstall is an install record as the engine's campaign sinks
+// buffer it until the day barrier: the device as the engine resolved it
+// (ID = device-table position + 1, or 0 for a name outside the table),
+// the app's package position, and the day.
+type pendingInstall struct {
+	dev stream.Ref
+	app uint32
+	day dates.Date
+}
 
 // ErrInstallsNotKept is the Err of a CountOnly log that was read: it
 // counted its records but kept none, so there was nothing to read.
@@ -107,40 +180,86 @@ func (l *InstallLog) CountOnly() error {
 // Spilling reports whether a spill window is configured.
 func (l *InstallLog) Spilling() bool { return l.window > 0 }
 
-// Append adds records in order. In spill mode the resident tail is flushed
-// whenever it reaches the window, so one call may spill mid-batch and a
-// burst larger than the window never holds more than window records in
-// RAM.
+// Append adds records in order, interning each name in the overflow of
+// the log's name table (the engine's path is appendPending, which takes
+// the table IDs it resolved at its build). In spill mode the resident
+// tail is flushed whenever it reaches the window, so one call may spill
+// mid-batch and a burst larger than the window never holds more than
+// window records in RAM.
 func (l *InstallLog) Append(recs ...InstallRecord) {
 	if l.countOnly {
 		l.n += len(recs)
 		return
 	}
-	for len(recs) > 0 {
-		c := l.tail()
-		k := min(cap(*c)-len(*c), len(recs))
-		if l.window > 0 {
-			k = min(k, l.window-l.n)
+	for i := range recs {
+		r := &recs[i]
+		l.push(installRec{dev: l.names.intern(r.Device), app: l.names.intern(r.App), day: int32(r.Day)})
+	}
+}
+
+// appendPending adds the engine's buffered records in order. A device
+// the engine resolved keeps its table position; only one outside the
+// table (ID 0) is interned, so an in-table record costs no hash lookup.
+func (l *InstallLog) appendPending(recs []pendingInstall) {
+	if l.countOnly {
+		l.n += len(recs)
+		return
+	}
+	for i := range recs {
+		p := &recs[i]
+		dev := p.dev.ID - 1
+		if p.dev.ID == 0 {
+			dev = l.names.intern(p.dev.S)
 		}
-		*c = append(*c, recs[:k]...)
-		l.n += k
-		recs = recs[k:]
-		if l.window > 0 && l.n >= l.window {
-			l.flush()
+		l.push(installRec{dev: dev, app: p.app, day: int32(p.day)})
+	}
+}
+
+// push adds one record to the tail chunk, flushing a full spill window.
+func (l *InstallLog) push(r installRec) {
+	c := l.tail()
+	*c = append(*c, r)
+	l.n++
+	if l.window > 0 && l.n >= l.window {
+		l.flush()
+	}
+}
+
+// setNames makes devs and pkgs the name table's positional lists. A list
+// that extends the current one (the engine rebuilt on the same world,
+// after more apps were published) keeps every ID; otherwise the resident
+// records' positional names move to the overflow first.
+func (l *InstallLog) setNames(devs, pkgs []string) {
+	t := &l.names
+	extends := func(list, prefix []string) bool {
+		return len(prefix) <= len(list) && slices.Equal(list[:len(prefix)], prefix)
+	}
+	if !extends(devs, t.devs) || !extends(pkgs, t.pkgs) {
+		for _, c := range l.chunks[:l.used] {
+			for i := range c {
+				r := &c[i]
+				if r.dev&overflowID == 0 {
+					r.dev = t.intern(t.devs[r.dev])
+				}
+				if r.app&overflowID == 0 {
+					r.app = t.intern(t.pkgs[r.app])
+				}
+			}
 		}
 	}
+	t.devs, t.pkgs = devs, pkgs
 }
 
 // tail returns the chunk the next append fills: the last resident chunk
 // while it has room, else the next empty chunk, reused or new.
-func (l *InstallLog) tail() *[]InstallRecord {
+func (l *InstallLog) tail() *[]installRec {
 	if l.used > 0 {
 		if c := &l.chunks[l.used-1]; len(*c) < cap(*c) {
 			return c
 		}
 	}
 	if l.used == len(l.chunks) {
-		l.chunks = append(l.chunks, make([]InstallRecord, 0, l.chunkCap()))
+		l.chunks = append(l.chunks, make([]installRec, 0, l.chunkCap()))
 	}
 	l.used++
 	return &l.chunks[l.used-1]
@@ -153,25 +272,29 @@ func (l *InstallLog) chunkCap() int {
 	return installChunk
 }
 
-// resident ranges over the in-RAM records in append order.
-func (l *InstallLog) resident(yield func(*InstallRecord) bool) {
+// resident ranges over the in-RAM records in append order, their names
+// resolved through the name table.
+func (l *InstallLog) resident(yield func(InstallRecord) bool) {
+	t := &l.names
 	for _, c := range l.chunks[:l.used] {
-		for i := range c {
-			if !yield(&c[i]) {
+		for _, r := range c {
+			if !yield(InstallRecord{Device: t.dev(r.dev), App: t.app(r.app), Day: dates.Date(r.day)}) {
 				return
 			}
 		}
 	}
 }
 
-// dropResident empties the resident chunks for reuse, clearing them so
-// they pin no device or package strings.
+// dropResident empties the resident chunks for reuse, and with them the
+// name table's overflow, which only resident records refer to.
 func (l *InstallLog) dropResident() {
 	for i := range l.chunks[:l.used] {
-		clear(l.chunks[i])
 		l.chunks[i] = l.chunks[i][:0]
 	}
 	l.used, l.n = 0, 0
+	clear(l.names.over)
+	l.names.over = l.names.over[:0]
+	clear(l.names.overIdx)
 }
 
 // All ranges over every record in append order: the spilled prefix
@@ -190,7 +313,7 @@ func (l *InstallLog) All() iter.Seq[InstallRecord] {
 			return
 		}
 		for rec := range l.resident {
-			if !yield(*rec) {
+			if !yield(rec) {
 				return
 			}
 		}
@@ -257,7 +380,7 @@ func (l *InstallLog) Reset(n int) {
 		n = l.window
 	}
 	for size := l.chunkCap(); len(l.chunks)*size < n; {
-		l.chunks = append(l.chunks, make([]InstallRecord, 0, size))
+		l.chunks = append(l.chunks, make([]installRec, 0, size))
 	}
 }
 

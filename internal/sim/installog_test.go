@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/dates"
@@ -290,7 +291,7 @@ func TestInstallLogChunksMatchSlice(t *testing.T) {
 				}
 			}
 			check("filled")
-			var first *InstallRecord
+			var first *installRec
 			if window == 0 {
 				first = &l.chunks[0][0]
 			}
@@ -501,4 +502,101 @@ func FuzzInstallLogSpillRoundTrip(f *testing.F) {
 			t.Fatalf("All yielded %d of %d records, Err %v", i, len(ref), err)
 		}
 	})
+}
+
+// TestInstallChunksHoldNoPointers walks the resident chunk element type:
+// a pointer anywhere in it would make the garbage collector scan every
+// record of the log on every cycle.
+func TestInstallChunksHoldNoPointers(t *testing.T) {
+	var walk func(reflect.Type) string
+	walk = func(typ reflect.Type) string {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if p := walk(typ.Field(i).Type); p != "" {
+					return typ.Field(i).Name + "." + p
+				}
+			}
+			return ""
+		case reflect.Array:
+			return walk(typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return ""
+		default:
+			return typ.String()
+		}
+	}
+	elem := reflect.TypeOf(InstallLog{}.chunks).Elem().Elem()
+	if p := walk(elem); p != "" {
+		t.Errorf("install-log chunk element %s holds a pointer at %s", elem, p)
+	}
+}
+
+// TestInstallLogEngineAppendAllocs pins the engine's path into the log:
+// appending in-table records to a chunk that has room allocates nothing.
+func TestInstallLogEngineAppendAllocs(t *testing.T) {
+	var l InstallLog
+	l.setNames([]string{"dev-a", "dev-b"}, []string{"app.x"})
+	recs := []pendingInstall{
+		{dev: stream.Ref{ID: 1, S: "dev-a"}, app: 0, day: 100},
+		{dev: stream.Ref{ID: 2, S: "dev-b"}, app: 0, day: 100},
+	}
+	l.appendPending(recs) // the first chunk
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, func() { l.appendPending(recs) }); allocs != 0 {
+		t.Errorf("an engine append into a chunk with room allocated %v times", allocs)
+	}
+	if l.used != 1 {
+		t.Fatalf("the appends filled %d chunks; the test must stay within one", l.used)
+	}
+	want := InstallRecord{Device: "dev-b", App: "app.x", Day: 100}
+	if got := collect(t, &l); len(got) != 2*(runs+2) || got[len(got)-1] != want {
+		t.Errorf("log holds %d records ending %+v, want %d ending %+v", len(got), got[len(got)-1], 2*(runs+2), want)
+	}
+}
+
+// TestInstallLogNameTable covers the name table around the engine path:
+// devices outside the table (rotated IDs) and by-name appends go to the
+// overflow, a grown package list keeps every ID, a different one moves
+// the resident records' names to the overflow, and a spill flush empties
+// the overflow without changing what All reads.
+func TestInstallLogNameTable(t *testing.T) {
+	for _, window := range []int{0, 3} {
+		var l InstallLog
+		if window > 0 {
+			if err := l.EnableSpill(t.TempDir(), window); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ref []InstallRecord
+		l.setNames([]string{"dev-a", "dev-b"}, []string{"app.x"})
+		l.appendPending([]pendingInstall{
+			{dev: stream.Ref{ID: 2, S: "dev-b"}, app: 0, day: 7},
+			{dev: stream.Ref{S: "dev-b-rot1"}, app: 0, day: 7},
+		})
+		ref = append(ref, InstallRecord{Device: "dev-b", App: "app.x", Day: 7}, InstallRecord{Device: "dev-b-rot1", App: "app.x", Day: 7})
+		l.Append(InstallRecord{Device: "dev-a", App: "app.y", Day: 8})
+		ref = append(ref, InstallRecord{Device: "dev-a", App: "app.y", Day: 8})
+		l.setNames([]string{"dev-a", "dev-b"}, []string{"app.x", "app.z"}) // grown
+		l.appendPending([]pendingInstall{{dev: stream.Ref{ID: 1, S: "dev-a"}, app: 1, day: 9}})
+		ref = append(ref, InstallRecord{Device: "dev-a", App: "app.z", Day: 9})
+		l.setNames([]string{"dev-c"}, []string{"app.w"}) // a different world
+		l.appendPending([]pendingInstall{{dev: stream.Ref{ID: 1, S: "dev-c"}, app: 0, day: 9}})
+		ref = append(ref, InstallRecord{Device: "dev-c", App: "app.w", Day: 9})
+		got := collect(t, &l)
+		if len(got) != len(ref) {
+			t.Fatalf("window %d: %d records, want %d", window, len(got), len(ref))
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Errorf("window %d: record %d = %+v, want %+v", window, i, got[i], ref[i])
+			}
+		}
+		if window > 0 && len(l.names.over) > l.n*2 {
+			t.Errorf("window %d: overflow holds %d names for %d resident records", window, len(l.names.over), l.n)
+		}
+		l.Close()
+	}
 }

@@ -133,7 +133,9 @@ func (w *World) RunOpts(o RunOptions) (RunStats, error) {
 		}
 	}
 	if o.Log != nil {
-		eng.enableLog(o.Log)
+		if err := eng.enableLog(o.Log); err != nil {
+			return stats, err
+		}
 	}
 	if o.Resume != nil && o.Installs != nil {
 		if err := w.deliverRestored(o.Installs); err != nil {
@@ -505,7 +507,7 @@ func (w *World) deliverOne(u *campUnit, day dates.Date, sink *unitSink) (bool, e
 // describes.
 type unitSink struct {
 	txs       mediator.TxBuffer
-	log       []InstallRecord
+	log       []pendingInstall
 	delivered int64
 	certified int64
 	// enc buffers the group's run-log events; it is nil when event
@@ -530,7 +532,7 @@ func (s *unitSink) install(u *campUnit, day dates.Date, dev stream.Ref, fraud fl
 		Source:     playstore.SourceReferral,
 		FraudScore: fraud,
 	})
-	s.log = append(s.log, InstallRecord{Device: dev.S, App: u.pkg.S, Day: day})
+	s.log = append(s.log, pendingInstall{dev: dev, app: u.pkg.ID - 1, day: day})
 	if s.enc != nil {
 		s.enc.Install(u.pkg, dev, fraud)
 	}
@@ -544,7 +546,7 @@ func (s *unitSink) installBatch(u *campUnit, day dates.Date, n int, meanFraud fl
 	u.app.RecordInstallBatchLocked(day, int64(n), playstore.SourceReferral, meanFraud)
 	next := func(int) stream.Ref {
 		_, dev := u.pickWorker(day)
-		s.log = append(s.log, InstallRecord{Device: dev.S, App: u.pkg.S, Day: day})
+		s.log = append(s.log, pendingInstall{dev: dev, app: u.pkg.ID - 1, day: day})
 		return dev
 	}
 	if s.enc != nil {

@@ -44,22 +44,30 @@ func (w *World) NewRunLog(out io.Writer) (*stream.Writer, error) {
 // table the original log's base frame carries — which is what lets
 // stream.ResumeWriter keep device references byte-identical.
 func (w *World) RunLogDevices() []string {
+	devs, _ := w.runLogDeviceIndex()
+	return devs
+}
+
+// runLogDeviceIndex returns RunLogDevices and each device's position in it.
+func (w *World) runLogDeviceIndex() ([]string, map[string]uint32) {
 	names := make([]string, 0, len(w.Pools))
-	for name := range w.Pools {
+	n := 0
+	for name, pool := range w.Pools {
 		names = append(names, name)
+		n += len(pool)
 	}
 	sort.Strings(names)
-	var out []string
-	seen := map[string]bool{}
+	out := make([]string, 0, n)
+	idx := make(map[string]uint32, n)
 	for _, name := range names {
 		for _, wk := range w.Pools[name] {
-			if !seen[wk.ID] {
-				seen[wk.ID] = true
+			if _, ok := idx[wk.ID]; !ok {
+				idx[wk.ID] = uint32(len(out))
 				out = append(out, wk.ID)
 			}
 		}
 	}
-	return out
+	return out, idx
 }
 
 // RunLogStrings returns the run log's interned string table: every
