@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/playstore"
+	"repro/internal/stream"
 )
 
 // The goldens below were captured from the seed engine (map-based per-app
@@ -152,4 +153,84 @@ func TestStorageRefactorEquivalence(t *testing.T) {
 		check(fmt.Sprintf("chart %s length", name), uint64(chartLen[name]), wantChart[name][0])
 		check(fmt.Sprintf("chart %s hash", name), uint64(chartHash[name]), wantChart[name][1])
 	}
+}
+
+// Store-bytes goldens: the TinyConfig world's Store.EncodeSnapshot at the
+// end of its run, and the Store section of the checkpoint taken after its
+// 20th day through RunOptions.Checkpoint. They pin the snapshot wire
+// format and every value it carries, so a change to the store's day
+// columns that alters one byte shows here. The world's referral and
+// enforcement counts keep the goldens covering the referral columns. A
+// mismatch prints the new value; nothing rewrites a golden.
+const (
+	goldenStoreSnapLen    = 305400
+	goldenStoreSnapHash   = 0x74e636da096df2ff
+	goldenCkptStoreLen    = 163485
+	goldenCkptStoreHash   = 0xb92f286e3039eb10
+	goldenReferralApps    = 79
+	goldenRemovedApps     = 1
+	goldenRemovedInstalls = 182
+)
+
+func TestStoreBytesGolden(t *testing.T) {
+	cfg := TinyConfig()
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ckpt []byte
+	ckptDay := cfg.Window.Start.AddDays(19)
+	if _, err := w.RunOpts(RunOptions{
+		CheckpointEvery: 20,
+		Checkpoint: func(cp *stream.Checkpoint) error {
+			if cp.Day == ckptDay {
+				ckpt = append([]byte(nil), cp.Store...)
+			}
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ckpt == nil {
+		t.Fatalf("no checkpoint taken on %s", ckptDay)
+	}
+	digest := func(b []byte) uint64 {
+		h := newFnv()
+		h.str(string(b))
+		return uint64(h)
+	}
+	check := func(what string, got, want uint64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s = %#x (%d), want %#x", what, got, got, want)
+		}
+	}
+	snap := w.Store.EncodeSnapshot()
+	check("store snapshot length", uint64(len(snap)), goldenStoreSnapLen)
+	check("store snapshot hash", digest(snap), goldenStoreSnapHash)
+	check("checkpoint store length", uint64(len(ckpt)), goldenCkptStoreLen)
+	check("checkpoint store hash", digest(ckpt), goldenCkptStoreHash)
+
+	var referralApps, removedApps, removed int64
+	for _, pkg := range w.Store.Packages() {
+		days, err := w.Store.Console(pkg, cfg.Window.Start, cfg.Window.End)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref, rem int64
+		for _, d := range days {
+			ref += d.Referral
+			rem += d.Removed
+		}
+		if ref > 0 {
+			referralApps++
+		}
+		if rem > 0 {
+			removedApps++
+			removed += rem
+		}
+	}
+	check("apps with referral installs", uint64(referralApps), goldenReferralApps)
+	check("apps with enforcement removals", uint64(removedApps), goldenRemovedApps)
+	check("installs removed by enforcement", uint64(removed), goldenRemovedInstalls)
 }
