@@ -85,7 +85,9 @@ func (s *Store) effectiveChartSizeLocked() int {
 }
 
 // freeScore computes the engagement score used by top-free and top-games.
-// prev holds the preceding window's dau and sessionSec, feeding a trend
+// DAU is the window's sessions: every session is one active-user
+// contribution. prev holds the preceding window's sessions and sessionSec,
+// feeding a trend
 // term: the store's public charts list "trending" apps, so recent
 // engagement growth counts beyond absolute volume. That trend term is what
 // lets an activity campaign lift a mid-size app over larger static apps —
@@ -97,13 +99,13 @@ func freeScore(w windowMetrics, prev trendInts, mode ChartScoring) float64 {
 	if mode == InstallsOnlyScoring {
 		return installs
 	}
-	dau := math.Log1p(float64(w.dau))
+	dau := math.Log1p(float64(w.sessions))
 	avgSess := 0.0
 	if w.sessions > 0 {
 		avgSess = float64(w.sessionSec) / float64(w.sessions)
 	}
-	engNow := float64(w.dau) + 0.02*float64(w.sessionSec)
-	engPrev := float64(prev.dau) + 0.02*float64(prev.sessionSec)
+	engNow := float64(w.sessions) + 0.02*float64(w.sessionSec)
+	engPrev := float64(prev.sessions) + 0.02*float64(prev.sessionSec)
 	trend := 0.0
 	if engNow > engPrev {
 		trend = math.Log1p(engNow/(engPrev+1) - 1)

@@ -136,7 +136,8 @@ func (e *Enforcer) scan(a *app, day dates.Date, w windowMetrics) int64 {
 	}
 	e.detections.Add(1)
 	// Attribute removals to the most recent days first, mirroring how a
-	// public install count drops after a filtering pass.
+	// public install count drops after a filtering pass. The clawback
+	// window holds referrals, so the app's referral pair is placed.
 	ar := a.ar
 	left := remove
 	for d := day; d >= day.AddDays(-(clawbackDays-1)) && left > 0; d-- {
@@ -144,7 +145,8 @@ func (e *Enforcer) scan(a *app, day dates.Date, w windowMetrics) int64 {
 		if j < 0 {
 			continue
 		}
-		avail := ar.organic[j] + ar.referral[j] - ar.removed[j]
+		p := a.pairSlot(j)
+		avail := ar.organic[j] + ar.referral[p] - ar.removed[p]
 		if avail <= 0 {
 			continue
 		}
@@ -152,7 +154,7 @@ func (e *Enforcer) scan(a *app, day dates.Date, w windowMetrics) int64 {
 		if take > left {
 			take = left
 		}
-		ar.removed[j] += take
+		ar.removed[p] += take
 		left -= take
 	}
 	a.installs -= remove - left

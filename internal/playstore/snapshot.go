@@ -101,21 +101,31 @@ func encodeApp(enc *binenc.Enc, a *app) {
 	enc.Varint(a.win.referral)
 	enc.Varint(a.win.sessions)
 	enc.Varint(a.win.sessionSec)
-	enc.Varint(a.win.dau)
+	// The wire keeps the DAU varints of the seed format, and DAU is
+	// sessions: the window's is summed from the day columns, so the
+	// decoder can cross-check it against the rolling sum above.
+	ar := a.ar
+	var dau int64
+	if a.n > 0 {
+		lo, hi := a.clamp(a.winEnd.AddDays(-(chartWindowDays - 1)), a.winEnd)
+		for j := a.off + lo; j <= a.off+hi; j++ {
+			dau += ar.sessions[j]
+		}
+	}
+	enc.Varint(dau)
 	// Rows are emitted in the seed AoS field order, transposed back out of
 	// the columns, so the wire format (and every committed golden built on
 	// it) is unchanged by the SoA layout.
 	enc.Uvarint(uint64(a.n))
-	ar := a.ar
 	for j := a.off; j < a.off+a.n; j++ {
 		enc.Varint(ar.organic[j])
-		enc.Varint(ar.referral[j])
-		enc.Varint(ar.removed[j])
+		enc.Varint(a.referralAt(j))
+		enc.Varint(a.removedAt(j))
 		enc.F64(ar.fraudSum[j])
 		enc.Varint(ar.sessions[j])
 		enc.Varint(ar.sessionSec[j])
 		enc.F64(ar.revenue[j])
-		enc.Varint(ar.activeUser[j])
+		enc.Varint(ar.sessions[j])
 	}
 }
 
@@ -207,10 +217,12 @@ func DecodeSnapshot(data []byte) (*Store, error) {
 
 // decodeApp rebuilds one app row-by-row off the wire, allocating its
 // column range in the owning shard's arena (the package name decodes
-// first, so the shard is known before any day data is read). The wire
+// first, so the shard is known before any day data is read) and its
+// referral pair on its first nonzero referral or removed slot. The wire
 // carries the rolling window sums; they must agree with the app's own
 // columns, and the previous-window sums, which the wire does not carry,
-// are rebuilt from them.
+// are rebuilt from them. Every DAU on the wire, per day and in the window,
+// must equal its sessions.
 func decodeApp(dec *binenc.Dec, s *Store) (*app, error) {
 	pkg := dec.Str()
 	a := &app{
@@ -228,9 +240,9 @@ func decodeApp(dec *binenc.Dec, s *Store) (*app, error) {
 			referral:   dec.Varint(),
 			sessions:   dec.Varint(),
 			sessionSec: dec.Varint(),
-			dau:        dec.Varint(),
 		},
 	}
+	winDAU := dec.Varint()
 	nDays := dec.Uvarint()
 	if dec.Err() != nil {
 		return nil, fmt.Errorf("playstore: decoding app: %w", dec.Err())
@@ -247,13 +259,18 @@ func decodeApp(dec *binenc.Dec, s *Store) (*app, error) {
 		a.room = int(nDays)
 		for j := a.off; j < a.off+a.n; j++ {
 			ar.organic[j] = dec.Varint()
-			ar.referral[j] = dec.Varint()
-			ar.removed[j] = dec.Varint()
+			if referral, removed := dec.Varint(), dec.Varint(); referral != 0 || removed != 0 {
+				p := a.pairSlot(j)
+				ar.referral[p], ar.removed[p] = referral, removed
+			}
 			ar.fraudSum[j] = dec.F64()
 			ar.sessions[j] = dec.Varint()
 			ar.sessionSec[j] = dec.Varint()
 			ar.revenue[j] = dec.F64()
-			ar.activeUser[j] = dec.Varint()
+			if dau := dec.Varint(); dau != ar.sessions[j] && dec.Err() == nil {
+				return nil, fmt.Errorf("playstore: snapshot app %s: day %s DAU %d differs from its sessions %d",
+					a.pkg, a.base.AddDays(j-a.off), dau, ar.sessions[j])
+			}
 		}
 	}
 	if dec.Err() != nil {
@@ -269,6 +286,10 @@ func decodeApp(dec *binenc.Dec, s *Store) (*app, error) {
 	if a.win != win {
 		return nil, fmt.Errorf("playstore: snapshot app %s: window sums %+v disagree with its days %+v",
 			a.pkg, win, a.win)
+	}
+	if winDAU != win.sessions {
+		return nil, fmt.Errorf("playstore: snapshot app %s: window DAU %d differs from its sessions %d",
+			a.pkg, winDAU, win.sessions)
 	}
 	return a, nil
 }

@@ -277,7 +277,7 @@ func (a *app) recordInstall(in Install) {
 	case SourceOrganic:
 		a.ar.organic[j]++
 	default:
-		a.ar.referral[j]++
+		a.ar.referral[a.pairSlot(j)]++
 		delta.referral = 1
 	}
 	a.ar.fraudSum[j] += clamp01(in.FraudScore)
@@ -316,7 +316,7 @@ func (a *app) recordInstallBatch(day dates.Date, n int64, source InstallSource, 
 	case SourceOrganic:
 		a.ar.organic[j] += n
 	default:
-		a.ar.referral[j] += n
+		a.ar.referral[a.pairSlot(j)] += n
 		delta.referral = n
 	}
 	a.ar.fraudSum[j] += clamp01(meanFraud) * float64(n)
@@ -340,7 +340,8 @@ func (s *Store) RecordSessionBatch(pkg string, day dates.Date, n, secondsPer int
 }
 
 // recordSessionBatch applies n sessions of secondsPer seconds each; the
-// caller holds the shard write lock. n <= 0 is a no-op.
+// caller holds the shard write lock. n <= 0 is a no-op. Each session is
+// one active-user contribution, so DAU is read from sessions.
 func (a *app) recordSessionBatch(day dates.Date, n, secondsPer int64) {
 	if n <= 0 {
 		return
@@ -348,8 +349,7 @@ func (a *app) recordSessionBatch(day dates.Date, n, secondsPer int64) {
 	j := a.slot(day)
 	a.ar.sessions[j] += n
 	a.ar.sessionSec[j] += n * secondsPer
-	a.ar.activeUser[j] += n
-	a.winTrack(day, winInts{sessions: n, sessionSec: n * secondsPer, dau: n})
+	a.winTrack(day, winInts{sessions: n, sessionSec: n * secondsPer})
 }
 
 // RecordSession records an app-usage session (drives DAU and session-length
@@ -368,10 +368,9 @@ func (s *Store) RecordSession(pkg string, sess Session) error {
 // recordSession applies one session; the caller holds the shard write lock.
 func (a *app) recordSession(sess Session) {
 	j := a.slot(sess.Day)
-	a.ar.sessions[j]++
+	a.ar.sessions[j]++ // one session == one active-user contribution
 	a.ar.sessionSec[j] += sess.Seconds
-	a.ar.activeUser[j]++ // one session == one active-user contribution
-	a.winTrack(sess.Day, winInts{sessions: 1, sessionSec: sess.Seconds, dau: 1})
+	a.winTrack(sess.Day, winInts{sessions: 1, sessionSec: sess.Seconds})
 }
 
 // RecordPurchase records an in-app purchase.
@@ -470,7 +469,7 @@ func (s *Store) Console(pkg string, from, to dates.Date) ([]ConsoleDay, error) {
 	for d := from; d <= to; d++ {
 		cd := ConsoleDay{Day: d}
 		if j := a.slotAt(d); j >= 0 {
-			cd.Organic, cd.Referral, cd.Removed = a.ar.organic[j], a.ar.referral[j], a.ar.removed[j]
+			cd.Organic, cd.Referral, cd.Removed = a.ar.organic[j], a.referralAt(j), a.removedAt(j)
 		}
 		out = append(out, cd)
 	}

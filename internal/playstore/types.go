@@ -114,23 +114,29 @@ type ConsoleDay struct {
 }
 
 // colArena is a shard's struct-of-arrays backing store for every app's
-// dense per-day metrics: eight parallel columns, one slot per app-day.
-// Each app owns one contiguous [off, off+room) range of every column, so
-// the daily StepDay pass — enforcement scan, window roll, chart scoring —
-// streams over flat int64/float64 columns instead of striding an array of
-// heterogeneous structs per app. At 100k+ apps that layout difference is
-// what keeps the per-day scan memory-bandwidth-bound rather than
-// cache-miss-bound: the float re-summation reads two packed float64
-// columns and nothing else.
+// per-day metrics: five dense columns, one slot per app-day, and a
+// referral pair beside them. Each app owns one contiguous [off, off+room)
+// range of every dense column, so the daily StepDay pass — enforcement
+// scan, window roll, chart scoring — streams over flat int64/float64
+// columns instead of striding an array of heterogeneous structs per app.
+// At 100k+ apps that layout difference is what keeps the per-day scan
+// memory-bandwidth-bound rather than cache-miss-bound: the float
+// re-summation reads two packed float64 columns and nothing else.
+//
+// Referral installs and enforcement removals land in a few advertised
+// apps only, so they live in the pair (referral, removed): an app gets a
+// [pair, pair+room) range of it on its first referral install, and every
+// other app reads both as 0. DAU has no column: every store writer adds
+// the same amount to DAU as to sessions, so DAU is sessions.
 type colArena struct {
 	organic    []int64
-	referral   []int64
-	removed    []int64
 	fraudSum   []float64
 	sessions   []int64
 	sessionSec []int64
 	revenue    []float64
-	activeUser []int64
+
+	referral []int64
+	removed  []int64
 
 	// horizon, when nonzero, is the last day the run is expected to
 	// write (Store.SetHorizon). An app's first range is sized to reach
@@ -145,16 +151,16 @@ type colArena struct {
 	// own no range). An app's first write reserves column capacity for
 	// all of them at its own range length, so a shard's columns are
 	// allocated once instead of walking append's growth ladder, which
-	// copies all eight columns at every step and holds old and new
-	// arrays at once.
+	// copies all five columns at every step and holds old and new
+	// arrays at once. The referral pair has no reservation.
 	unplaced int
 }
 
-// alloc extends every column by n zeroed slots and returns the starting
-// offset of the new range; when the columns are full, it grows them with
-// room for spare more slots. Ranges are never freed: an app that outgrows
-// its range relocates to the tail and abandons the old one, so with
-// doubling growth at most half of each column is dead — the same
+// alloc extends every dense column by n zeroed slots and returns the
+// starting offset of the new range; when the columns are full, it grows
+// them with room for spare more slots. Ranges are never freed: an app
+// that outgrows its range relocates to the tail and abandons the old one,
+// so with doubling growth at most half of each column is dead — the same
 // constant-factor overhead as slice append, paid arena-wide instead of
 // per-app.
 func (ar *colArena) alloc(n, spare int) int {
@@ -167,13 +173,25 @@ func (ar *colArena) alloc(n, spare int) int {
 		c = max(end+spare, 2*c)
 	}
 	ar.organic = extendCol(ar.organic, end, c)
-	ar.referral = extendCol(ar.referral, end, c)
-	ar.removed = extendCol(ar.removed, end, c)
 	ar.fraudSum = extendCol(ar.fraudSum, end, c)
 	ar.sessions = extendCol(ar.sessions, end, c)
 	ar.sessionSec = extendCol(ar.sessionSec, end, c)
 	ar.revenue = extendCol(ar.revenue, end, c)
-	ar.activeUser = extendCol(ar.activeUser, end, c)
+	return off
+}
+
+// allocPair extends the referral pair by n zeroed slots and returns the
+// starting offset of the new range, doubling the pair when it is full.
+// Like dense ranges, pair ranges are never freed.
+func (ar *colArena) allocPair(n int) int {
+	off := len(ar.referral)
+	end := off + n
+	c := cap(ar.referral)
+	if end > c {
+		c = max(end, 2*c)
+	}
+	ar.referral = extendCol(ar.referral, end, c)
+	ar.removed = extendCol(ar.removed, end, c)
 	return off
 }
 
@@ -213,7 +231,7 @@ func extendCol[T int64 | float64](col []T, end, c int) []T {
 // bit-identical while still never touching a map.
 //
 // The chart score's trend term also reads the previous window,
-// (winEnd-14, winEnd-7], but only its dau and sessionSec. Those two roll
+// (winEnd-14, winEnd-7], but only its sessions and sessionSec. Those two roll
 // the same way in prev: each day that leaves win enters prev, and the day
 // 14 back leaves it. So StepDay's trend query is O(1) too.
 type app struct {
@@ -227,10 +245,14 @@ type app struct {
 	installs int64 // cumulative net installs
 
 	ar   *colArena  // the owning shard's column arena
-	off  int        // start of this app's range in every column
+	off  int        // start of this app's range in every dense column
 	n    int        // days in use, index = day - base
 	room int        // allocated range length (n <= room)
 	base dates.Date // day of slot off; meaningful only when n > 0
+	// pair is the start of the app's [pair, pair+room) range in the
+	// referral pair when paired; dense slot off+i pairs with pair+i.
+	pair   int
+	paired bool
 
 	winEnd dates.Date // newest day the rolling window is anchored at
 	win    winInts    // exact integer sums over (winEnd-7, winEnd]
@@ -238,9 +260,8 @@ type app struct {
 }
 
 // dayMetrics is the value view of one app-day: the row the columns are
-// transposed from. Snapshot framing, the developer console, and the
-// AoS-reference tests read whole rows through metricsAt; the hot paths
-// never materialize one.
+// transposed from. The developer console and the AoS-reference tests read
+// whole rows through metricsAt; the hot paths never materialize one.
 type dayMetrics struct {
 	organic    int64
 	referral   int64
@@ -249,7 +270,7 @@ type dayMetrics struct {
 	sessions   int64
 	sessionSec int64
 	revenue    float64
-	activeUser int64 // distinct opens proxy (DAU)
+	activeUser int64 // distinct opens proxy (DAU), equal to sessions
 }
 
 // winInts are the integer fields of windowMetrics, maintained as an exact
@@ -259,7 +280,6 @@ type winInts struct {
 	referral   int64
 	sessions   int64
 	sessionSec int64
-	dau        int64
 }
 
 func (w *winInts) add(o winInts) {
@@ -267,7 +287,6 @@ func (w *winInts) add(o winInts) {
 	w.referral += o.referral
 	w.sessions += o.sessions
 	w.sessionSec += o.sessionSec
-	w.dau += o.dau
 }
 
 func (w *winInts) sub(o winInts) {
@@ -275,28 +294,27 @@ func (w *winInts) sub(o winInts) {
 	w.referral -= o.referral
 	w.sessions -= o.sessions
 	w.sessionSec -= o.sessionSec
-	w.dau -= o.dau
 }
 
 // trendInts are the two previous-window fields freeScore's trend term
 // reads, maintained as an exact rolling sum beside winInts.
 type trendInts struct {
+	sessions   int64
 	sessionSec int64
-	dau        int64
 }
 
 func (t *trendInts) add(o trendInts) {
+	t.sessions += o.sessions
 	t.sessionSec += o.sessionSec
-	t.dau += o.dau
 }
 
 func (t *trendInts) sub(o trendInts) {
+	t.sessions -= o.sessions
 	t.sessionSec -= o.sessionSec
-	t.dau -= o.dau
 }
 
 func (w winInts) trend() trendInts {
-	return trendInts{sessionSec: w.sessionSec, dau: w.dau}
+	return trendInts{sessions: w.sessions, sessionSec: w.sessionSec}
 }
 
 // initialRoom is the first column range allocated for an app on its first
@@ -353,8 +371,10 @@ func (a *app) slot(d dates.Date) int {
 }
 
 // relocate moves the app's n used slots into a fresh zeroed range of at
-// least need slots (grown by doubling), placing them shift slots in — the
-// backfill case re-anchors by shifting right. The old range is abandoned.
+// least need slots (grown by doubling) in all five dense columns and, when
+// the app is paired, in the referral pair, placing them shift slots in —
+// the backfill case re-anchors by shifting right. The old ranges are
+// abandoned.
 func (a *app) relocate(need, shift int) {
 	room := a.room
 	for room < need {
@@ -363,15 +383,47 @@ func (a *app) relocate(need, shift int) {
 	ar := a.ar
 	off := ar.alloc(room, 0)
 	copy(ar.organic[off+shift:], ar.organic[a.off:a.off+a.n])
-	copy(ar.referral[off+shift:], ar.referral[a.off:a.off+a.n])
-	copy(ar.removed[off+shift:], ar.removed[a.off:a.off+a.n])
 	copy(ar.fraudSum[off+shift:], ar.fraudSum[a.off:a.off+a.n])
 	copy(ar.sessions[off+shift:], ar.sessions[a.off:a.off+a.n])
 	copy(ar.sessionSec[off+shift:], ar.sessionSec[a.off:a.off+a.n])
 	copy(ar.revenue[off+shift:], ar.revenue[a.off:a.off+a.n])
-	copy(ar.activeUser[off+shift:], ar.activeUser[a.off:a.off+a.n])
+	if a.paired {
+		pair := ar.allocPair(room)
+		copy(ar.referral[pair+shift:], ar.referral[a.pair:a.pair+a.n])
+		copy(ar.removed[pair+shift:], ar.removed[a.pair:a.pair+a.n])
+		a.pair = pair
+	}
 	a.off = off
 	a.room = room
+}
+
+// pairSlot returns the referral-pair index of dense slot j, placing the
+// app's pair range first when it has none. Callers hold the shard write
+// lock, and j is a slot of the app's dense range.
+func (a *app) pairSlot(j int) int {
+	if !a.paired {
+		a.pair = a.ar.allocPair(a.room)
+		a.paired = true
+	}
+	return a.pair + j - a.off
+}
+
+// referralAt returns the referral installs of dense slot j, 0 for an app
+// without a pair.
+func (a *app) referralAt(j int) int64 {
+	if !a.paired {
+		return 0
+	}
+	return a.ar.referral[a.pair+j-a.off]
+}
+
+// removedAt returns the enforcement removals of dense slot j, 0 for an
+// app without a pair.
+func (a *app) removedAt(j int) int64 {
+	if !a.paired {
+		return 0
+	}
+	return a.ar.removed[a.pair+j-a.off]
 }
 
 // slotAt returns the arena index for day d read-only, -1 when d falls
@@ -398,13 +450,13 @@ func (a *app) metricsAt(d dates.Date) (dayMetrics, bool) {
 	ar := a.ar
 	return dayMetrics{
 		organic:    ar.organic[j],
-		referral:   ar.referral[j],
-		removed:    ar.removed[j],
+		referral:   a.referralAt(j),
+		removed:    a.removedAt(j),
 		fraudSum:   ar.fraudSum[j],
 		sessions:   ar.sessions[j],
 		sessionSec: ar.sessionSec[j],
 		revenue:    ar.revenue[j],
-		activeUser: ar.activeUser[j],
+		activeUser: ar.sessions[j],
 	}, true
 }
 
@@ -416,12 +468,12 @@ func (a *app) dayInts(d dates.Date) winInts {
 		return winInts{}
 	}
 	ar := a.ar
+	referral := a.referralAt(j)
 	return winInts{
-		installs:   ar.organic[j] + ar.referral[j],
-		referral:   ar.referral[j],
+		installs:   ar.organic[j] + referral,
+		referral:   referral,
 		sessions:   ar.sessions[j],
 		sessionSec: ar.sessionSec[j],
-		dau:        ar.activeUser[j],
 	}
 }
 
@@ -432,7 +484,7 @@ func (a *app) dayTrend(d dates.Date) trendInts {
 	if j < 0 {
 		return trendInts{}
 	}
-	return trendInts{sessionSec: a.ar.sessionSec[j], dau: a.ar.activeUser[j]}
+	return trendInts{sessions: a.ar.sessions[j], sessionSec: a.ar.sessionSec[j]}
 }
 
 // sumInts sums the integer window fields over the days [from,
@@ -513,7 +565,7 @@ type windowMetrics struct {
 	sessions   int64
 	sessionSec int64
 	revenue    float64
-	dau        int64
+	dau        int64 // equal to sessions
 }
 
 // window aggregates the trailing days ending at end (inclusive).
@@ -552,25 +604,30 @@ func (a *app) window(end dates.Date, days int) windowMetrics {
 			w.referral = a.win.referral
 			w.sessions = a.win.sessions
 			w.sessionSec = a.win.sessionSec
-			w.dau = a.win.dau
+			w.dau = a.win.sessions
 			return w
 		}
 	}
 	lo, hi := a.clamp(end.AddDays(-(days - 1)), end)
 	for j := a.off + lo; j <= a.off+hi; j++ {
-		w.installs += ar.organic[j] + ar.referral[j]
-		w.referral += ar.referral[j]
+		w.installs += ar.organic[j]
 		w.fraudSum += ar.fraudSum[j]
 		w.sessions += ar.sessions[j]
 		w.sessionSec += ar.sessionSec[j]
 		w.revenue += ar.revenue[j]
-		w.dau += ar.activeUser[j]
 	}
+	if a.paired {
+		for i := a.pair + lo; i <= a.pair+hi; i++ {
+			w.referral += ar.referral[i]
+		}
+	}
+	w.installs += w.referral
+	w.dau = w.sessions
 	return w
 }
 
 func (w windowMetrics) trend() trendInts {
-	return trendInts{sessionSec: w.sessionSec, dau: w.dau}
+	return trendInts{sessions: w.sessions, sessionSec: w.sessionSec}
 }
 
 // clamp converts an inclusive day range to inclusive range-relative
