@@ -50,7 +50,9 @@ func benchChartStore(b *testing.B, napps, days int) (*Store, []string, dates.Dat
 // BenchmarkStepDayScale isolates the daily chart/window pass over a
 // catalog-sized store: per-app trailing-window aggregation, scoring, and
 // the top-K merge, with no enforcer and no engine on the clock
-// (DESIGN.md E4).
+// (DESIGN.md E4). It also reports the arenas' column bytes per reserved
+// app-day (col_bytes/app-day), an exact count: 40 for the five dense
+// columns, plus the referral pair's share, which is 0 here.
 func BenchmarkStepDayScale(b *testing.B) {
 	s, _, benchDay := benchChartStore(b, 4096, 14)
 	b.ReportAllocs()
@@ -58,6 +60,21 @@ func BenchmarkStepDayScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.StepDay(benchDay)
 	}
+	b.StopTimer()
+	bytes, slots := arenaColumnBytes(s)
+	b.ReportMetric(float64(bytes)/float64(slots), "col_bytes/app-day")
+}
+
+// arenaColumnBytes returns the bytes the store's column arenas hold and
+// how many app-day slots their dense columns reserve.
+func arenaColumnBytes(s *Store) (bytes, slots int) {
+	for i := range s.shards {
+		ar := &s.shards[i].cols
+		slots += cap(ar.organic)
+		bytes += 8 * (cap(ar.organic) + cap(ar.fraudSum) + cap(ar.sessions) + cap(ar.sessionSec) + cap(ar.revenue) +
+			cap(ar.referral) + cap(ar.removed))
+	}
+	return bytes, slots
 }
 
 // BenchmarkAppWindow isolates the trailing-window aggregation for one app

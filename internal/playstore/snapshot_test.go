@@ -2,9 +2,11 @@ package playstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/dates"
 	"repro/internal/randx"
 )
@@ -155,12 +157,86 @@ func TestSnapshotDecodeRejectsInconsistentWindow(t *testing.T) {
 	}
 }
 
+// TestSnapshotDecodeRejectsDAUMismatch checks that decoding refuses a
+// snapshot whose DAU differs from its sessions, which every store writer
+// keeps equal: one changed per-day DAU varint, or one changed window DAU
+// varint, is refused with an error naming the app.
+func TestSnapshotDecodeRejectsDAUMismatch(t *testing.T) {
+	s := buildSnapshotFixture(t)
+	snap := s.EncodeSnapshot()
+	enc := binenc.NewEnc(0)
+	encodeApp(enc, appOf(t, s, "com.a"))
+	rec := enc.Bytes()
+	at := bytes.Index(snap, rec)
+	if at < 0 {
+		t.Fatal("app record not found in the snapshot")
+	}
+	winDAU, lastDAU := dauOffsets(t, rec)
+	for _, c := range []struct {
+		what string
+		off  int
+	}{{"window", winDAU}, {"last day", lastDAU}} {
+		bad := bumpVarint(t, snap, at+c.off)
+		_, err := DecodeSnapshot(bad)
+		if err == nil || !strings.Contains(err.Error(), "com.a") || !strings.Contains(err.Error(), "DAU") {
+			t.Errorf("snapshot with a changed %s DAU: err = %v, want a DAU error naming com.a", c.what, err)
+		}
+	}
+}
+
+// dauOffsets walks one app record of the snapshot wire format and returns
+// the offsets of its window DAU varint and of its last day's DAU varint.
+func dauOffsets(t *testing.T, rec []byte) (win, last int) {
+	t.Helper()
+	dec := binenc.NewDec(rec)
+	for range 4 { // package, title, genre, developer
+		dec.Str()
+	}
+	for range 8 { // released, installs, base, anchor, four window sums
+		dec.Varint()
+	}
+	win = len(rec) - dec.Remaining()
+	dec.Varint()
+	n := dec.Uvarint()
+	if n == 0 {
+		t.Fatal("app record has no days")
+	}
+	for range n {
+		dec.Varint() // organic
+		dec.Varint() // referral
+		dec.Varint() // removed
+		dec.F64()    // fraud sum
+		dec.Varint() // sessions
+		dec.Varint() // session seconds
+		dec.F64()    // revenue
+		last = len(rec) - dec.Remaining()
+		dec.Varint() // DAU
+	}
+	if err := dec.Done(); err != nil {
+		t.Fatal(err)
+	}
+	return win, last
+}
+
+// bumpVarint returns a copy of b with the varint at off incremented.
+func bumpVarint(t *testing.T, b []byte, off int) []byte {
+	t.Helper()
+	dec := binenc.NewDec(b[off:])
+	v := dec.Varint()
+	if dec.Err() != nil {
+		t.Fatal(dec.Err())
+	}
+	out := binary.AppendVarint(append([]byte(nil), b[:off]...), v+1)
+	return append(out, b[len(b)-dec.Remaining():]...)
+}
+
 // FuzzStoreDecodeSnapshot feeds arbitrary bytes to the snapshot decoder,
 // which rebuilds and checks derived window state from the columns it
 // reads. Whatever decodes must re-encode to a snapshot that decodes back
 // to the identical bytes.
 func FuzzStoreDecodeSnapshot(f *testing.F) {
 	f.Add(buildSnapshotFixture(f).EncodeSnapshot())
+	f.Add(buildPairFixture(f).EncodeSnapshot())
 	f.Add(New(dates.StudyStart).EncodeSnapshot())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSnapshot(data)
