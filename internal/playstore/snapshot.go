@@ -118,9 +118,10 @@ func encodeApp(enc *binenc.Enc, a *app) {
 	// it) is unchanged by the SoA layout.
 	enc.Uvarint(uint64(a.n))
 	for j := a.off; j < a.off+a.n; j++ {
+		referral, removed := a.pairAt(j)
 		enc.Varint(ar.organic[j])
-		enc.Varint(a.referralAt(j))
-		enc.Varint(a.removedAt(j))
+		enc.Varint(referral)
+		enc.Varint(removed)
 		enc.F64(ar.fraudSum[j])
 		enc.Varint(ar.sessions[j])
 		enc.Varint(ar.sessionSec[j])

@@ -469,7 +469,8 @@ func (s *Store) Console(pkg string, from, to dates.Date) ([]ConsoleDay, error) {
 	for d := from; d <= to; d++ {
 		cd := ConsoleDay{Day: d}
 		if j := a.slotAt(d); j >= 0 {
-			cd.Organic, cd.Referral, cd.Removed = a.ar.organic[j], a.referralAt(j), a.removedAt(j)
+			cd.Organic = a.ar.organic[j]
+			cd.Referral, cd.Removed = a.pairAt(j)
 		}
 		out = append(out, cd)
 	}

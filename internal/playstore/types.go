@@ -408,22 +408,14 @@ func (a *app) pairSlot(j int) int {
 	return a.pair + j - a.off
 }
 
-// referralAt returns the referral installs of dense slot j, 0 for an app
-// without a pair.
-func (a *app) referralAt(j int) int64 {
+// pairAt returns the referral installs and enforcement removals of dense
+// slot j, both 0 for an app without a pair.
+func (a *app) pairAt(j int) (referral, removed int64) {
 	if !a.paired {
-		return 0
+		return 0, 0
 	}
-	return a.ar.referral[a.pair+j-a.off]
-}
-
-// removedAt returns the enforcement removals of dense slot j, 0 for an
-// app without a pair.
-func (a *app) removedAt(j int) int64 {
-	if !a.paired {
-		return 0
-	}
-	return a.ar.removed[a.pair+j-a.off]
+	p := a.pair + j - a.off
+	return a.ar.referral[p], a.ar.removed[p]
 }
 
 // slotAt returns the arena index for day d read-only, -1 when d falls
@@ -448,10 +440,11 @@ func (a *app) metricsAt(d dates.Date) (dayMetrics, bool) {
 		return dayMetrics{}, false
 	}
 	ar := a.ar
+	referral, removed := a.pairAt(j)
 	return dayMetrics{
 		organic:    ar.organic[j],
-		referral:   a.referralAt(j),
-		removed:    a.removedAt(j),
+		referral:   referral,
+		removed:    removed,
 		fraudSum:   ar.fraudSum[j],
 		sessions:   ar.sessions[j],
 		sessionSec: ar.sessionSec[j],
@@ -468,7 +461,7 @@ func (a *app) dayInts(d dates.Date) winInts {
 		return winInts{}
 	}
 	ar := a.ar
-	referral := a.referralAt(j)
+	referral, _ := a.pairAt(j)
 	return winInts{
 		installs:   ar.organic[j] + referral,
 		referral:   referral,
