@@ -86,14 +86,13 @@ func (s *Store) effectiveChartSizeLocked() int {
 
 // freeScore computes the engagement score used by top-free and top-games.
 // DAU is the window's sessions: every session is one active-user
-// contribution. prev holds the preceding window's sessions and sessionSec,
-// feeding a trend
-// term: the store's public charts list "trending" apps, so recent
-// engagement growth counts beyond absolute volume. That trend term is what
-// lets an activity campaign lift a mid-size app over larger static apps —
-// the mechanism behind the paper's Table 6 finding that activity offers
-// (vetted IIPs) push apps into top charts while pure install bursts do
-// not.
+// contribution. prev holds the preceding window's sessions and
+// sessionSec, feeding a trend term: the store's public charts list
+// "trending" apps, so recent engagement growth counts beyond absolute
+// volume. That trend term is what lets an activity campaign lift a
+// mid-size app over larger static apps — the mechanism behind the paper's
+// Table 6 finding that activity offers (vetted IIPs) push apps into top
+// charts while pure install bursts do not.
 func freeScore(w windowMetrics, prev trendInts, mode ChartScoring) float64 {
 	installs := math.Log1p(float64(w.installs))
 	if mode == InstallsOnlyScoring {

@@ -104,19 +104,12 @@ func encodeApp(enc *binenc.Enc, a *app) {
 	// The wire keeps the DAU varints of the seed format, and DAU is
 	// sessions: the window's is summed from the day columns, so the
 	// decoder can cross-check it against the rolling sum above.
-	ar := a.ar
-	var dau int64
-	if a.n > 0 {
-		lo, hi := a.clamp(a.winEnd.AddDays(-(chartWindowDays - 1)), a.winEnd)
-		for j := a.off + lo; j <= a.off+hi; j++ {
-			dau += ar.sessions[j]
-		}
-	}
-	enc.Varint(dau)
+	enc.Varint(a.sumInts(a.winEnd.AddDays(-(chartWindowDays - 1))).sessions)
 	// Rows are emitted in the seed AoS field order, transposed back out of
 	// the columns, so the wire format (and every committed golden built on
 	// it) is unchanged by the SoA layout.
 	enc.Uvarint(uint64(a.n))
+	ar := a.ar
 	for j := a.off; j < a.off+a.n; j++ {
 		referral, removed := a.pairAt(j)
 		enc.Varint(ar.organic[j])

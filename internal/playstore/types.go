@@ -260,8 +260,9 @@ type app struct {
 }
 
 // dayMetrics is the value view of one app-day: the row the columns are
-// transposed from. The developer console and the AoS-reference tests read
-// whole rows through metricsAt; the hot paths never materialize one.
+// transposed from. Snapshot framing, the developer console, and the
+// AoS-reference tests read whole rows through metricsAt; the hot paths
+// never materialize one.
 type dayMetrics struct {
 	organic    int64
 	referral   int64
