@@ -55,15 +55,6 @@ func buildPairFixture(t testing.TB) *Store {
 	return s
 }
 
-// arenaApps returns every app of the store with its shard arena.
-func arenaApps(s *Store) []*app {
-	var apps []*app
-	for i := range s.shards {
-		apps = append(apps, s.shards[i].order...)
-	}
-	return apps
-}
-
 // TestArenaReferralPair pins the arena's exact layout on a store where
 // only one app takes referral installs: that app alone holds a referral
 // pair range, as long as its dense range, and every enforcement removal
@@ -87,12 +78,14 @@ func TestArenaReferralPair(t *testing.T) {
 	}
 	for name, s := range map[string]*Store{"live": live, "decoded": decoded} {
 		var paired []*app
-		for _, a := range arenaApps(s) {
-			if a.n == 0 {
-				t.Fatalf("%s: %s wrote no day", name, a.pkg)
-			}
-			if a.paired {
-				paired = append(paired, a)
+		for i := range s.shards {
+			for _, a := range s.shards[i].order {
+				if a.n == 0 {
+					t.Fatalf("%s: %s wrote no day", name, a.pkg)
+				}
+				if a.paired {
+					paired = append(paired, a)
+				}
 			}
 		}
 		if len(paired) != 1 || paired[0].pkg != pairedApp {
