@@ -167,10 +167,13 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkNewWorld times a whole world build: the catalog chain plus
-// the seven crowd-worker pools and their devices' package names. Run
-// with -benchmem: the allocations are the point.
-func BenchmarkNewWorld(b *testing.B) {
+// newWorldBenchCases are the two worlds BenchmarkNewWorld and
+// BenchmarkNewEngine build: the tiny world on one worker and a
+// study-sized one (6,000 devices) on two.
+func newWorldBenchCases(b *testing.B) []struct {
+	name string
+	cfg  Config
+} {
 	study := TinyConfig()
 	if err := study.Resize(0, 6000, 0); err != nil {
 		b.Fatal(err)
@@ -178,13 +181,20 @@ func BenchmarkNewWorld(b *testing.B) {
 	study.Workers = 2
 	tiny := TinyConfig()
 	tiny.Workers = 1
-	for _, tc := range []struct {
+	return []struct {
 		name string
 		cfg  Config
 	}{
 		{"tiny/workers=1", tiny},
 		{"study/workers=2", study},
-	} {
+	}
+}
+
+// BenchmarkNewWorld times a whole world build: the catalog chain plus
+// the seven crowd-worker pools and their devices' package names. Run
+// with -benchmem: the allocations are the point.
+func BenchmarkNewWorld(b *testing.B) {
+	for _, tc := range newWorldBenchCases(b) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -193,6 +203,29 @@ func BenchmarkNewWorld(b *testing.B) {
 					b.Fatal(err)
 				}
 				w.Close()
+			}
+		})
+	}
+}
+
+// BenchmarkNewEngine times the engine build a run starts with: the work
+// units, their streams and store handles, and the name of every package,
+// device and account the day loop writes. The world is built once,
+// outside the timer. Run with -benchmem: the allocations are the point.
+func BenchmarkNewEngine(b *testing.B) {
+	for _, tc := range newWorldBenchCases(b) {
+		b.Run(tc.name, func(b *testing.B) {
+			w, err := NewWorld(tc.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := newEngine(w); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/playstore"
+	"repro/internal/scenario"
 	"repro/internal/stream"
 )
 
@@ -233,4 +234,102 @@ func TestStoreBytesGolden(t *testing.T) {
 	check("apps with referral installs", uint64(referralApps), goldenReferralApps)
 	check("apps with enforcement removals", uint64(removedApps), goldenRemovedApps)
 	check("installs removed by enforcement", uint64(removed), goldenRemovedInstalls)
+}
+
+// Run-log goldens: three run logs and one checkpoint, each pinned by its
+// length and digest. The microConfig world publishes one app before its
+// log opens, as the study's honey app is, so the log's string table holds
+// a package the build did not. Its log is pinned unsegmented and with
+// 16 KiB segments, together with the segmented run's checkpoint after
+// day 6; the device-churn scenario's 16-day log writes its rotated
+// devices inline. They pin the run log's name tables and every reference
+// the engine writes, so a change to either that alters one byte shows
+// here. A mismatch prints the new value; nothing rewrites a golden.
+const (
+	goldenMicroLogLen     = 557952
+	goldenMicroLogHash    = 0x01750219213249c5
+	goldenMicroSegLogLen  = 939196
+	goldenMicroSegLogHash = 0x8305a2f5c26be1c4
+	goldenMicroCkptLen    = 3899926
+	goldenMicroCkptHash   = 0xe67873efe45222bc
+	goldenChurnLogLen     = 5408852
+	goldenChurnLogHash    = 0x94edd16159c1f163
+)
+
+func TestRunLogBytesGolden(t *testing.T) {
+	digest := func(b []byte) uint64 {
+		h := newFnv()
+		h.str(string(b))
+		return uint64(h)
+	}
+	check := func(what string, got, want uint64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s = %#x (%d), want %#x", what, got, got, want)
+		}
+	}
+	// microLog runs the microConfig world with its late app published,
+	// returning the log and the encoded checkpoint after day 6.
+	microLog := func(segBytes int64) (log, ckpt []byte) {
+		t.Helper()
+		cfg := microConfig()
+		w, err := NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Store.Publish(playstore.Listing{Package: "late.published.app", Title: "Late",
+			Genre: "Puzzle", Developer: w.Advertised[0].Developer, Released: cfg.Window.Start}); err != nil {
+			t.Fatal(err)
+		}
+		var buf writableBuffer
+		lw, err := w.NewRunLog(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if segBytes > 0 {
+			lw.SetSegmentBytes(segBytes)
+		}
+		ckptDay := cfg.Window.Start.AddDays(5)
+		if _, err := w.RunOpts(RunOptions{Log: lw, CheckpointEvery: 6, Checkpoint: func(cp *stream.Checkpoint) error {
+			if cp.Day == ckptDay {
+				ckpt = cp.Encode()
+			}
+			return nil
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if ckpt == nil {
+			t.Fatalf("no checkpoint taken on %s", ckptDay)
+		}
+		return buf.b, ckpt
+	}
+	log, _ := microLog(0)
+	check("micro log length", uint64(len(log)), goldenMicroLogLen)
+	check("micro log hash", digest(log), goldenMicroLogHash)
+	log, ckpt := microLog(16 << 10)
+	check("micro segmented log length", uint64(len(log)), goldenMicroSegLogLen)
+	check("micro segmented log hash", digest(log), goldenMicroSegLogHash)
+	check("micro checkpoint length", uint64(len(ckpt)), goldenMicroCkptLen)
+	check("micro checkpoint hash", digest(ckpt), goldenMicroCkptHash)
+
+	sp, _ := scenario.Lookup("device-churn")
+	sp.World.WindowDays = 16
+	cfg, err := ConfigForSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf writableBuffer
+	lw, err := w.NewRunLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.RunOpts(RunOptions{Log: lw}); err != nil {
+		t.Fatal(err)
+	}
+	check("device-churn log length", uint64(len(buf.b)), goldenChurnLogLen)
+	check("device-churn log hash", digest(buf.b), goldenChurnLogHash)
 }
