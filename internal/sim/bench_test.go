@@ -68,15 +68,15 @@ func benchDeliveryFixture(b *testing.B, typ offers.Type) (*World, *campUnit, dat
 		Mediator:  med,
 		Ledger:    mediator.NewLedger(),
 		Pools:     map[string][]*device.Worker{platform.Name: pool},
+		Campaigns: []*PlannedCampaign{{
+			IIP: platform.Name, OfferID: c.OfferID, App: pkg, Spec: spec,
+			DailyUptake: 5,
+		}},
 	}
 	w.medAcct = mediator.MediatorAccount(med.Name)
 
 	e := &engine{w: w, unitOf: map[string]int{pkg: 0}}
-	_, devIdx := w.runLogDeviceIndex()
-	u, err := e.resolveUnit(&PlannedCampaign{
-		IIP: platform.Name, OfferID: c.OfferID, App: pkg, Spec: spec,
-		DailyUptake: 5,
-	}, map[string]iipNames{}, devIdx)
+	u, err := e.resolveUnit(w.Campaigns[0], newRunNames(w).camps[0])
 	if err != nil {
 		b.Fatal(err)
 	}

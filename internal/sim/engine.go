@@ -43,8 +43,9 @@ import (
 // resolve per event is resolved exactly once here, at construction: app
 // rows become playstore.AppHandle values, campaigns become iip
 // settlement handles plus mediator click sessions, organic rate maps
-// become slices, and ledger account names arrive pre-interned from the
-// world build. The inner loops then run on pointers and integers — no
+// become slices, and every name the day loop writes (package, device,
+// offer ID, ledger account) is a stream.Ref from the run's name tables
+// (runNames). The inner loops then run on pointers and integers — no
 // string hashing, no map growth, and (thanks to the write partition) one
 // shard-lock acquisition per (app, day) batch instead of one per event.
 type engine struct {
@@ -80,6 +81,10 @@ type engine struct {
 	orgEnc    []stream.Encoder
 	sinkEnc   []stream.Encoder
 	batchBufs [][]byte // barrier scratch: non-empty unit buffers for EventBatch
+
+	// devNames and strNames are the run's name tables (runNames), which
+	// an attached log's tables must equal.
+	devNames, strNames []string
 
 	// installs, when non-nil, receives each sink's install records at the
 	// barrier, in install-log order (RunOptions.Installs), their names
@@ -132,20 +137,21 @@ func (u *organicUnit) record(day dates.Date, n, dau, secPer int64, usd float64) 
 // session, the worker pool with its IIP's interned names, and the
 // platform's daily pace cap.
 //
-// Every name the delivery flow writes or logs is one stream.Ref, built in
-// resolveUnit. The pool devices and the package get their table IDs there,
-// which the install log and the run log share; the ledger accounts and the
-// offer ID get their run-log references at enableLog (the ID stays 0 when
-// event logging is disabled).
+// Every name the delivery flow writes or logs is one stream.Ref from the
+// run's name tables (runNames), with its table ID whether a log is
+// attached or not: the package, the offer ID, the ledger accounts and the
+// pool devices. The install log shares the package and device IDs; the
+// delivery hot path posts four transfers per completion and never
+// rebuilds a name.
 type campUnit struct {
-	c        *PlannedCampaign
-	r        *randx.Rand
-	app      playstore.AppHandle
-	offer    *iip.CampaignHandle
-	session  *mediator.OfferSession
-	pool     []*device.Worker
-	iipNames // the pool's device IDs and payout accounts, the affiliates
-	paceCap  int
+	c         *PlannedCampaign
+	r         *randx.Rand
+	app       playstore.AppHandle
+	offer     *iip.CampaignHandle
+	session   *mediator.OfferSession
+	pool      []*device.Worker
+	campNames // the package, offer ID and accounts, the pool's devices
+	paceCap   int
 
 	// strat is the unit's adversary strategy (scenario layer): it decides
 	// the day's quota within paceCap, which pool workers fulfil it, the
@@ -153,15 +159,6 @@ type campUnit struct {
 	// sessions. The baseline strategy consumes u.r exactly as the
 	// pre-scenario engine did.
 	strat scenario.Strategy
-
-	// The advertised package and the offer ID, and the ledger accounts
-	// interned once per campaign; the delivery hot path posts four
-	// transfers per completion and never rebuilds them.
-	pkg      stream.Ref
-	offerID  stream.Ref
-	devAcct  stream.Ref // "dev:<developer>"
-	iipAcct  stream.Ref // "iip:<platform>"
-	poolAcct stream.Ref // "user:pool-<platform>", the batch payout account
 }
 
 // pickWorker draws the pool worker fulfilling one completion and the
@@ -215,9 +212,10 @@ func newEngine(w *World) (*engine, error) {
 	w.medAcct = mediator.MediatorAccount(w.Mediator.Name)
 	e := &engine{w: w, workers: workers}
 
-	pkgs := w.Store.Packages()
-	devs, devIdx := w.runLogDeviceIndex()
-	w.InstallLog.setNames(devs, pkgs)
+	names := newRunNames(w)
+	e.devNames, e.strNames = names.devs.list, names.strs.list
+	pkgs := e.strNames[:len(names.pkgs)]
+	w.InstallLog.setNames(e.devNames, pkgs)
 	e.organic = make([]organicUnit, len(pkgs))
 	e.charted = make([]bool, len(pkgs))
 	e.unitOf = make(map[string]int, len(pkgs))
@@ -228,7 +226,7 @@ func newEngine(w *World) (*engine, error) {
 			return nil, fmt.Errorf("sim: resolving organic app %s: %w", pkg, err)
 		}
 		e.organic[i] = organicUnit{
-			pkg:     stream.Ref{ID: uint32(i) + 1, S: pkg},
+			pkg:     names.pkgs[i],
 			r:       randx.Derive(w.Cfg.Seed, "engine/"+pkg),
 			app:     h,
 			install: w.organicInstall[pkg],
@@ -237,16 +235,15 @@ func newEngine(w *World) (*engine, error) {
 		}
 	}
 
-	names := map[string]iipNames{}
 	groupOf := map[string]int{}
-	for _, c := range w.Campaigns {
+	for i, c := range w.Campaigns {
 		g, ok := groupOf[c.Spec.Developer]
 		if !ok {
 			g = len(e.groups)
 			groupOf[c.Spec.Developer] = g
 			e.groups = append(e.groups, nil)
 		}
-		u, err := e.resolveUnit(c, names, devIdx)
+		u, err := e.resolveUnit(c, names.camps[i])
 		if err != nil {
 			return nil, err
 		}
@@ -258,129 +255,54 @@ func newEngine(w *World) (*engine, error) {
 }
 
 // enableLog attaches the event-sourced run log, allocating the per-unit
-// encoders the parallel phases buffer into and giving the ledger accounts
-// and offer IDs their run-log references. Packages and pool devices hold
-// their table IDs from the engine build already; the writer's tables must
-// be this world's (World.NewRunLog or ResumeRunLog, opened after the last
-// app was published). With no log attached the hot paths skip event
-// encoding entirely.
+// encoders the parallel phases buffer into. Every name already holds its
+// table ID from the engine build, so the encoders install no tables. The
+// writer's tables must be exactly this run's (World.NewRunLog or
+// ResumeRunLog, opened after the last app was published): one name
+// missing, added or moved, and the log is refused. With no log attached
+// the hot paths skip event encoding entirely.
 func (e *engine) enableLog(w *stream.Writer) error {
-	if err := e.checkLogTables(w); err != nil {
-		return err
+	if !sameTable(w.DeviceTable(), e.devNames) || !sameTable(w.StringTable(), e.strNames) {
+		return fmt.Errorf("sim: the run log's name tables are not this world's (open it with NewRunLog or ResumeRunLog after the last app is published)")
 	}
 	e.log = w
 	e.orgEnc = make([]stream.Encoder, len(e.organic))
 	for i := range e.organic {
 		u := &e.organic[i]
 		u.enc = &e.orgEnc[i]
-		u.enc.SetStringTable(w.StringTable())
 		u.enc.SetRecordMode(true)
 		u.enc.Grow(48) // one organic record per day
 	}
 	e.sinkEnc = make([]stream.Encoder, len(e.sinks))
 	for g := range e.sinks {
-		e.sinkEnc[g].SetDeviceTable(w.DeviceTable())
-		e.sinkEnc[g].SetStringTable(w.StringTable())
 		e.sinkEnc[g].SetRecordMode(true)
 		e.sinkEnc[g].Grow(4 << 10)
 		e.sinks[g].enc = &e.sinkEnc[g]
 	}
 	e.batchBufs = make([][]byte, 0, len(e.orgEnc)+len(e.sinkEnc))
-	// Each IIP's shared account slices are resolved once, through the
-	// first campaign that carries them; the delivery hot path then
-	// performs no map lookups at all.
-	enc := &e.sinkEnc[0]
-	shared := map[string]bool{}
-	for _, g := range e.groups {
-		for _, u := range g {
-			if !shared[u.c.IIP] {
-				shared[u.c.IIP] = true
-				for _, accts := range [][]stream.Ref{u.poolAccts, u.affAccts} {
-					for i := range accts {
-						accts[i] = enc.Intern(accts[i].S)
-					}
-				}
-			}
-			u.noAffAcct = enc.Intern(u.noAffAcct.S)
-			u.offerID = enc.Intern(u.offerID.S)
-			u.devAcct = enc.Intern(u.devAcct.S)
-			u.iipAcct = enc.Intern(u.iipAcct.S)
-			u.poolAcct = enc.Intern(u.poolAcct.S)
-		}
-	}
 	return nil
 }
 
-// checkLogTables spot-checks that the writer's tables put this world's
-// devices and packages where the engine's table IDs say: the same device
-// count, and the first and last name of each list at its position.
-func (e *engine) checkLogTables(w *stream.Writer) error {
-	at := func(tab map[string]uint32, list []string, i int) bool {
-		id, ok := tab[list[i]]
-		return ok && id == uint32(i)
+// sameTable reports whether tab maps exactly list[i] to i.
+func sameTable(tab map[string]uint32, list []string) bool {
+	if len(tab) != len(list) {
+		return false
 	}
-	ends := func(tab map[string]uint32, list []string) bool {
-		return len(list) == 0 || at(tab, list, 0) && at(tab, list, len(list)-1)
-	}
-	names := &e.w.InstallLog.names
-	if len(w.DeviceTable()) != len(names.devs) || !ends(w.DeviceTable(), names.devs) || !ends(w.StringTable(), names.pkgs) {
-		return fmt.Errorf("sim: the run log's name tables are not this world's (open it with NewRunLog or ResumeRunLog after the last app is published)")
-	}
-	return nil
-}
-
-// iipNames are the names every campaign on one IIP shares. Its slices
-// are one backing array, shared by all the IIP's units; each unit keeps
-// its own copy of noAffAcct.
-type iipNames struct {
-	devs      []stream.Ref // each pool worker's device ID, parallel to the pool
-	poolAccts []stream.Ref // "user:<worker.ID>", parallel to the pool
-	affAccts  []stream.Ref // "affiliate:<pkg>" per instrumented affiliate
-	noAffAcct stream.Ref   // fallback when the IIP has no instrumented affiliates
-}
-
-// newIIPNames builds the shared names of the IIP called name, each pool
-// device with its position in devIdx (the run log's device table) as its
-// ID; a device devIdx lacks keeps ID 0 and is written inline.
-func (w *World) newIIPNames(name string, devIdx map[string]uint32) iipNames {
-	pool := w.Pools[name]
-	// Affiliate accounts come from the world's per-IIP cache when present
-	// (the standard platforms); any other platform name is resolved here,
-	// so hand-assembled worlds never post to empty account names.
-	affAccts, ok := w.affAcctByIIP[name]
-	if !ok {
-		for _, a := range w.AffiliatesForIIP(name) {
-			affAccts = append(affAccts, mediator.AffiliateAccount(a.Package))
+	for i, s := range list {
+		if id, ok := tab[s]; !ok || id != uint32(i) {
+			return false
 		}
 	}
-	np := len(pool)
-	refs := make([]stream.Ref, 2*np+len(affAccts))
-	n := iipNames{devs: refs[:np:np], poolAccts: refs[np : 2*np : 2*np], affAccts: refs[2*np:]}
-	for i, wk := range pool {
-		n.devs[i] = stream.Ref{S: wk.ID}
-		if id, ok := devIdx[wk.ID]; ok {
-			n.devs[i].ID = id + 1
-		}
-		n.poolAccts[i] = stream.Ref{S: mediator.UserAccount(wk.ID)}
-	}
-	for i, acct := range affAccts {
-		n.affAccts[i] = stream.Ref{S: acct}
-	}
-	n.noAffAcct.S = w.noAffAcctByIIP[name]
-	if n.noAffAcct.S == "" {
-		n.noAffAcct.S = mediator.AffiliateAccount("uninstrumented." + name)
-	}
-	return n
+	return true
 }
 
-// resolveUnit turns one planned campaign into a fully resolved work unit,
-// taking its IIP's shared names from names (and adding them on the IIP's
-// first campaign, with their device IDs from devIdx).
-func (e *engine) resolveUnit(c *PlannedCampaign, names map[string]iipNames, devIdx map[string]uint32) (*campUnit, error) {
+// resolveUnit turns one planned campaign into a fully resolved work unit
+// writing the names the run's name tables gave it.
+func (e *engine) resolveUnit(c *PlannedCampaign, names campNames) (*campUnit, error) {
 	w := e.w
 	platform := w.Platforms[c.IIP]
-	if platform == nil {
-		return nil, fmt.Errorf("sim: campaign %s on unknown platform %s", c.OfferID, c.IIP)
+	if _, ok := w.Pools[c.IIP]; platform == nil || !ok {
+		return nil, fmt.Errorf("sim: campaign %s on unknown platform %s, or one without a worker pool", c.OfferID, c.IIP)
 	}
 	offer, err := platform.CampaignHandle(c.OfferID)
 	if err != nil {
@@ -394,34 +316,23 @@ func (e *engine) resolveUnit(c *PlannedCampaign, names map[string]iipNames, devI
 	if err != nil {
 		return nil, fmt.Errorf("sim: resolving campaign %s: %w", c.OfferID, err)
 	}
-	pkg, ok := e.unitOf[c.App]
-	if !ok {
+	if _, ok := e.unitOf[c.App]; !ok {
 		return nil, fmt.Errorf("sim: resolving campaign %s: app %s is not in the engine's catalog", c.OfferID, c.App)
-	}
-	shared, ok := names[c.IIP]
-	if !ok {
-		shared = w.newIIPNames(c.IIP, devIdx)
-		names[c.IIP] = shared
 	}
 	strat, err := scenario.NewStrategy(w.Cfg.Adversary, w.Cfg.Seed, c.OfferID)
 	if err != nil {
 		return nil, fmt.Errorf("sim: campaign %s: %w", c.OfferID, err)
 	}
 	return &campUnit{
-		c:        c,
-		r:        randx.Derive(w.Cfg.Seed, "engine/campaign/"+c.OfferID),
-		app:      app,
-		offer:    offer,
-		session:  session,
-		pool:     w.Pools[c.IIP],
-		iipNames: shared,
-		paceCap:  platform.DailyPace(),
-		strat:    strat,
-		pkg:      stream.Ref{ID: uint32(pkg) + 1, S: c.App},
-		offerID:  stream.Ref{S: c.OfferID},
-		devAcct:  stream.Ref{S: mediator.DeveloperAccount(c.Spec.Developer)},
-		iipAcct:  stream.Ref{S: mediator.IIPAccount(c.IIP)},
-		poolAcct: stream.Ref{S: mediator.UserAccount("pool-" + c.IIP)},
+		c:         c,
+		r:         randx.Derive(w.Cfg.Seed, "engine/campaign/"+c.OfferID),
+		app:       app,
+		offer:     offer,
+		session:   session,
+		pool:      w.Pools[c.IIP],
+		campNames: names,
+		paceCap:   platform.DailyPace(),
+		strat:     strat,
 	}, nil
 }
 

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"bytes"
 	"io"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dates"
@@ -205,15 +208,17 @@ func TestEngineGroupsPartitionCampaigns(t *testing.T) {
 }
 
 // TestEngineRefsMatchRunLogTables checks the table IDs the engine gives
-// its names against the run log's own tables, for a fresh log and for one
-// ResumeRunLog continues: every unit's Ref.ID must equal what
-// Encoder.Intern / InternDevice on the writer's tables return. Packages
-// and pool devices carry their IDs from the engine build, log or no log;
-// the rest get theirs at enableLog. The checkpointed world published an
-// app before its run, so the resumed store's catalog outgrows the build.
+// its names against the run log's own tables, for a fresh log, for one
+// ResumeRunLog continues, and for an engine whose run has no log: every
+// Ref a unit writes (packages, pool devices, offer IDs, and the
+// developer, IIP, pool, affiliate, no-affiliate and per-worker accounts)
+// must equal what Encoder.Intern / InternDevice on the writer's tables
+// return, right after newEngine and before any enableLog, and again after
+// it. The checkpointed world published an app before its run, so the
+// resumed store's catalog outgrows the build.
 func TestEngineRefsMatchRunLogTables(t *testing.T) {
 	cfg := microConfig()
-	check := func(label string, w *World, lw *stream.Writer) {
+	check := func(label string, w *World, lw *stream.Writer) *engine {
 		t.Helper()
 		eng, err := newEngine(w)
 		if err != nil {
@@ -228,14 +233,20 @@ func TestEngineRefsMatchRunLogTables(t *testing.T) {
 				t.Fatalf("%s: %s = %+v, the log's tables give %+v", label, what, got, want)
 			}
 		}
-		// The IDs the engine build resolved, before any log is attached.
 		refs := func() {
 			for i := range eng.organic {
 				same("organic package", eng.organic[i].pkg, enc.Intern(eng.organic[i].pkg.S))
 			}
 			for _, g := range eng.groups {
 				for _, u := range g {
-					same("campaign package", u.pkg, enc.Intern(u.pkg.S))
+					for _, r := range []stream.Ref{u.pkg, u.offerID, u.devAcct, u.iipAcct, u.poolAcct, u.noAffAcct} {
+						same("campaign name", r, enc.Intern(r.S))
+					}
+					for _, accts := range [][]stream.Ref{u.poolAccts, u.affAccts} {
+						for _, r := range accts {
+							same("account", r, enc.Intern(r.S))
+						}
+					}
 					for _, d := range u.devs {
 						same("pool device", d, enc.InternDevice(d.S))
 					}
@@ -247,17 +258,13 @@ func TestEngineRefsMatchRunLogTables(t *testing.T) {
 			t.Fatal(err)
 		}
 		refs()
-		for _, g := range eng.groups {
-			for _, u := range g {
-				for _, r := range []stream.Ref{u.offerID, u.devAcct, u.iipAcct, u.poolAcct, u.noAffAcct} {
-					same("campaign name", r, enc.Intern(r.S))
-				}
-				for _, accts := range [][]stream.Ref{u.poolAccts, u.affAccts} {
-					for _, r := range accts {
-						same("account", r, enc.Intern(r.S))
-					}
-				}
-			}
+		return eng
+	}
+	lateApp := func(w *World) {
+		t.Helper()
+		if err := w.Store.Publish(playstore.Listing{Package: "late.published.app", Title: "Late",
+			Genre: "Puzzle", Developer: w.Advertised[0].Developer, Released: cfg.Window.Start}); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -265,10 +272,7 @@ func TestEngineRefsMatchRunLogTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Store.Publish(playstore.Listing{Package: "late.published.app", Title: "Late",
-		Genre: "Puzzle", Developer: w.Advertised[0].Developer, Released: cfg.Window.Start}); err != nil {
-		t.Fatal(err)
-	}
+	lateApp(w)
 	lw, err := w.NewRunLog(io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -292,11 +296,35 @@ func TestEngineRefsMatchRunLogTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("resumed log", w2, w2.ResumeRunLog(io.Discard, cp))
+
+	// A world that never opens a log gives its names the IDs a twin
+	// world's log does, here after a whole log-less run.
+	w3, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lateApp(w3)
+	if _, err := w3.Run(); err != nil {
+		t.Fatal(err)
+	}
+	w4, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lateApp(w4)
+	twin, err := w4.NewRunLog(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("no log", w3, twin)
 }
 
 // TestEngineRejectsForeignLogTables: a log opened before the last app was
 // published puts the engine's package IDs where its tables have other
-// names, and the run refuses it instead of writing wrong references.
+// names, and the run refuses it instead of writing wrong references. So
+// does a log whose tables hold this world's names in another order: two
+// middle devices swapped, or two middle accounts, each continued from the
+// lists of a NewRunLog base.
 func TestEngineRejectsForeignLogTables(t *testing.T) {
 	w := buildTiny(t)
 	lw, err := w.NewRunLog(io.Discard)
@@ -310,4 +338,42 @@ func TestEngineRejectsForeignLogTables(t *testing.T) {
 	if _, err := w.RunOpts(RunOptions{Log: lw}); err == nil {
 		t.Fatal("a run accepted a log whose tables miss a package")
 	}
+
+	// swapped runs a fresh microConfig world on a log continued from its
+	// own base, with the lists edited by swap.
+	swapped := func(what string, swap func(devs, strs []string)) {
+		t.Helper()
+		w, err := NewWorld(microConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := w.NewRunLog(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := stream.NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs, strs := slices.Clone(r.Base().Devices), slices.Clone(r.Base().Strings)
+		swap(devs, strs)
+		lw := stream.ResumeWriter(io.Discard, int64(buf.Len()), devs, strs)
+		if _, err := w.RunOpts(RunOptions{Log: lw}); err == nil {
+			t.Errorf("a run accepted a log whose %s", what)
+		}
+	}
+	swapped("device table has two middle entries swapped", func(devs, _ []string) {
+		n := len(devs)
+		devs[n/3], devs[2*n/3] = devs[2*n/3], devs[n/3]
+	})
+	swapped("string table has two middle accounts swapped", func(_, strs []string) {
+		var accts []int
+		for i, s := range strs {
+			if strings.HasPrefix(s, "user:") {
+				accts = append(accts, i)
+			}
+		}
+		i, j := accts[len(accts)/3], accts[2*len(accts)/3]
+		strs[i], strs[j] = strs[j], strs[i]
+	})
 }

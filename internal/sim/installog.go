@@ -71,11 +71,11 @@ type installRec struct {
 
 // installNames is an install log's name table. An ID below overflowID is
 // positional: in a record's dev field it indexes devs, the run log's
-// device table (World.RunLogDevices order), and in its app field pkgs,
-// the store's packages (package i of Store.Packages() is run-log string
-// ID i+1). The engine sets both lists at its build (InstallLog.setNames)
-// and hands the log those IDs, so an engine record reaches its chunk
-// without a hash lookup. Every other name, in either field — a rotated
+// device table, and in its app field pkgs, the store's packages (package
+// i of Store.Packages() is run-log string ID i+1). The engine sets both
+// lists from the run's name tables (runNames) at its build
+// (InstallLog.setNames) and hands the log those IDs, so an engine record
+// reaches its chunk without a hash lookup. Every other name, in either field — a rotated
 // device ID, a restored or test-appended name — is interned in the
 // overflow as it is appended, in install-log order, and gets
 // overflowID|i. The overflow holds only what resident records name: it

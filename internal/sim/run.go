@@ -60,7 +60,9 @@ type RunOptions struct {
 	Installs func(recs []InstallRecord) error
 
 	// Log, when non-nil, receives the framed event stream. Open it with
-	// World.NewRunLog (fresh run) or stream.ResumeWriter (resumed run).
+	// World.NewRunLog (fresh run) or World.ResumeRunLog (resumed run), or
+	// through World.OpenRunLogFile, which calls one of them: the run
+	// refuses a writer whose name tables are not exactly this world's.
 	Log *stream.Writer
 
 	// Checkpoint, when non-nil, receives a day-boundary checkpoint every
@@ -77,10 +79,11 @@ type RunOptions struct {
 	// Resume continues a killed run from a checkpoint: world state is
 	// restored, every engine stream is fast-forwarded, and the day loop
 	// starts after the checkpointed day. The world must have been built
-	// from the same Config as the checkpointed run. With Log attached via
-	// stream.ResumeWriter at the checkpoint's LogOffset, the remaining
-	// event log is byte-identical to what the uninterrupted run would
-	// have written.
+	// from the same Config as the checkpointed run. With Log opened by
+	// World.ResumeRunLog at the checkpoint's LogOffset (which also
+	// restores the checkpoint's segmentation state), the remaining event
+	// log is byte-identical to what the uninterrupted run would have
+	// written.
 	Resume *stream.Checkpoint
 
 	// Metrics, when non-nil, attaches run instrumentation (NewMetrics):

@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
+	"repro/internal/affiliate"
+	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/mediator"
 	"repro/internal/playstore"
@@ -15,10 +18,10 @@ import (
 
 // NewRunLog opens an event-sourced run log on out for this world: the
 // header (run parameters) and the base snapshot (store, ledger, mediator
-// exactly as they stand now) are written immediately, and the returned
-// writer is ready to be attached via RunOptions.Log. Call it right before
-// the run so any pre-run activity (e.g. the honey-app experiment) is part
-// of the base snapshot.
+// exactly as they stand now, and the run's name tables) are written
+// immediately, and the returned writer is ready to be attached via
+// RunOptions.Log. Call it right before the run so any pre-run activity
+// (e.g. the honey-app experiment) is part of the base snapshot.
 func (w *World) NewRunLog(out io.Writer) (*stream.Writer, error) {
 	h := stream.Header{
 		Version:      stream.Version,
@@ -28,101 +31,134 @@ func (w *World) NewRunLog(out io.Writer) (*stream.Writer, error) {
 		MediatorName: w.Mediator.Name,
 		FeePerUser:   w.Mediator.FeePerUser,
 	}
+	names := newRunNames(w)
 	base := stream.Base{
 		Store:    w.Store.EncodeSnapshot(),
 		Ledger:   w.Ledger.EncodeSnapshot(),
 		Mediator: w.Mediator.EncodeSnapshot(),
-		Devices:  w.RunLogDevices(),
-		Strings:  w.RunLogStrings(),
+		Devices:  names.devs.list,
+		Strings:  names.strs.list,
 	}
 	return stream.NewWriter(out, h, base)
 }
 
-// RunLogDevices returns the run log's interned device table: every
-// crowd-worker device ID, in deterministic (pool name, pool order). The
-// world build is deterministic, so a resumed run reconstructs the exact
-// table the original log's base frame carries — which is what lets
-// stream.ResumeWriter keep device references byte-identical.
-func (w *World) RunLogDevices() []string {
-	devs, _ := w.runLogDeviceIndex()
-	return devs
-}
-
-// runLogDeviceIndex returns RunLogDevices and each device's position in it.
-func (w *World) runLogDeviceIndex() ([]string, map[string]uint32) {
-	names := make([]string, 0, len(w.Pools))
-	n := 0
-	for name, pool := range w.Pools {
-		names = append(names, name)
-		n += len(pool)
-	}
-	sort.Strings(names)
-	out := make([]string, 0, n)
-	idx := make(map[string]uint32, n)
-	for _, name := range names {
-		for _, wk := range w.Pools[name] {
-			if _, ok := idx[wk.ID]; !ok {
-				idx[wk.ID] = uint32(len(out))
-				out = append(out, wk.ID)
-			}
-		}
-	}
-	return out, idx
-}
-
-// RunLogStrings returns the run log's interned string table: every
-// catalog package (the store's canonical order), every offer ID and
-// developer account (campaign launch order), and the per-IIP and
-// per-worker ledger account names — all the strings event frames repeat
-// millions of times. Like the device table, it is reconstructed
-// deterministically from the world build, so a resumed run resolves the
-// exact references the original log's base frame carries.
-func (w *World) RunLogStrings() []string {
-	var out []string
-	seen := map[string]bool{}
-	add := func(s string) {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	for _, pkg := range w.Store.Packages() {
-		add(pkg)
-	}
-	for _, c := range w.Campaigns {
-		add(c.OfferID)
-		add(mediator.DeveloperAccount(c.Spec.Developer))
-	}
-	names := make([]string, 0, len(w.Pools))
-	for name := range w.Pools {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		add(mediator.IIPAccount(name))
-		for _, acct := range w.affAcctByIIP[name] {
-			add(acct)
-		}
-		if acct := w.noAffAcctByIIP[name]; acct != "" {
-			add(acct)
-		}
-		add(mediator.UserAccount("pool-" + name))
-		for _, wk := range w.Pools[name] {
-			add(mediator.UserAccount(wk.ID))
-		}
-	}
-	return out
-}
-
 // ResumeRunLog continues the event log of a checkpointed run: out must be
 // the original log file truncated to cp.LogOffset and positioned at its
-// end. The checkpointed segmentation state is reinstated so segment
-// rotations re-trigger at the original offsets, keeping the appended
-// frames byte-identical to what the uninterrupted run would have written.
+// end. The world build is deterministic, so the run's name tables are the
+// ones the original log's base frame carries, and the checkpointed
+// segmentation state is reinstated so segment rotations re-trigger at the
+// original offsets: the appended frames are byte-identical to what the
+// uninterrupted run would have written.
 func (w *World) ResumeRunLog(out io.Writer, cp *stream.Checkpoint) *stream.Writer {
-	lw := stream.ResumeWriter(out, cp.LogOffset, w.RunLogDevices(), w.RunLogStrings())
+	names := newRunNames(w)
+	lw := stream.ResumeWriter(out, cp.LogOffset, names.devs.list, names.strs.list)
 	lw.RestoreSegmentState(cp)
 	return lw
+}
+
+// runNames are a run's name tables: the run log's device and string
+// tables, listed in one deterministic walk of the world that hands out
+// each name's stream.Ref as it lists it. The engine writes only these
+// Refs and NewRunLog and ResumeRunLog write these lists, so the two agree
+// by construction, log on or off. The walk lists the store's packages
+// (package i is string ID i+1), then each campaign's offer ID and
+// developer account, then per pool name, sorted, the IIP, affiliate,
+// no-affiliate, pool and per-worker accounts and the pool's devices. A
+// name listed twice keeps its first ID; a name outside the tables
+// (device-churn's rotated device IDs) keeps ID 0 and is written inline.
+type runNames struct {
+	devs, strs nameList
+	pkgs       []stream.Ref // in Store.Packages() order
+	camps      []campNames  // parallel to World.Campaigns
+}
+
+// nameList is one name table: the names in ID order and their positions.
+type nameList struct {
+	list []string
+	idx  map[string]uint32
+}
+
+// ref returns s's Ref, listing s on first sight.
+func (l *nameList) ref(s string) stream.Ref {
+	id, ok := l.idx[s]
+	if !ok {
+		id = uint32(len(l.list))
+		l.idx[s] = id
+		l.list = append(l.list, s)
+	}
+	return stream.Ref{ID: id + 1, S: s}
+}
+
+// campNames are the names one campaign writes.
+type campNames struct {
+	pkg, offerID, devAcct stream.Ref // devAcct is "dev:<developer>"
+	iipNames
+}
+
+// iipNames are the names every campaign on one IIP shares. Its slices
+// are one backing array, shared by all the IIP's units.
+type iipNames struct {
+	iipAcct   stream.Ref   // "iip:<platform>"
+	poolAcct  stream.Ref   // "user:pool-<platform>", the batch payout account
+	devs      []stream.Ref // each pool worker's device ID, parallel to the pool
+	poolAccts []stream.Ref // "user:<worker.ID>", parallel to the pool
+	affAccts  []stream.Ref // "affiliate:<pkg>" per instrumented affiliate
+	noAffAcct stream.Ref   // fallback when the IIP has no instrumented affiliates
+}
+
+// newRunNames walks w, its lists and maps sized from counts taken first.
+func newRunNames(w *World) *runNames {
+	pkgs := w.Store.Packages()
+	pools := slices.Sorted(maps.Keys(w.Pools))
+	affs := make([][]*affiliate.App, len(pools))
+	ndev, nstr := 0, len(pkgs)+2*len(w.Campaigns)
+	for i, name := range pools {
+		affs[i] = w.AffiliatesForIIP(name)
+		ndev += len(w.Pools[name])
+		nstr += 3 + len(affs[i]) + len(w.Pools[name])
+	}
+	n := &runNames{
+		devs:  nameList{make([]string, 0, ndev), make(map[string]uint32, ndev)},
+		strs:  nameList{make([]string, 0, nstr), make(map[string]uint32, nstr)},
+		pkgs:  make([]stream.Ref, len(pkgs)),
+		camps: make([]campNames, len(w.Campaigns)),
+	}
+	for i, pkg := range pkgs {
+		n.pkgs[i] = n.strs.ref(pkg)
+	}
+	for i, c := range w.Campaigns {
+		n.camps[i].pkg = n.strs.ref(c.App)
+		n.camps[i].offerID = n.strs.ref(c.OfferID)
+		n.camps[i].devAcct = n.strs.ref(mediator.DeveloperAccount(c.Spec.Developer))
+	}
+	shared := make(map[string]iipNames, len(pools))
+	for i, name := range pools {
+		shared[name] = n.iip(name, w.Pools[name], affs[i])
+	}
+	for i, c := range w.Campaigns {
+		n.camps[i].iipNames = shared[c.IIP]
+	}
+	return n
+}
+
+// iip lists the accounts of the IIP called name and its pool's devices.
+func (n *runNames) iip(name string, pool []*device.Worker, affs []*affiliate.App) iipNames {
+	np := len(pool)
+	refs := make([]stream.Ref, 2*np+len(affs))
+	s := iipNames{devs: refs[:np:np], poolAccts: refs[np : 2*np : 2*np], affAccts: refs[2*np:]}
+	s.iipAcct = n.strs.ref(mediator.IIPAccount(name))
+	for i, a := range affs {
+		s.affAccts[i] = n.strs.ref(mediator.AffiliateAccount(a.Package))
+	}
+	// IIPs without instrumented affiliates still have their own
+	// (unobserved) distribution network.
+	s.noAffAcct = n.strs.ref(mediator.AffiliateAccount("uninstrumented." + name))
+	s.poolAcct = n.strs.ref(mediator.UserAccount("pool-" + name))
+	for i, wk := range pool {
+		s.poolAccts[i] = n.strs.ref(mediator.UserAccount(wk.ID))
+		s.devs[i] = n.devs.ref(wk.ID)
+	}
+	return s
 }
 
 // ValidateResume checks that a restored checkpoint is consistent with

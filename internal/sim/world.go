@@ -105,14 +105,6 @@ type World struct {
 	gen  *textgen.Gen
 	// developer bookkeeping for crunchbase generation.
 	devOfApp map[string]playstore.DeveloperID
-	// affByIIP caches AffiliatesForIIP results; the delivery hot path
-	// calls it for every completion from many goroutines at once.
-	affByIIP map[string][]*affiliate.App
-	// affAcctByIIP / noAffAcctByIIP intern each IIP's affiliate ledger
-	// account names ("affiliate:<pkg>", plus the uninstrumented-network
-	// fallback), so per-completion payouts never concatenate strings.
-	affAcctByIIP   map[string][]string
-	noAffAcctByIIP map[string]string
 	// medAcct is the mediator's interned ledger account name, resolved by
 	// newEngine before the day loop starts.
 	medAcct string
@@ -177,7 +169,6 @@ func NewWorld(cfg Config) (*World, error) {
 	for i, name := range iip.StandardNames {
 		w.Pools[name] = pools[i]
 	}
-	w.cacheAffiliates()
 	// Construction is the generator's last use. Its uniqueness maps
 	// retain every package and company name ever drawn — O(world), with
 	// tens of millions of entries at massive scale — so release them
@@ -439,15 +430,11 @@ func (w *World) AdvertisedByPackage(pkg string) (*AdvertisedApp, bool) {
 	return nil, false
 }
 
-// AffiliatesForIIP lists instrumented affiliate apps integrating an IIP.
-// The standard platform names are pre-resolved at build time (the
-// concurrent delivery path hits only those); other names fall through to
-// a fresh scan and are not cached, keeping the method read-only and
-// race-free.
+// AffiliatesForIIP lists the instrumented affiliate apps integrating an
+// IIP, sorted by package, scanning w.Affiliates on every call. No
+// delivery path calls it: the engine build lists each pool's affiliate
+// accounts once, in the run's name tables (runNames).
 func (w *World) AffiliatesForIIP(name string) []*affiliate.App {
-	if cached, ok := w.affByIIP[name]; ok {
-		return cached
-	}
 	var out []*affiliate.App
 	for _, a := range w.Affiliates {
 		if a.IntegratesIIP(name) {
@@ -456,25 +443,4 @@ func (w *World) AffiliatesForIIP(name string) []*affiliate.App {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Package < out[j].Package })
 	return out
-}
-
-// cacheAffiliates pre-resolves the per-IIP affiliate lists — and the
-// interned ledger account name of every affiliate — so the concurrent
-// delivery path never rebuilds either.
-func (w *World) cacheAffiliates() {
-	w.affByIIP = map[string][]*affiliate.App{}
-	w.affAcctByIIP = map[string][]string{}
-	w.noAffAcctByIIP = map[string]string{}
-	for _, name := range iip.StandardNames {
-		apps := w.AffiliatesForIIP(name)
-		w.affByIIP[name] = apps
-		accts := make([]string, len(apps))
-		for i, a := range apps {
-			accts[i] = mediator.AffiliateAccount(a.Package)
-		}
-		w.affAcctByIIP[name] = accts
-		// IIPs without instrumented affiliates still have their own
-		// (unobserved) distribution network.
-		w.noAffAcctByIIP[name] = mediator.AffiliateAccount("uninstrumented." + name)
-	}
 }
