@@ -75,7 +75,7 @@ func benchDeliveryFixture(b *testing.B, typ offers.Type) (*World, *campUnit, dat
 	}
 	w.medAcct = mediator.MediatorAccount(med.Name)
 
-	e := &engine{w: w, unitOf: map[string]int{pkg: 0}}
+	e := &engine{w: w, organic: make([]organicUnit, 1)}
 	u, err := e.resolveUnit(w.Campaigns[0], newRunNames(w).camps[0])
 	if err != nil {
 		b.Fatal(err)

@@ -58,9 +58,11 @@ type engine struct {
 	organic []organicUnit
 
 	// charted flags, per organic unit, presence on yesterday's top-free
-	// chart; unitOf resolves a chart entry's package to its unit.
+	// chart; unitOf resolves a chart entry's package to its unit. It is
+	// the run's string-table index (runNames), which lists package i at
+	// position i, so any other name's position is past the units.
 	charted []bool
-	unitOf  map[string]int
+	unitOf  map[string]uint32
 
 	// groups are the campaign work units: all campaigns of one developer,
 	// in first-appearance order of w.Campaigns (the canonical flush
@@ -218,9 +220,8 @@ func newEngine(w *World) (*engine, error) {
 	w.InstallLog.setNames(e.devNames, pkgs)
 	e.organic = make([]organicUnit, len(pkgs))
 	e.charted = make([]bool, len(pkgs))
-	e.unitOf = make(map[string]int, len(pkgs))
+	e.unitOf = names.strs.idx
 	for i, pkg := range pkgs {
-		e.unitOf[pkg] = i
 		h, err := w.Store.AppHandle(pkg)
 		if err != nil {
 			return nil, fmt.Errorf("sim: resolving organic app %s: %w", pkg, err)
@@ -316,7 +317,7 @@ func (e *engine) resolveUnit(c *PlannedCampaign, names campNames) (*campUnit, er
 	if err != nil {
 		return nil, fmt.Errorf("sim: resolving campaign %s: %w", c.OfferID, err)
 	}
-	if _, ok := e.unitOf[c.App]; !ok {
+	if int(names.pkg.ID) > len(e.organic) {
 		return nil, fmt.Errorf("sim: resolving campaign %s: app %s is not in the engine's catalog", c.OfferID, c.App)
 	}
 	strat, err := scenario.NewStrategy(w.Cfg.Adversary, w.Cfg.Seed, c.OfferID)
@@ -489,7 +490,7 @@ func (e *engine) deliverInstalls(recs []pendingInstall) error {
 func (e *engine) markCharted(day dates.Date) {
 	clear(e.charted)
 	for _, c := range e.w.Store.ChartOn(playstore.ChartTopFree, day) {
-		if i, ok := e.unitOf[c.Package]; ok {
+		if i, ok := e.unitOf[c.Package]; ok && int(i) < len(e.charted) {
 			e.charted[i] = true
 		}
 	}
