@@ -377,3 +377,17 @@ func TestEngineRejectsForeignLogTables(t *testing.T) {
 		strs[i], strs[j] = strs[j], strs[i]
 	})
 }
+
+// TestEngineRefusesCampaignWithoutPool: the run's name tables list
+// accounts per worker pool, so a campaign on an IIP with no pool has no
+// names to write (and no worker to deliver); the engine build refuses it.
+func TestEngineRefusesCampaignWithoutPool(t *testing.T) {
+	w, err := NewWorld(microConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(w.Pools, w.Campaigns[0].IIP)
+	if _, err := newEngine(w); err == nil {
+		t.Fatalf("the engine resolved campaign %s on %s, which has no worker pool", w.Campaigns[0].OfferID, w.Campaigns[0].IIP)
+	}
+}
